@@ -73,6 +73,7 @@ from .metrics import (
     bleu,
     chrf,
     evaluate_directions,
+    score_candidates,
     select_best,
     spbleu,
 )
@@ -103,7 +104,8 @@ __all__ = [
     "load_multiparallel", "load_translator", "load_vocabulary",
     "make_balance_plan", "mix_real_synthetic", "new_direction_labels",
     "parse_direction", "pivot_synthesize", "pretokenize",
-    "representation_change", "run_pipeline", "select_best", "speed_report",
+    "representation_change", "run_pipeline", "score_candidates",
+    "select_best", "speed_report",
     "spbleu", "split_validation", "tag_direction", "train_bpe",
     "train_lexicon", "train_obpe", "validate_config", "vocabulary_report",
     "write_bitext", "__version__",

@@ -97,6 +97,10 @@ class UnsupportedDirection(MTKitError):
         self.tgt = tgt
 
 
+class BadLexicon(MTKitError):
+    """A lexicon file is unreadable or not a well-formed translation table."""
+
+
 class ExternalProcessError(MTKitError):
     """An external translator process failed or broke the line protocol."""
 

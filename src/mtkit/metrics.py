@@ -228,15 +228,15 @@ def evaluate_directions(model: TranslatorModel,
     return EvalReport(getattr(model, "model_id", "model"), tuple(rows))
 
 
-def select_best(candidates: Sequence[tuple[TranslatorModel, str]],
-                devset: BitextCorpus,
-                direction: tuple[str, str] | None = None,
-                metric: Callable[[Sequence[str], Sequence[str]], float]
-                | None = None) -> str:
-    """Name of the candidate with the highest dev score; ties keep the
-    earliest listed. A pure argmax, so positive rescaling of the metric
-    never changes the choice. The devset is flipped if it stores the
-    requested direction the other way round."""
+def score_candidates(candidates: Sequence[tuple[TranslatorModel, str]],
+                     devset: BitextCorpus,
+                     direction: tuple[str, str] | None = None,
+                     metric: Callable[[Sequence[str], Sequence[str]], float]
+                     | None = None) -> list[float]:
+    """Dev score of each candidate, in candidate order: each model
+    translates the devset once and *metric* (BLEU by default) scores it.
+    The devset is flipped if it stores the requested direction the other
+    way round."""
     if not candidates:
         raise EmptyInput("no candidate models")
     src_lang, tgt_lang = direction or (devset.src_lang, devset.tgt_lang)
@@ -245,11 +245,17 @@ def select_best(candidates: Sequence[tuple[TranslatorModel, str]],
     sources = devset.side(src_lang)
     refs = devset.side(tgt_lang)
     score_fn = metric or bleu
-    best_name: str | None = None
-    best_score = float("-inf")
-    for model, name in candidates:
-        hyps = model.translate_batch(sources, src_lang, tgt_lang)
-        score = score_fn(hyps, refs)
-        if score > best_score:
-            best_name, best_score = name, score
-    return best_name
+    return [score_fn(model.translate_batch(sources, src_lang, tgt_lang), refs)
+            for model, _ in candidates]
+
+
+def select_best(candidates: Sequence[tuple[TranslatorModel, str]],
+                devset: BitextCorpus,
+                direction: tuple[str, str] | None = None,
+                metric: Callable[[Sequence[str], Sequence[str]], float]
+                | None = None) -> str:
+    """Name of the candidate with the highest dev score (`score_candidates`);
+    ties keep the earliest listed. A pure argmax, so positive rescaling of
+    the metric never changes the choice."""
+    scores = score_candidates(candidates, devset, direction, metric)
+    return candidates[scores.index(max(scores))][1]

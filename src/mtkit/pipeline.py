@@ -48,7 +48,7 @@ from .errors import (
     MTKitError,
     StepFailure,
 )
-from .metrics import bleu, evaluate_directions, select_best
+from .metrics import evaluate_directions, score_candidates
 from .synthesis import backtranslate, pivot_synthesize
 from .translator import (
     LexiconTranslator,
@@ -573,17 +573,20 @@ class _Runner:
             src, tgt = label.split("-")
             devset = dev_bitext(dev, src, tgt)
             candidates = state.candidates[label]
-            chosen = select_best(candidates, devset)
-            scores = {}
-            for model, name in candidates:
-                hyps = model.translate_batch(devset.src_sentences, src, tgt)
-                scores[name] = round(bleu(hyps, devset.tgt_sentences), 4)
-            selection[label] = {"chosen": chosen, "dev_bleu": scores}
-            model = next(m for m, name in candidates if name == chosen)
+            scores = score_candidates(candidates, devset)
+            best = scores.index(max(scores))
+            model, chosen = candidates[best]
+            selection[label] = {
+                "chosen": chosen,
+                "dev_bleu": {name: round(score, 4) for (_, name), score
+                             in zip(candidates, scores)}}
             state.selected[label] = model
             lex_dir = out / "lexicons"
             lex_dir.mkdir(parents=True, exist_ok=True)
-            outputs.append(model.lexicon.save(lex_dir / f"{label}.json"))
+            # the candidate file already holds this lexicon's bytes
+            outputs.append(shutil.copyfile(
+                out / "candidates" / f"{label}-{chosen}.json",
+                lex_dir / f"{label}.json"))
         path = out / "selection.json"
         path.write_text(json.dumps(selection, indent=2, sort_keys=True) + "\n",
                         encoding="utf-8")

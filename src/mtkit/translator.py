@@ -23,13 +23,19 @@ import json
 import math
 import shlex
 import subprocess
-from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Protocol, Sequence, runtime_checkable
 
+import numpy as np
+
 from .corpus import BitextCorpus
-from .errors import EmptyCorpus, ExternalProcessError, UnsupportedDirection
+from .errors import (
+    BadLexicon,
+    EmptyCorpus,
+    ExternalProcessError,
+    UnsupportedDirection,
+)
 
 NULL_WORD = "<null>"
 
@@ -73,7 +79,8 @@ class Lexicon:
     """t(f|e): conditional probabilities of target words given source words.
 
     Rows (fixed source word, all target words) sum to 1 within 1e-9.
-    The table is sparse: only co-occurring pairs get mass.
+    The table is sparse: only co-occurring pairs get mass. It is not
+    modified after construction: decoding caches each row's argmax.
     """
 
     def __init__(self, src_lang: str, tgt_lang: str,
@@ -83,6 +90,7 @@ class Lexicon:
         self.tgt_lang = tgt_lang
         self.table = table
         self.log_likelihoods = tuple(log_likelihoods)
+        self._best: dict[str, str] = {}
         self._check_rows()
 
     def _check_rows(self) -> None:
@@ -102,15 +110,17 @@ class Lexicon:
 
     def best_translation(self, word: str) -> str:
         """argmax_f t(f|word); ties pick the lexicographically smaller f;
-        words without a table row copy through unchanged."""
-        row = self.table.get(word)
-        if not row:
-            return word
-        best_f, best_p = None, -1.0
-        for f, p in row.items():
-            if p > best_p or (p == best_p and f < best_f):
-                best_f, best_p = f, p
-        return best_f
+        words without a table row copy through unchanged. A row's argmax
+        is computed on its first lookup and cached."""
+        best = self._best.get(word)
+        if best is None:
+            row = self.table.get(word)
+            if not row:
+                return word
+            top = max(row.values())
+            best = self._best[word] = min(f for f, p in row.items()
+                                          if p == top)
+        return best
 
     def save(self, path: str | Path) -> Path:
         path = Path(path)
@@ -131,60 +141,141 @@ class Lexicon:
 
     @classmethod
     def load(cls, path: str | Path) -> "Lexicon":
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        """Read a lexicon written by `save`; raises BadLexicon for a file
+        that is not one. Saved probabilities are rounded, so each row is
+        renormalized."""
+        path = Path(path)
+        try:
+            payload = json.loads(path.read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise BadLexicon(f"cannot parse lexicon {path}: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise BadLexicon(f"lexicon {path}: not a JSON object")
+        for key in ("src_lang", "tgt_lang"):
+            if not isinstance(payload.get(key), str):
+                raise BadLexicon(f"lexicon {path}: {key} must be a string")
+        rows = payload.get("table")
+        if not isinstance(rows, dict):
+            raise BadLexicon(f"lexicon {path}: table must be an object")
         table = {}
-        for e, row in payload["table"].items():
+        for e, row in rows.items():
+            if not isinstance(row, dict) or not row:
+                raise BadLexicon(
+                    f"lexicon {path}: row {e!r} must be a non-empty object")
+            if not all(_is_number(p) and 0 <= p <= 1 for p in row.values()):
+                raise BadLexicon(
+                    f"lexicon {path}: row {e!r} holds a value that is not "
+                    f"a probability")
             total = sum(row.values())
-            # rounded probabilities drift; renormalize rows on load
+            if not total:
+                raise BadLexicon(f"lexicon {path}: row {e!r} is all zeros")
             table[e] = {f: p / total for f, p in row.items()}
+        log_likelihoods = payload.get("log_likelihoods", [])
+        if not (isinstance(log_likelihoods, list)
+                and all(map(_is_number, log_likelihoods))):
+            raise BadLexicon(
+                f"lexicon {path}: log_likelihoods must be a list of numbers")
         return cls(payload["src_lang"], payload["tgt_lang"], table,
-                   tuple(payload.get("log_likelihoods", ())))
+                   tuple(log_likelihoods))
+
+
+def _is_number(value: object) -> bool:
+    """A JSON number: int or float, but not a boolean."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def train_lexicon(corpus: BitextCorpus, iterations: int = 20) -> Lexicon:
-    """EM for a source-to-target word translation table.
+    """EM for a source-to-target word translation table (IBM Model 1).
 
     Alignment prior is uniform over source positions plus a null word, so
     the E-step posterior for each target token is t(f|e) normalized over
     the candidate source tokens. Initialization is uniform over each
     source word's co-occurring target words. The per-iteration corpus
     log-likelihood (stored on the result) never decreases.
+
+    The corpus is flattened once into one entry per (target token, source
+    position), each holding the id of its co-occurring (e, f) pair and of
+    its target token. An iteration is then four `np.bincount` passes:
+    per-token totals of t over the source positions, expected pair
+    counts, per-source-word norms, and the new table.
+
+    The result is bit-for-bit the one of the nested loops over dicts
+    (`reference_em` in the tests): pair ids follow first occurrence in
+    the corpus walked target token by target token, source position by
+    source position, so every bincount adds its terms in the loops'
+    order; the log-likelihood is a `math.log` per token summed left to
+    right (`np.log` and pairwise `np.sum` both differ in the last bits);
+    a pair whose t is exactly 0 going into an iteration leaves the table,
+    as the loops' `if p:` drops it.
     """
     if len(corpus) == 0:
         raise EmptyCorpus(f"{corpus.name} has no pairs for EM")
-    pairs = [(p.src.split() + [NULL_WORD], p.tgt.split())
-             for p in corpus.pairs]
+    src = [p.src.split() + [NULL_WORD] for p in corpus.pairs]
+    tgt = [p.tgt.split() for p in corpus.pairs]
+    e_vocab = sorted({e for words in src for e in words})
+    f_vocab = sorted({f for words in tgt for f in words})
+    keys, t, kept, log_likelihoods = _flat_em(src, tgt, e_vocab, f_vocab,
+                                              iterations)
+    table: dict[str, dict[str, float]] = {e: {} for e in e_vocab}
+    in_order = np.argsort(keys)  # (e, f) order, as the vocabularies sort
+    in_order = in_order[kept[in_order]]
+    for key, prob in zip(keys[in_order].tolist(), t[in_order].tolist()):
+        e, f = divmod(key, len(f_vocab))
+        table[e_vocab[e]][f_vocab[f]] = prob
+    return Lexicon(corpus.src_lang, corpus.tgt_lang, table,
+                   tuple(log_likelihoods))
 
-    support: dict[str, set[str]] = defaultdict(set)
-    for src_words, tgt_words in pairs:
-        for e in src_words:
-            support[e].update(tgt_words)
-    t: dict[str, dict[str, float]] = {
-        e: {f: 1.0 / len(fs) for f in sorted(fs)}
-        for e, fs in sorted(support.items())
-    }
 
-    log_likelihoods: list[float] = []
+def _flat_em(src: list[list[str]], tgt: list[list[str]],
+             e_vocab: list[str], f_vocab: list[str], iterations: int
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float]]:
+    """`train_lexicon`'s EM over the flat index. Returns the co-occurring
+    pairs' keys ``e_id * len(f_vocab) + f_id`` (ids index the
+    vocabularies) in first-occurrence order, their final t, whether each
+    is still in the table, and the log-likelihood of each iteration.
+    A function of its own so that the corpus-sized arrays are freed
+    before `train_lexicon` builds the table, which lowers peak memory."""
+    e_index = {e: i for i, e in enumerate(e_vocab)}
+    f_index = {f: i for i, f in enumerate(f_vocab)}
+    src_ids = np.array([e_index[e] for words in src for e in words])
+    tgt_ids = np.array([f_index[f] for words in tgt for f in words])
+    src_len = np.array([len(words) for words in src])
+    tgt_len = np.array([len(words) for words in tgt])
+
+    # entries run target token by target token, each over its sentence's
+    # source words in order; entry j's source word is src_ids[src_word[j]]
+    width = np.repeat(src_len, tgt_len)  # source words per target token
+    entry_start = np.cumsum(width) - width
+    src_start = np.repeat(np.cumsum(src_len) - src_len, tgt_len)
+    src_word = np.arange(width.sum()) - np.repeat(entry_start - src_start,
+                                                  width)
+    keys, first, pair = np.unique(src_ids[src_word] * len(f_vocab)
+                                  + np.repeat(tgt_ids, width),
+                                  return_index=True, return_inverse=True)
+    del src_word
+    by_first = np.argsort(first)
+    rank = np.empty_like(by_first)  # sorted index -> first-occurrence id
+    rank[by_first] = np.arange(len(rank))
+    pair = rank[pair]
+    keys = keys[by_first]
+    tok = np.repeat(np.arange(len(width)), width)
+    pair_e = keys // len(f_vocab)
+
+    prior = 1.0 / width
+    t = 1.0 / np.bincount(pair_e)[pair_e]
+    kept = t != 0  # the table's entries: pairs whose t went in nonzero
+    log_likelihoods = []
     for _ in range(iterations):
-        counts: dict[str, dict[str, float]] = {e: defaultdict(float) for e in t}
-        log_likelihood = 0.0
-        for src_words, tgt_words in pairs:
-            prior = 1.0 / len(src_words)
-            for f in tgt_words:
-                probs = [t[e].get(f, 0.0) for e in src_words]
-                total = sum(probs)
-                log_likelihood += math.log(prior * total)
-                for e, p in zip(src_words, probs):
-                    if p:
-                        counts[e][f] += p / total
-        for e, row in counts.items():
-            norm = sum(row.values())
-            t[e] = {f: c / norm for f, c in sorted(row.items())}
-            assert abs(sum(t[e].values()) - 1.0) <= 1e-9, \
-                f"row {e!r} failed to renormalize"
-        log_likelihoods.append(log_likelihood)
-
-    return Lexicon(corpus.src_lang, corpus.tgt_lang, t, tuple(log_likelihoods))
+        p = t[pair]
+        total = np.bincount(tok, p)
+        logs = np.fromiter(map(math.log, (prior * total).tolist()), float,
+                           len(total))
+        log_likelihoods.append(float(np.cumsum(logs)[-1]))
+        p /= total[tok]  # each entry's posterior
+        counts = np.bincount(pair, p)
+        kept = t != 0
+        t = counts / np.bincount(pair_e, counts)[pair_e]
+    return keys, t, kept, log_likelihoods
 
 
 def lexicon_translate(lexicon: Lexicon, sentence: str) -> str:

@@ -8,9 +8,14 @@ obviously correct.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import random
-from collections import Counter
+from collections import Counter, defaultdict
+
+from mtkit.errors import EmptyCorpus
+from mtkit.translator import NULL_WORD, Lexicon
 
 MARKER = "</w>"
 
@@ -249,3 +254,52 @@ def cipher_corpus(n_pairs: int, vocab_words: int, seed: int,
         srcs.append(" ".join(words))
         tgts.append(" ".join(cipher[w] for w in words))
     return srcs, tgts, cipher
+
+
+# -- EM for word translation tables ------------------------------------
+
+def reference_em(corpus, iterations: int = 20):
+    """IBM Model 1 EM as nested loops over dicts: the pure-Python
+    `train_lexicon` that the flat-index version replaced, kept verbatim
+    apart from its `sum()` calls. Those are spelled as left-to-right
+    additions (`_add`), which is what `sum()` did before Python 3.12
+    started compensating float sums."""
+    if len(corpus) == 0:
+        raise EmptyCorpus(f"{corpus.name} has no pairs for EM")
+    pairs = [(p.src.split() + [NULL_WORD], p.tgt.split())
+             for p in corpus.pairs]
+
+    support: dict[str, set[str]] = defaultdict(set)
+    for src_words, tgt_words in pairs:
+        for e in src_words:
+            support[e].update(tgt_words)
+    t: dict[str, dict[str, float]] = {
+        e: {f: 1.0 / len(fs) for f in sorted(fs)}
+        for e, fs in sorted(support.items())
+    }
+
+    log_likelihoods: list[float] = []
+    for _ in range(iterations):
+        counts: dict[str, dict[str, float]] = {e: defaultdict(float) for e in t}
+        log_likelihood = 0.0
+        for src_words, tgt_words in pairs:
+            prior = 1.0 / len(src_words)
+            for f in tgt_words:
+                probs = [t[e].get(f, 0.0) for e in src_words]
+                total = _add(probs)
+                log_likelihood += math.log(prior * total)
+                for e, p in zip(src_words, probs):
+                    if p:
+                        counts[e][f] += p / total
+        for e, row in counts.items():
+            norm = _add(row.values())
+            t[e] = {f: c / norm for f, c in sorted(row.items())}
+            assert abs(_add(t[e].values()) - 1.0) <= 1e-9, \
+                f"row {e!r} failed to renormalize"
+        log_likelihoods.append(log_likelihood)
+
+    return Lexicon(corpus.src_lang, corpus.tgt_lang, t, tuple(log_likelihoods))
+
+
+def _add(values) -> float:
+    return functools.reduce(operator.add, values, 0.0)

@@ -197,6 +197,41 @@ def test_translator_run_wrong_direction_fails(data, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+_LEXICON = {"src_lang": "eng", "tgt_lang": "zul", "log_likelihoods": [],
+            "table": {"a": {"x": 1.0}}}
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps({**_LEXICON, "table": {"a": {"x": 0.0, "y": 0.0}}}),
+    json.dumps({k: v for k, v in _LEXICON.items() if k != "src_lang"}),
+    json.dumps({k: v for k, v in _LEXICON.items() if k != "tgt_lang"}),
+    json.dumps({k: v for k, v in _LEXICON.items() if k != "table"}),
+    json.dumps({**_LEXICON, "table": {"a": {"x": "1.0"}}}),
+    json.dumps({**_LEXICON, "table": {"a": {"x": True}}}),
+    json.dumps({**_LEXICON, "table": {"a": {"x": None}}}),
+    json.dumps({**_LEXICON, "table": {"a": {"x": -0.5, "y": 1.5}}}),
+    json.dumps({**_LEXICON, "table": {"a": {}}}),
+    json.dumps({**_LEXICON, "table": {"a": [1.0]}}),
+    json.dumps({**_LEXICON, "src_lang": 7}),
+    json.dumps({**_LEXICON, "log_likelihoods": 5}),
+    json.dumps([_LEXICON]),
+    '{"src_lang": "eng",',
+], ids=["all-zero-row", "no-src_lang", "no-tgt_lang", "no-table",
+        "string-probability", "bool-probability", "null-probability",
+        "out-of-range-probability", "empty-row", "row-not-object",
+        "src_lang-not-string", "log_likelihoods-not-list", "not-object",
+        "not-json"])
+def test_translator_run_rejects_malformed_lexicon(tmp_path, capsys, text):
+    lex = tmp_path / "bad.json"
+    lex.write_text(text, encoding="utf-8")
+    infile = tmp_path / "in.txt"
+    infile.write_text("a\n", encoding="utf-8")
+    assert main(["translator", "run", "--model", str(lex), "--src", "eng",
+                 "--tgt", "zul", "--in", str(infile)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "bad.json" in err
+
+
 def test_synth_backtranslate_and_pivot(data, tmp_path, capsys):
     root, manifests = data
     lex = tmp_path / "xho-eng.json"

@@ -13,6 +13,7 @@ from mtkit.metrics import (
     bleu,
     chrf,
     evaluate_directions,
+    score_candidates,
     select_best,
     spbleu,
 )
@@ -300,6 +301,15 @@ def test_select_best_argmax():
     devset, good, bad = perfect_and_noisy_candidates()
     assert select_best([(bad, "bad"), (good, "good")], devset) == "good"
     assert select_best([(good, "only")], devset) == "only"
+
+
+def test_score_candidates_scores_each_candidate_in_order():
+    devset, good, bad = perfect_and_noisy_candidates()
+    sources, refs = devset.src_sentences, devset.tgt_sentences
+    noisy = bleu(bad.translate_batch(sources, "eng", "zul"), refs)
+    assert noisy < 100.0
+    assert score_candidates([(bad, "bad"), (good, "good")], devset) == \
+        [noisy, 100.0]
 
 
 def test_select_best_tie_keeps_first():

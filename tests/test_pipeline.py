@@ -247,9 +247,15 @@ def test_selection_scores_cover_all_candidates(finished_run):
         (finished_run.run_dir / "stage1" / "selection.json").read_text())
     assert sorted(doc) == sorted(
         [f"eng-{l}" for l in OLD_SIZES] + [f"{l}-eng" for l in OLD_SIZES])
-    for entry in doc.values():
+    stage1 = finished_run.run_dir / "stage1"
+    for label, entry in doc.items():
         assert set(entry["dev_bleu"]) == {"em2", "em5"}
         assert entry["chosen"] in ("em2", "em5")
+        assert entry["dev_bleu"][entry["chosen"]] == \
+            max(entry["dev_bleu"].values())
+        chosen = stage1 / "candidates" / f"{label}-{entry['chosen']}.json"
+        assert (stage1 / "lexicons" / f"{label}.json").read_bytes() == \
+            chosen.read_bytes()
 
 
 def test_rerun_is_byte_identical(dataset, finished_run, tmp_path):

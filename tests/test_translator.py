@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import make_corpus
@@ -60,6 +62,33 @@ def test_null_word_gets_a_row_but_stays_internal():
     lex = train_lexicon(corpus, iterations=3)
     assert NULL_WORD in lex.table
     assert NULL_WORD not in lex.src_vocab
+
+
+def assert_same_as_reference_em(corpus, iterations):
+    lex = train_lexicon(corpus, iterations)
+    ref = oracles.reference_em(corpus, iterations)
+    assert lex.table == ref.table
+    assert lex.log_likelihoods == ref.log_likelihoods
+
+
+@pytest.mark.parametrize("seed, n_pairs, vocab_words, iterations",
+                         [(0, 40, 8, 1), (3, 120, 15, 12), (13, 300, 50, 20)])
+def test_em_equals_reference_on_cipher_corpora(seed, n_pairs, vocab_words,
+                                               iterations):
+    corpus, _ = cipher_bitext(n_pairs, vocab_words, seed)
+    assert_same_as_reference_em(corpus, iterations)
+
+
+# few word types, so sentences repeat words; NULL_WORD may occur as a word
+_sentences = st.lists(st.sampled_from(["a", "b", "c", "dd", NULL_WORD]),
+                      min_size=1, max_size=7).map(" ".join)
+
+
+@given(st.lists(st.tuples(_sentences, _sentences), min_size=1, max_size=12),
+       st.integers(1, 20))
+@settings(max_examples=60, deadline=None)
+def test_em_equals_reference_on_random_corpora(pairs, iterations):
+    assert_same_as_reference_em(make_corpus(pairs), iterations)
 
 
 def test_empty_corpus_rejected():
