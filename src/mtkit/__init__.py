@@ -14,7 +14,6 @@ from .corpus import (
     CorpusStats,
     Provenance,
     SentencePair,
-    clean_corpus,
     concat_corpora,
     corpus_stats,
     load_bitext,
@@ -51,7 +50,7 @@ from .translator import (
     load_translator,
     train_lexicon,
 )
-from .synthesis import backtranslate, mix_real_synthetic, pivot_synthesize
+from .synthesis import backtranslate, pivot_synthesize
 from .dataset_builder import (
     BalancePlan,
     DirectionSpec,
@@ -59,11 +58,9 @@ from .dataset_builder import (
     TrainingMixture,
     build_stage1_mixture,
     build_stage2_mixture,
-    downsample,
     export_mixture,
     make_balance_plan,
     parse_direction,
-    tag_direction,
 )
 from .metrics import (
     BleuConfig,
@@ -98,15 +95,13 @@ __all__ = [
     "STEPS", "SentencePair", "TrainingMixture", "TranslatorModel",
     "VocabConfig", "Vocabulary", "avg_tokens_per_pair", "backtranslate",
     "bleu", "build_stage1_mixture", "build_stage2_mixture", "chrf",
-    "clean_corpus", "concat_corpora", "corpus_stats",
-    "default_special_tokens", "downsample", "errors", "evaluate_directions",
-    "export_mixture", "generate_toy_data", "load_bitext",
-    "load_multiparallel", "load_translator", "load_vocabulary",
-    "make_balance_plan", "mix_real_synthetic", "new_direction_labels",
+    "concat_corpora", "corpus_stats", "default_special_tokens", "errors",
+    "evaluate_directions", "export_mixture", "generate_toy_data",
+    "load_bitext", "load_multiparallel", "load_translator",
+    "load_vocabulary", "make_balance_plan", "new_direction_labels",
     "parse_direction", "pivot_synthesize", "pretokenize",
     "representation_change", "run_pipeline", "score_candidates",
-    "select_best", "speed_report",
-    "spbleu", "split_validation", "tag_direction", "train_bpe",
+    "select_best", "speed_report", "spbleu", "split_validation", "train_bpe",
     "train_lexicon", "train_obpe", "validate_config", "vocabulary_report",
     "write_bitext", "__version__",
 ]

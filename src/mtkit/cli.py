@@ -19,6 +19,7 @@ from .corpus import (
     concat_corpora,
     corpus_stats,
     load_bitext,
+    split_lines,
     split_validation,
     write_bitext,
 )
@@ -52,11 +53,9 @@ def _langs(arg: str) -> frozenset[str]:
 
 
 def _read_lines(path: str | None) -> list[str]:
-    text = Path(path).read_text(encoding="utf-8") if path else sys.stdin.read()
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    return lines
+    """Lines of a UTF-8 text file, or of stdin when *path* is None."""
+    data = Path(path).read_bytes() if path else sys.stdin.buffer.read()
+    return split_lines(data, path or "stdin")
 
 
 def _load_corpora(paths: list[str]) -> list[BitextCorpus]:

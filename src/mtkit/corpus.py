@@ -12,11 +12,17 @@ import hashlib
 import json
 import re
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Literal, Sequence
 
-from .errors import BadManifest, EmptyLine, MisalignedFiles
+from .errors import (
+    BadManifest,
+    EmptyLine,
+    MisalignedFiles,
+    MissingCorpus,
+    MTKitError,
+)
 
 # Languages known out of the box; loaders accept any registry you pass.
 DEFAULT_LANGUAGES: tuple[str, ...] = (
@@ -122,21 +128,43 @@ class BitextCorpus:
         raise KeyError(f"{self.name} has no {lang} side")
 
 
-def _sha256(data: bytes) -> str:
+def orient(corpus: BitextCorpus, src: str, tgt: str,
+           indices: Sequence[int] | None = None) -> BitextCorpus:
+    """*corpus* read as src->tgt: the pairs at *indices* (all of them by
+    default), with pairs and provenance swapped side for side when the
+    corpus stores tgt->src. Only the pairs read are flipped. Raises
+    MissingCorpus when the corpus holds neither orientation."""
+    if (corpus.src_lang, corpus.tgt_lang) == (src, tgt):
+        flip = False
+    elif (corpus.tgt_lang, corpus.src_lang) == (src, tgt):
+        flip = True
+    else:
+        raise MissingCorpus(f"{corpus.name} cannot serve {src}-{tgt}")
+    pairs = corpus.pairs if indices is None else tuple(
+        corpus.pairs[i] for i in indices)
+    if not flip:
+        return replace(corpus, pairs=pairs)
+    return BitextCorpus(
+        name=f"{corpus.name}-rev", src_lang=src, tgt_lang=tgt,
+        pairs=tuple(SentencePair(p.tgt, p.src) for p in pairs),
+        src_provenance=corpus.tgt_provenance,
+        tgt_provenance=corpus.src_provenance)
+
+
+def sha256_hex(data: bytes) -> str:
+    """Hex SHA-256 of *data*, as manifests and run logs record it."""
     return hashlib.sha256(data).hexdigest()
 
 
-def _read_lines(path: Path) -> list[str]:
+def split_lines(data: bytes, source: object,
+                error: type[MTKitError] = BadManifest) -> list[str]:
+    """The LF-separated lines of UTF-8 *data*; a final LF ends the last
+    line rather than starting an empty one. Bytes that are not UTF-8
+    raise *error*, naming *source*."""
     try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise BadManifest(f"cannot read {path}: {exc}") from exc
-    try:
-        text = raw.decode("utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise BadManifest(f"{path} is not valid UTF-8: {exc}") from exc
-    if not text:
-        return []
+        raise error(f"{source} is not valid UTF-8: {exc}") from exc
     lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()
@@ -163,16 +191,16 @@ def load_bitext(manifest_path: str | Path,
     base = manifest_path.parent
     src_path = base / manifest["src_file"]
     tgt_path = base / manifest["tgt_file"]
+    sides = []
     for path, want in ((src_path, manifest["src_sha256"]),
                        (tgt_path, manifest["tgt_sha256"])):
-        got = _sha256(path.read_bytes()) if path.exists() else None
-        if got is None:
+        if not path.exists():
             raise BadManifest(f"{manifest_path}: missing file {path.name}")
-        if got != want:
+        data = path.read_bytes()
+        if sha256_hex(data) != want:
             raise BadManifest(f"{path}: checksum mismatch (corrupt or edited)")
-
-    src_lines = _read_lines(src_path)
-    tgt_lines = _read_lines(tgt_path)
+        sides.append(split_lines(data, path))
+    src_lines, tgt_lines = sides
     if len(src_lines) != len(tgt_lines):
         raise MisalignedFiles(len(src_lines), len(tgt_lines))
     if len(src_lines) != manifest["pair_count"]:
@@ -222,8 +250,8 @@ def write_bitext(corpus: BitextCorpus, out_dir: str | Path) -> Path:
         "src_provenance": corpus.src_provenance.to_json(),
         "tgt_provenance": corpus.tgt_provenance.to_json(),
         "pair_count": len(corpus),
-        "src_sha256": _sha256(src_bytes),
-        "tgt_sha256": _sha256(tgt_bytes),
+        "src_sha256": sha256_hex(src_bytes),
+        "tgt_sha256": sha256_hex(tgt_bytes),
     }
     manifest_path = out_dir / f"{corpus.name}.json"
     manifest_path.write_text(
@@ -283,39 +311,6 @@ def corpus_stats(corpus: BitextCorpus) -> CorpusStats:
         src_chars=sum(len(p.src) for p in corpus.pairs),
         tgt_chars=sum(len(p.tgt) for p in corpus.pairs),
     )
-
-
-def clean_corpus(corpus: BitextCorpus,
-                 max_length_ratio: float | None = None,
-                 dedup: bool = False) -> tuple[BitextCorpus, int]:
-    """Optional filtering pass; never applied implicitly.
-
-    Drops pairs whose whitespace-token length ratio exceeds
-    *max_length_ratio* and, with *dedup*, exact duplicate pairs (first
-    occurrence kept). Returns the cleaned corpus and the removed count.
-    """
-    kept: list[SentencePair] = []
-    seen: set[tuple[str, str]] = set()
-    for pair in corpus.pairs:
-        if max_length_ratio is not None:
-            ls, lt = len(pair.src.split()), len(pair.tgt.split())
-            if max(ls, lt) / max(min(ls, lt), 1) > max_length_ratio:
-                continue
-        if dedup:
-            key = (pair.src, pair.tgt)
-            if key in seen:
-                continue
-            seen.add(key)
-        kept.append(pair)
-    cleaned = BitextCorpus(
-        name=f"{corpus.name}-clean",
-        src_lang=corpus.src_lang,
-        tgt_lang=corpus.tgt_lang,
-        pairs=tuple(kept),
-        src_provenance=corpus.src_provenance,
-        tgt_provenance=corpus.tgt_provenance,
-    )
-    return cleaned, len(corpus) - len(kept)
 
 
 def concat_corpora(name: str, corpora: Sequence[BitextCorpus]) -> BitextCorpus:

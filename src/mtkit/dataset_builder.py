@@ -5,9 +5,12 @@ adds new (non-English) directions and rebalances: each new direction of
 size N is matched with its encoder-side old direction X->eng and its
 decoder-side old direction eng->Y, both sliced down to min(N, available)
 by seeded uniform sampling; old directions no plan entry matches are
-capped at a default (the median new-direction size). Exports are
-globally shuffled with the mixture seed and byte-stable for a given
-seed, with a sidecar manifest recording per-direction example counts.
+capped at a default (the median new-direction size). A slice holds
+indices into its corpus; readers take just those pairs through
+`corpus.orient`, which flips them when the corpus stores the other
+orientation. Exports are globally shuffled with the mixture seed and
+byte-stable for a given seed, with a sidecar manifest recording
+per-direction example counts.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import BitextCorpus, SentencePair
+from .corpus import BitextCorpus, orient
 from .errors import (
     MissingCorpus,
     MissingTagToken,
@@ -61,52 +64,6 @@ def parse_direction(label: str, role: str) -> DirectionSpec:
 
 
 @dataclass(frozen=True)
-class TaggedExample:
-    src_tokens: tuple[int, ...]
-    tgt_tokens: tuple[int, ...]
-    direction: DirectionSpec
-    synthetic: bool
-
-
-def tag_direction(pair: SentencePair, direction: DirectionSpec,
-                  vocab: Vocabulary, synthetic: bool = False) -> TaggedExample:
-    """Prepend <src:xxx> / <tgt:xxx> tag ids to the encoded sides."""
-    src_tag = vocab.token_id(f"<src:{direction.src}>")
-    tgt_tag = vocab.token_id(f"<tgt:{direction.tgt}>")
-    if src_tag is None:
-        raise MissingTagToken(f"vocabulary lacks <src:{direction.src}>")
-    if tgt_tag is None:
-        raise MissingTagToken(f"vocabulary lacks <tgt:{direction.tgt}>")
-    return TaggedExample(
-        src_tokens=(src_tag, *vocab.encode(pair.src)),
-        tgt_tokens=(tgt_tag, *vocab.encode(pair.tgt)),
-        direction=direction,
-        synthetic=synthetic,
-    )
-
-
-def downsample(corpus: BitextCorpus, n: int, seed: int) -> BitextCorpus:
-    """Uniform sample of n pairs without replacement, original order kept.
-
-    Fully determined by (corpus, n, seed); relative order of survivors is
-    the corpus order, so a sample of everything is the identity."""
-    if not 0 <= n <= len(corpus):
-        raise ValueError(f"cannot sample {n} of {len(corpus)} pairs")
-    if n == len(corpus):
-        return corpus
-    rng = np.random.default_rng(seed)
-    keep = np.sort(rng.choice(len(corpus), size=n, replace=False))
-    return BitextCorpus(
-        name=f"{corpus.name}-sample{n}",
-        src_lang=corpus.src_lang,
-        tgt_lang=corpus.tgt_lang,
-        pairs=tuple(corpus.pairs[i] for i in keep),
-        src_provenance=corpus.src_provenance,
-        tgt_provenance=corpus.tgt_provenance,
-    )
-
-
-@dataclass(frozen=True)
 class MixtureSlice:
     corpus: BitextCorpus
     direction: DirectionSpec
@@ -124,17 +81,6 @@ class MixtureSlice:
     def synthetic(self) -> bool:
         return (self.corpus.src_provenance.kind == "synthetic"
                 or self.corpus.tgt_provenance.kind == "synthetic")
-
-    def oriented_pairs(self) -> list[SentencePair]:
-        """Pairs flipped if the corpus stores the opposite orientation."""
-        flip = self.corpus.src_lang != self.direction.src
-        if flip and self.corpus.tgt_lang != self.direction.src:
-            raise MissingCorpus(
-                f"{self.corpus.name} cannot serve {self.direction.label}")
-        pairs = [self.corpus.pairs[i] for i in self.indices]
-        if flip:
-            pairs = [SentencePair(p.tgt, p.src) for p in pairs]
-        return pairs
 
 
 @dataclass(frozen=True)
@@ -325,12 +271,14 @@ def export_mixture(mixture: TrainingMixture, vocab: Vocabulary,
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def render_slice(s: MixtureSlice) -> list[tuple[str, str]]:
-        rows = []
-        for pair in s.oriented_pairs():
-            ex = tag_direction(pair, s.direction, vocab, s.synthetic)
-            rows.append((" ".join(vocab.tokens[i] for i in ex.src_tokens),
-                         " ".join(vocab.tokens[i] for i in ex.tgt_tokens)))
-        return rows
+        d = s.direction
+        src_tag, tgt_tag = f"<src:{d.src}>", f"<tgt:{d.tgt}>"
+        for tag in (src_tag, tgt_tag):
+            if vocab.token_id(tag) is None:
+                raise MissingTagToken(f"vocabulary lacks {tag}")
+        return [(" ".join([src_tag, *vocab.segment(pair.src)]),
+                 " ".join([tgt_tag, *vocab.segment(pair.tgt)]))
+                for pair in orient(s.corpus, d.src, d.tgt, s.indices).pairs]
 
     if threads > 1 and len(mixture.slices) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

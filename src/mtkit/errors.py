@@ -85,7 +85,8 @@ class PlanCoverage(MTKitError):
 
 
 class MissingCorpus(MTKitError):
-    """A plan entry references a direction with no matching corpus."""
+    """A direction has no corpus to serve it: none matches a plan entry,
+    or a corpus is read in a direction it does not hold."""
 
 
 # -- translators / synthesis -------------------------------------------

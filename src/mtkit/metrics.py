@@ -12,7 +12,8 @@ precision and recall; orders whose reference has no n-grams are
 skipped. Defaults char_n=6, word_n=2, beta=2 make it chrF2++.
 
 Identical hypothesis and reference streams score exactly 100.0; fully
-disjoint ones score exactly 0.0.
+disjoint ones score exactly 0.0. Model selection scores each candidate
+by BLEU on a dev set stored in the candidates' direction.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .corpus import BitextCorpus
-from .errors import EmptyInput, LengthMismatch, UnsupportedDirection
+from .errors import EmptyInput, LengthMismatch
 from .translator import TranslatorModel, check_direction
 from .vocab import Vocabulary
 
@@ -229,33 +230,20 @@ def evaluate_directions(model: TranslatorModel,
 
 
 def score_candidates(candidates: Sequence[tuple[TranslatorModel, str]],
-                     devset: BitextCorpus,
-                     direction: tuple[str, str] | None = None,
-                     metric: Callable[[Sequence[str], Sequence[str]], float]
-                     | None = None) -> list[float]:
-    """Dev score of each candidate, in candidate order: each model
-    translates the devset once and *metric* (BLEU by default) scores it.
-    The devset is flipped if it stores the requested direction the other
-    way round."""
+                     devset: BitextCorpus) -> list[float]:
+    """Dev BLEU of each candidate, in candidate order: each model
+    translates the devset's source side once."""
     if not candidates:
         raise EmptyInput("no candidate models")
-    src_lang, tgt_lang = direction or (devset.src_lang, devset.tgt_lang)
-    if {src_lang, tgt_lang} != set(devset.languages()):
-        raise UnsupportedDirection(src_lang, tgt_lang)
-    sources = devset.side(src_lang)
-    refs = devset.side(tgt_lang)
-    score_fn = metric or bleu
-    return [score_fn(model.translate_batch(sources, src_lang, tgt_lang), refs)
+    sources, refs = devset.src_sentences, devset.tgt_sentences
+    return [bleu(model.translate_batch(sources, devset.src_lang,
+                                       devset.tgt_lang), refs)
             for model, _ in candidates]
 
 
 def select_best(candidates: Sequence[tuple[TranslatorModel, str]],
-                devset: BitextCorpus,
-                direction: tuple[str, str] | None = None,
-                metric: Callable[[Sequence[str], Sequence[str]], float]
-                | None = None) -> str:
-    """Name of the candidate with the highest dev score (`score_candidates`);
-    ties keep the earliest listed. A pure argmax, so positive rescaling of
-    the metric never changes the choice."""
-    scores = score_candidates(candidates, devset, direction, metric)
+                devset: BitextCorpus) -> str:
+    """Name of the candidate with the highest dev BLEU
+    (`score_candidates`); ties keep the earliest listed."""
+    scores = score_candidates(candidates, devset)
     return candidates[scores.index(max(scores))][1]

@@ -15,7 +15,6 @@ across thread counts and repeated runs (timestamps in the log aside).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import shutil
 import time
@@ -30,12 +29,16 @@ from .corpus import (
     SentencePair,
     concat_corpora,
     load_bitext,
+    orient,
+    sha256_hex,
+    split_lines,
     split_validation,
     validate_language,
     write_bitext,
 )
 from .dataset_builder import (
     BalancePlan,
+    TrainingMixture,
     build_stage1_mixture,
     build_stage2_mixture,
     export_mixture,
@@ -57,9 +60,16 @@ from .translator import (
     load_translator,
     train_lexicon,
 )
-from .vocab import LangCorpusSet, VocabConfig, train_bpe, train_obpe
+from .vocab import (
+    LangCorpusSet,
+    VocabConfig,
+    Vocabulary,
+    train_bpe,
+    train_obpe,
+)
 from .vocab_metrics import vocabulary_report
 
+# Run order; step "x-y" runs `_Runner.step_x_y`.
 STEPS = (
     "validate",
     "split-validation",
@@ -90,14 +100,12 @@ def load_multiparallel(dev_dir: str | Path,
         path = dev_dir / manifest["files"][lang]
         payload = path.read_bytes()
         want = manifest["sha256"][lang]
-        got = hashlib.sha256(payload).hexdigest()
+        got = sha256_hex(payload)
         if got != want:
             raise ConfigValidationError(
                 [f"{path.name}: checksum mismatch (expected {want[:12]}..., "
                  f"got {got[:12]}...)"])
-        lines = payload.decode("utf-8").split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
+        lines = split_lines(payload, path)
         if len(lines) != manifest["pair_count"]:
             raise ConfigValidationError(
                 [f"{path.name}: {len(lines)} lines, manifest says "
@@ -114,23 +122,6 @@ def dev_bitext(dev: dict[str, list[str]], src: str, tgt: str) -> BitextCorpus:
         pairs=tuple(SentencePair(a, b) for a, b in zip(dev[src], dev[tgt])))
 
 
-def _flipped(corpus: BitextCorpus) -> BitextCorpus:
-    return BitextCorpus(
-        name=f"{corpus.name}-rev", src_lang=corpus.tgt_lang,
-        tgt_lang=corpus.src_lang,
-        pairs=tuple(SentencePair(p.tgt, p.src) for p in corpus.pairs),
-        src_provenance=corpus.tgt_provenance,
-        tgt_provenance=corpus.src_provenance)
-
-
-def _oriented(corpus: BitextCorpus, src: str, tgt: str) -> BitextCorpus:
-    if (corpus.src_lang, corpus.tgt_lang) == (src, tgt):
-        return corpus
-    if (corpus.tgt_lang, corpus.src_lang) == (src, tgt):
-        return _flipped(corpus)
-    raise MTKitError(f"{corpus.name} cannot serve direction {src}-{tgt}")
-
-
 # -- configuration -------------------------------------------------------
 
 def load_config(path: str | Path) -> dict:
@@ -138,7 +129,9 @@ def load_config(path: str | Path) -> dict:
     config file's own directory."""
     path = Path(path)
     try:
-        cfg = json.loads(path.read_text(encoding="utf-8"))
+        cfg = json.loads(path.read_bytes().decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigValidationError([f"{path}: not valid UTF-8 ({exc})"])
     except json.JSONDecodeError as exc:
         raise ConfigValidationError(
             [f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"])
@@ -219,6 +212,11 @@ def _vocab_config(partial: dict) -> VocabConfig:
     return VocabConfig(**fields)
 
 
+def _is_int(value: object) -> bool:
+    """A JSON integer; booleans are not integers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def validate_config(cfg: dict | str | Path,
                     registry: Sequence[str] | None = None) -> list[str]:
     """Schema, path-existence, and language-registry checks. Returns a
@@ -233,7 +231,7 @@ def validate_config(cfg: dict | str | Path,
     name = cfg.get("name")
     if not isinstance(name, str) or not name:
         problems.append("name: required non-empty string")
-    if not isinstance(cfg.get("seed"), int):
+    if not _is_int(cfg.get("seed")):
         problems.append("seed: required integer (seeds must be explicit)")
     if not isinstance(cfg.get("output_root"), str):
         problems.append("output_root: required path string")
@@ -259,7 +257,7 @@ def validate_config(cfg: dict | str | Path,
                 continue
             try:
                 src, tgt = _manifest_langs(path)
-            except (json.JSONDecodeError, KeyError) as exc:
+            except (ValueError, KeyError, TypeError) as exc:
                 problems.append(f"{key}: unreadable manifest {p} ({exc})")
                 continue
             for lang in (src, tgt):
@@ -284,14 +282,14 @@ def validate_config(cfg: dict | str | Path,
             problems.append(f"vocab: {exc}")
 
     split = cfg.get("validation_split", 0)
-    if not isinstance(split, int) or split < 0:
+    if not _is_int(split) or split < 0:
         problems.append("validation_split: must be a non-negative integer")
 
     stage1 = cfg.get("stage1", {})
     iters = stage1.get("em_iterations", [5, 15]) \
         if isinstance(stage1, dict) else None
     if (not isinstance(iters, list) or not iters
-            or any(not isinstance(i, int) or i < 1 for i in iters)
+            or any(not _is_int(i) or i < 1 for i in iters)
             or len(set(iters)) != len(iters)):
         problems.append(
             "stage1.em_iterations: non-empty list of distinct positive ints")
@@ -347,13 +345,20 @@ def validate_config(cfg: dict | str | Path,
         try:
             dev_doc = json.loads(
                 (Path(dev_dir) / "dev.json").read_text(encoding="utf-8"))
-            dev_langs = set(dev_doc.get("languages", ()))
-            missing = sorted(seen_langs - dev_langs)
-            if missing:
-                problems.append(
-                    f"eval.dev_dir: dev set lacks languages {missing}")
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON or not UTF-8
             problems.append(f"eval.dev_dir: unreadable dev.json ({exc})")
+        else:
+            langs = dev_doc.get("languages", []) \
+                if isinstance(dev_doc, dict) else None
+            if not isinstance(langs, list):
+                problems.append(
+                    "eval.dev_dir: dev.json must be an object with a "
+                    "languages list")
+            else:
+                missing = sorted(seen_langs - set(langs))
+                if missing:
+                    problems.append(
+                        f"eval.dev_dir: dev set lacks languages {missing}")
     if isinstance(ev, dict) and ev.get("metric", "bleu") != "bleu":
         problems.append("eval.metric: only 'bleu' is available")
 
@@ -361,10 +366,6 @@ def validate_config(cfg: dict | str | Path,
 
 
 # -- run machinery -------------------------------------------------------
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
 
 def _now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%S%z")
@@ -386,9 +387,9 @@ class _State:
     registry: Sequence[str] | None
     old_train: list[BitextCorpus] = field(default_factory=list)
     new_real: list[BitextCorpus] = field(default_factory=list)
-    vocab_bpe: object = None
-    vocab_obpe: object = None
-    vocab: object = None
+    vocab_bpe: Vocabulary | None = None
+    vocab_obpe: Vocabulary | None = None
+    vocab: Vocabulary | None = None
     dev: dict[str, list[str]] | None = None
     candidates: dict[str, list[tuple[TranslatorModel, str]]] = \
         field(default_factory=dict)
@@ -396,7 +397,7 @@ class _State:
     old_pool: list[BitextCorpus] = field(default_factory=list)
     new_pool: dict[str, BitextCorpus] = field(default_factory=dict)
     new_labels: list[str] = field(default_factory=list)
-    stage2_mixture: object = None
+    stage2_mixture: TrainingMixture | None = None
     stage2_models: dict[str, TranslatorModel] = field(default_factory=dict)
     summary: dict = field(default_factory=dict)
 
@@ -436,23 +437,11 @@ class _Runner:
                                  encoding="utf-8")
 
     def run(self) -> RunResult:
-        step_fns = {
-            "validate": self.step_validate,
-            "split-validation": self.step_split,
-            "vocab-train": self.step_vocab_train,
-            "vocab-report": self.step_vocab_report,
-            "stage1-train": self.step_stage1_train,
-            "model-selection": self.step_model_selection,
-            "back-translation": self.step_backtranslation,
-            "pivot-synthesis": self.step_pivot,
-            "stage2-balance": self.step_stage2_balance,
-            "stage2-retrain": self.step_stage2_retrain,
-            "final-eval": self.step_final_eval,
-        }
         for name in STEPS:
+            step = getattr(self, "step_" + name.replace("-", "_"))
             started = _now()
             try:
-                inputs, outputs = step_fns[name]()
+                inputs, outputs = step()
             except Exception as exc:
                 self.entries.append({
                     "step": name, "status": "failed", "error": str(exc),
@@ -462,8 +451,10 @@ class _Runner:
             self.entries.append({
                 "step": name, "status": "ok",
                 "started_at": started, "finished_at": _now(),
-                "inputs": {self._rel(p): _sha256(p) for p in inputs},
-                "outputs": {self._rel(p): _sha256(p) for p in outputs}})
+                "inputs": {self._rel(p): sha256_hex(p.read_bytes())
+                           for p in inputs},
+                "outputs": {self._rel(p): sha256_hex(p.read_bytes())
+                            for p in outputs}})
             self._write_log("running")
         self._write_log("ok")
         return RunResult(self.state.run_dir, self.log_path,
@@ -482,7 +473,7 @@ class _Runner:
         inputs = [self.config_source] if self.config_source else []
         return inputs, [snapshot]
 
-    def step_split(self):
+    def step_split_validation(self):
         cfg, run_dir = self.state.cfg, self.state.run_dir
         out = run_dir / "corpora"
         n = cfg["validation_split"]
@@ -546,7 +537,8 @@ class _Runner:
         cand_dir.mkdir(parents=True, exist_ok=True)
         outputs = []
         for corpus in state.old_train:
-            for oriented in (corpus, _flipped(corpus)):
+            for oriented in (corpus, orient(corpus, corpus.tgt_lang,
+                                            corpus.src_lang)):
                 label = f"{oriented.src_lang}-{oriented.tgt_lang}"
                 state.candidates[label] = []
                 for iters in cfg["stage1"]["em_iterations"]:
@@ -592,8 +584,7 @@ class _Runner:
                         encoding="utf-8")
         return [], outputs + [path]
 
-
-    def step_backtranslation(self):
+    def step_back_translation(self):
         cfg, state = self.state.cfg, self.state
         bt_cfg = cfg["backtranslation"]
         out = state.run_dir / "synth" / "bt"
@@ -614,7 +605,7 @@ class _Runner:
             state.old_pool.append(combined)
         return [], outputs
 
-    def step_pivot(self):
+    def step_pivot_synthesis(self):
         state = self.state
         out = state.run_dir / "synth" / "pivot"
         outputs = []
@@ -628,7 +619,7 @@ class _Runner:
             synthetic = pivot_synthesize(base, model, pivot_to=src)
             outputs.append(write_bitext(synthetic, out))
             real = by_pair.get(frozenset((src, tgt)))
-            parts = ([_oriented(real, src, tgt)] if real else []) + [synthetic]
+            parts = ([orient(real, src, tgt)] if real else []) + [synthetic]
             state.new_pool[label] = concat_corpora(f"{label}-all", parts)
         return [], outputs
 
@@ -660,7 +651,8 @@ class _Runner:
             slices = [s for s in state.stage2_mixture.slices
                       if s.direction.role == "new"
                       and s.direction.label == label]
-            pairs = [p for s in slices for p in s.oriented_pairs()]
+            pairs = [p for s in slices
+                     for p in orient(s.corpus, src, tgt, s.indices).pairs]
             corpus = BitextCorpus(name=f"{label}-balanced", src_lang=src,
                                   tgt_lang=tgt, pairs=tuple(pairs))
             lexicon = train_lexicon(

@@ -7,8 +7,6 @@ provenance stays auditable through any number of mixing steps.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from .corpus import BitextCorpus, Provenance, SentencePair
 from .errors import BadPivot, LanguageMismatch
 from .translator import TranslatorModel, check_direction
@@ -80,21 +78,3 @@ def pivot_synthesize(corpus: BitextCorpus, model: TranslatorModel,
         src_provenance=Provenance("synthetic", model.model_id),
         tgt_provenance=other_prov,
     )
-
-
-def mix_real_synthetic(real: Sequence[BitextCorpus],
-                       synthetic: Sequence[BitextCorpus]
-                       ) -> list[BitextCorpus]:
-    """Combine same-direction real and synthetic corpora into one list,
-    keeping each corpus (and its provenance) intact. Counts are additive;
-    nothing is deduplicated or reweighted here."""
-    combined = list(real) + list(synthetic)
-    if not combined:
-        return []
-    direction = (combined[0].src_lang, combined[0].tgt_lang)
-    for c in combined[1:]:
-        if (c.src_lang, c.tgt_lang) != direction:
-            raise LanguageMismatch(
-                f"{c.name} is {c.src_lang}-{c.tgt_lang}, expected "
-                f"{direction[0]}-{direction[1]}")
-    return combined

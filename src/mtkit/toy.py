@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import BitextCorpus, SentencePair, write_bitext
+from .corpus import BitextCorpus, SentencePair, sha256_hex, write_bitext
 
 FAMILIES: dict[str, tuple[str, ...]] = {
     "germanic": ("eng", "afr"),
@@ -203,7 +203,7 @@ def generate_toy_data(root: str | Path, seed: int = 0) -> ToyData:
         lines = [render(s, transforms[lang]) for s in dev_base]
         payload = "".join(line + "\n" for line in lines).encode("utf-8")
         (dev_dir / f"dev.{lang}").write_bytes(payload)
-        checksums[lang] = hashlib.sha256(payload).hexdigest()
+        checksums[lang] = sha256_hex(payload)
     (dev_dir / "dev.json").write_text(json.dumps({
         "languages": list(LANGUAGES),
         "pair_count": DEV_SIZE,

@@ -25,11 +25,11 @@ import shlex
 import subprocess
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Protocol, Sequence, runtime_checkable
+from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from .corpus import BitextCorpus
+from .corpus import BitextCorpus, split_lines
 from .errors import (
     BadLexicon,
     EmptyCorpus,
@@ -103,10 +103,6 @@ class Lexicon:
     @property
     def src_vocab(self) -> set[str]:
         return set(self.table) - {NULL_WORD}
-
-    @property
-    def tgt_vocab(self) -> set[str]:
-        return {f for row in self.table.values() for f in row}
 
     def best_translation(self, word: str) -> str:
         """argmax_f t(f|word); ties pick the lexicographically smaller f;
@@ -316,19 +312,19 @@ class ExternalProcessTranslator:
                         tgt: str) -> list[str]:
         if not sentences:
             return []
-        payload = "".join(s + "\n" for s in sentences)
+        payload = "".join(s + "\n" for s in sentences).encode("utf-8")
         try:
-            proc = subprocess.run(self.argv, input=payload, text=True,
+            proc = subprocess.run(self.argv, input=payload,
                                   capture_output=True, check=False)
         except OSError as exc:
             raise ExternalProcessError(f"cannot run {self.command!r}: {exc}")
         if proc.returncode != 0:
+            stderr = proc.stderr.decode("utf-8", "replace")
             raise ExternalProcessError(
                 f"{self.command!r} exited {proc.returncode}: "
-                f"{proc.stderr.strip()[:200]}")
-        lines = proc.stdout.split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
+                f"{stderr.strip()[:200]}")
+        lines = split_lines(proc.stdout, f"output of {self.command!r}",
+                            ExternalProcessError)
         if len(lines) != len(sentences):
             raise ExternalProcessError(
                 f"{self.command!r} returned {len(lines)} lines for "

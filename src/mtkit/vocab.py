@@ -103,13 +103,36 @@ class VocabConfig:
             raise InvalidConfig(f"vocab config missing field {exc}") from exc
 
 
+def _mark_word(word: str, marker: str) -> list[str]:
+    """A word's characters, *marker* appended to the last one: the
+    symbols merging starts from."""
+    return list(word[:-1]) + [word[-1] + marker]
+
+
 def pretokenize(text: str, marker: str = END_OF_WORD) -> list[list[str]]:
-    """Split on Unicode whitespace; append *marker* to each word's last char.
+    """Split on Unicode whitespace and mark each word (`_mark_word`).
 
     Joining all symbols and turning the marker back into a space restores
     the whitespace-normalized sentence.
     """
-    return [list(w[:-1]) + [w[-1] + marker] for w in text.split()]
+    return [_mark_word(w, marker) for w in text.split()]
+
+
+def _merge_pair(symbols: list[str], left: str, right: str) -> list[str]:
+    """*symbols* with each adjacent (left, right), scanned left to right
+    without overlaps, joined into one symbol."""
+    joined = left + right
+    merged: list[str] = []
+    i = 0
+    n = len(symbols)
+    while i < n:
+        if i + 1 < n and symbols[i] == left and symbols[i + 1] == right:
+            merged.append(joined)
+            i += 2
+        else:
+            merged.append(symbols[i])
+            i += 1
+    return merged
 
 
 @dataclass(frozen=True)
@@ -170,7 +193,7 @@ class _MergeState:
         for li, lang in enumerate(self.langs):
             freq = _word_frequencies(data.sentences[lang], threads)
             for w in sorted(freq):
-                self.words.append(list(w[:-1]) + [w[-1] + marker])
+                self.words.append(_mark_word(w, marker))
                 self.freqs.append(freq[w])
                 self.word_lang.append(li)
         self.pair_pooled: dict[tuple[str, str], int] = {}
@@ -232,22 +255,10 @@ class _MergeState:
 
     def apply_merge(self, pair: tuple[str, str]) -> set[tuple[str, str]]:
         """Merge *pair* in every word containing it; returns touched pairs."""
-        left, right = pair
-        joined = left + right
         touched: set[tuple[str, str]] = set()
         for idx in sorted(self.pair_words.get(pair, ())):
-            word = self.words[idx]
             touched |= self._shift(idx, -1)
-            merged: list[str] = []
-            i = 0
-            while i < len(word):
-                if i + 1 < len(word) and word[i] == left and word[i + 1] == right:
-                    merged.append(joined)
-                    i += 2
-                else:
-                    merged.append(word[i])
-                    i += 1
-            self.words[idx] = merged
+            self.words[idx] = _merge_pair(self.words[idx], *pair)
             touched |= self._shift(idx, +1)
         return touched
 
@@ -446,8 +457,7 @@ class Vocabulary:
         return self._ids.get(surface)
 
     def _encode_word(self, word: str) -> tuple[int, ...]:
-        marker = self.config.end_of_word_marker
-        symbols = list(word[:-1]) + [word[-1] + marker]
+        symbols = _mark_word(word, self.config.end_of_word_marker)
         ranks = self._ranks
         while len(symbols) > 1:
             best_rank = None
@@ -458,19 +468,7 @@ class Vocabulary:
                     best_rank, best_at = rank, i
             if best_rank is None:
                 break
-            left, right = self.merges[best_rank]
-            joined = left + right
-            merged: list[str] = []
-            i = 0
-            while i < len(symbols):
-                if (i + 1 < len(symbols) and symbols[i] == left
-                        and symbols[i + 1] == right):
-                    merged.append(joined)
-                    i += 2
-                else:
-                    merged.append(symbols[i])
-                    i += 1
-            symbols = merged
+            symbols = _merge_pair(symbols, *self.merges[best_rank])
         unk = self.unk_id
         return tuple(self._ids.get(s, unk) for s in symbols)
 

@@ -81,7 +81,6 @@ def representation_change(data: LangCorpusSet, vocab_a: Vocabulary,
 @dataclass(frozen=True)
 class SpeedRow:
     pair: str
-    eng_lang: str
     other_lang: str
     pair_count: int
     tokens_other: int
@@ -110,7 +109,6 @@ def avg_tokens_per_pair(corpus: BitextCorpus, vocab: Vocabulary) -> SpeedRow:
     tokens_other = _total_tokens(vocab, corpus.side(other))
     return SpeedRow(
         pair=f"{corpus.src_lang}-{corpus.tgt_lang}",
-        eng_lang="eng",
         other_lang=other,
         pair_count=len(corpus),
         tokens_other=tokens_other,

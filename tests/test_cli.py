@@ -111,7 +111,8 @@ def test_vocab_encode_decode_round_trip(data, vocab_file, tmp_path,
     ids = capsys.readouterr().out.strip()
     assert all(tok.isdigit() for tok in ids.split())
 
-    monkeypatch.setattr("sys.stdin", io.StringIO(ids + "\n"))
+    monkeypatch.setattr("sys.stdin",
+                        io.TextIOWrapper(io.BytesIO(ids.encode() + b"\n")))
     assert main(["vocab", "decode", "--vocab", str(vocab_file)]) == 0
     assert capsys.readouterr().out == sentence + "\n"
 
@@ -232,6 +233,34 @@ def test_translator_run_rejects_malformed_lexicon(tmp_path, capsys, text):
     assert err.startswith("error: ") and "bad.json" in err
 
 
+_RUN = ["translator", "run", "--src", "eng", "--tgt", "zul", "--model"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["vocab", "encode", "--vocab", "VOCAB", "--in", "BAD"],
+    ["vocab", "encode", "--vocab", "VOCAB"],
+    ["vocab", "decode", "--vocab", "VOCAB", "--in", "BAD"],
+    ["vocab", "decode", "--vocab", "VOCAB"],
+    ["eval", "score", "--hyp", "BAD", "--ref", "GOOD"],
+    ["eval", "score", "--hyp", "GOOD", "--ref", "BAD"],
+    _RUN + ["exec:cat", "--in", "BAD"],
+    _RUN + ["exec:cat"],
+    _RUN + ["exec:printf 'caf\\351\\n'", "--in", "GOOD"],
+], ids=["encode-file", "encode-stdin", "decode-file", "decode-stdin",
+        "score-hyp", "score-ref", "run-file", "run-stdin", "run-output"])
+def test_non_utf8_text_exits_2(vocab_file, tmp_path, capsys, monkeypatch,
+                               argv):
+    raw = b"caf\xe9\n"  # Latin-1, not UTF-8
+    (tmp_path / "bad.txt").write_bytes(raw)
+    (tmp_path / "good.txt").write_text("a\n", encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(raw)))
+    paths = {"VOCAB": str(vocab_file), "BAD": str(tmp_path / "bad.txt"),
+             "GOOD": str(tmp_path / "good.txt")}
+    assert main([paths.get(arg, arg) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not valid UTF-8" in err
+
+
 def test_synth_backtranslate_and_pivot(data, tmp_path, capsys):
     root, manifests = data
     lex = tmp_path / "xho-eng.json"
@@ -319,6 +348,21 @@ def test_pipeline_validate_exit_codes(data, tmp_path, capsys):
     bad.write_text(json.dumps(cfg_bad), encoding="utf-8")
     assert main(["pipeline", "validate", "--config", str(bad)]) == 2
     assert "problem: seed" in capsys.readouterr().err
+
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(json.dumps(cfg).encode()[:-1] + b', "x": "caf\xe9"}')
+    assert main(["pipeline", "validate", "--config", str(latin1)]) == 2
+    assert "problem: " in capsys.readouterr().err
+
+    dev_list = tmp_path / "dev-list"
+    dev_list.mkdir()
+    (dev_list / "dev.json").write_text('["eng", "xho", "zul"]',
+                                       encoding="utf-8")
+    listed = tmp_path / "listed.json"
+    listed.write_text(json.dumps({**cfg, "eval": {"dev_dir": str(dev_list)}}),
+                      encoding="utf-8")
+    assert main(["pipeline", "validate", "--config", str(listed)]) == 2
+    assert "problem: eval.dev_dir" in capsys.readouterr().err
 
 
 def test_pipeline_run_and_failure_exit_codes(data, tmp_path, capsys):

@@ -11,10 +11,10 @@ from mtkit.corpus import (
     BitextCorpus,
     Provenance,
     SentencePair,
-    clean_corpus,
     concat_corpora,
     corpus_stats,
     load_bitext,
+    split_lines,
     split_validation,
     write_bitext,
 )
@@ -190,14 +190,13 @@ def test_corpus_stats_matches_wc_style_recount(tmp_path):
     assert stats.tgt_chars == sum(len(l) for l in tgt_raw.splitlines())
 
 
-def test_clean_corpus_is_opt_in_and_counts_removals():
-    pairs = [("a b c d e f g h", "x"), ("a b", "x y"), ("a b", "x y")]
-    corpus = make_corpus(pairs)
-    cleaned, removed = clean_corpus(corpus, max_length_ratio=3.0, dedup=True)
-    assert removed == 2
-    assert [p.src for p in cleaned.pairs] == ["a b"]
-    untouched, zero = clean_corpus(corpus)
-    assert zero == 0 and len(untouched) == 3
+def test_split_lines_drops_only_the_final_newline():
+    assert split_lines(b"", "x") == []
+    assert split_lines(b"a\nb\n", "x") == ["a", "b"]
+    assert split_lines(b"a\nb", "x") == ["a", "b"]
+    assert split_lines(b"a\n\n", "x") == ["a", ""]
+    with pytest.raises(errors.BadManifest, match="f.txt is not valid UTF-8"):
+        split_lines(b"caf\xe9\n", "f.txt")
 
 
 def test_concat_corpora_merges_provenance():

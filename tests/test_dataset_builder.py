@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_corpus, small_vocab
-from mtkit.corpus import Provenance, SentencePair
+from mtkit.corpus import Provenance, orient
 from mtkit.dataset_builder import (
     BalancePlan,
     DirectionSpec,
@@ -13,11 +13,9 @@ from mtkit.dataset_builder import (
     TrainingMixture,
     build_stage1_mixture,
     build_stage2_mixture,
-    downsample,
     export_mixture,
     make_balance_plan,
     parse_direction,
-    tag_direction,
 )
 from mtkit.errors import (
     MissingCorpus,
@@ -55,53 +53,25 @@ def test_direction_spec_and_parse():
 
 # -- tagging -------------------------------------------------------------
 
-def test_tag_direction_prepends_tag_ids():
+def test_export_prepends_tag_surfaces(tmp_path):
     vocab = small_vocab(DATA, budget=4)
-    pair = SentencePair("the cat", "aba kha")
-    ex = tag_direction(pair, DirectionSpec("eng", "zul", "old"), vocab)
-    assert ex.src_tokens[0] == vocab.token_id("<src:eng>")
-    assert ex.tgt_tokens[0] == vocab.token_id("<tgt:zul>")
-    assert list(ex.src_tokens[1:]) == vocab.encode("the cat")
-    assert list(ex.tgt_tokens[1:]) == vocab.encode("aba kha")
-    assert not ex.synthetic
+    corpus = make_corpus([("the cat", "aba kha")], name="ez")
+    mixture = TrainingMixture("stage1", (MixtureSlice(
+        corpus, DirectionSpec("eng", "zul", "old"), (0,)),), seed=0)
+    result = export_mixture(mixture, vocab, tmp_path)
+    assert result.src_path.read_text() == " ".join(
+        ["<src:eng>"] + vocab.segment("the cat")) + "\n"
+    assert result.tgt_path.read_text() == " ".join(
+        ["<tgt:zul>"] + vocab.segment("aba kha")) + "\n"
 
 
-def test_tag_direction_missing_tag_token():
+def test_tag_direction_missing_tag_token(tmp_path):
     vocab = small_vocab(DATA, budget=2)
-    pair = SentencePair("a", "b")
-    with pytest.raises(MissingTagToken):
-        tag_direction(pair, DirectionSpec("fra", "zul", "new"), vocab)
-
-
-# -- downsampling --------------------------------------------------------
-
-def test_downsample_deterministic_and_ordered():
-    corpus = pair_corpus(50, "big", "eng", "zul")
-    a = downsample(corpus, 10, seed=42)
-    b = downsample(corpus, 10, seed=42)
-    assert a.pairs == b.pairs
-    assert a.name == "big-sample10"
-    positions = [corpus.pairs.index(p) for p in a.pairs]
-    assert positions == sorted(positions)
-    c = downsample(corpus, 10, seed=43)
-    assert c.pairs != a.pairs  # different seed, different sample
-
-
-def test_downsample_identity_and_bounds():
-    corpus = pair_corpus(5, "small", "eng", "zul")
-    assert downsample(corpus, 5, seed=0) is corpus
-    assert len(downsample(corpus, 0, seed=0)) == 0
-    with pytest.raises(ValueError):
-        downsample(corpus, 6, seed=0)
-
-
-@given(st.integers(0, 2**32 - 1), st.integers(1, 30))
-@settings(max_examples=25, deadline=None)
-def test_downsample_is_a_subsequence(seed, n):
-    corpus = pair_corpus(30, "prop", "eng", "zul")
-    sample = downsample(corpus, n, seed)
-    it = iter(corpus.pairs)
-    assert all(p in it for p in sample.pairs)  # subsequence test
+    corpus = make_corpus([("a", "b")], name="fz", src="fra", tgt="zul")
+    mixture = TrainingMixture("stage2", (MixtureSlice(
+        corpus, DirectionSpec("fra", "zul", "new"), (0,)),), seed=0)
+    with pytest.raises(MissingTagToken, match="<src:fra>"):
+        export_mixture(mixture, vocab, tmp_path)
 
 
 # -- stage 1 -------------------------------------------------------------
@@ -125,14 +95,21 @@ def test_stage1_rejects_non_english_corpus():
 
 
 def test_oriented_pairs_flip():
-    corpus = pair_corpus(3, "ez", "eng", "zul")
-    fwd = MixtureSlice(corpus, DirectionSpec("eng", "zul", "old"), (0, 2))
-    rev = MixtureSlice(corpus, DirectionSpec("zul", "eng", "old"), (0, 2))
-    assert [p.src for p in fwd.oriented_pairs()] == ["s0 aba", "s2 aba"]
-    assert [p.src for p in rev.oriented_pairs()] == ["t0 kha", "t2 kha"]
-    bad = MixtureSlice(corpus, DirectionSpec("xho", "eng", "old"), (0,))
+    corpus = pair_corpus(3, "ez", "eng", "zul",
+                         src_provenance=Provenance("synthetic", "bt"))
+    assert orient(corpus, "eng", "zul") == corpus
+    fwd = orient(corpus, "eng", "zul", (0, 2))
+    rev = orient(corpus, "zul", "eng", (0, 2))
+    assert [(p.src, p.tgt) for p in fwd.pairs] == \
+        [("s0 aba", "t0 kha"), ("s2 aba", "t2 kha")]
+    assert [(p.src, p.tgt) for p in rev.pairs] == \
+        [("t0 kha", "s0 aba"), ("t2 kha", "s2 aba")]
+    # provenance travels with its side
+    assert (rev.src_lang, rev.tgt_lang) == ("zul", "eng")
+    assert rev.src_provenance == Provenance("real")
+    assert rev.tgt_provenance == Provenance("synthetic", "bt")
     with pytest.raises(MissingCorpus):
-        bad.oriented_pairs()
+        orient(corpus, "xho", "eng", (0,))
 
 
 def test_slice_synthetic_flag():
@@ -219,6 +196,61 @@ def test_stage2_per_slice_seeding_is_stable():
     assert [s.indices for s in a.slices] == [s.indices for s in b.slices]
     c = build_stage2_mixture(old, new, plan, seed=8)
     assert [s.indices for s in a.slices] != [s.indices for s in c.slices]
+
+
+def test_stage2_slice_indices_deterministic_and_ordered():
+    old = [pair_corpus(50, "ex", "eng", "xho"),
+           pair_corpus(50, "ez", "eng", "zul")]
+    new = [pair_corpus(10, "xz", "xho", "zul")]
+    plan = make_balance_plan(["xho-zul"])
+    a = build_stage2_mixture(old, new, plan, seed=42)
+    b = build_stage2_mixture(old, new, plan, seed=42)
+    assert [s.indices for s in a.slices] == [s.indices for s in b.slices]
+    sampled = [s for s in a.slices if s.corpus.name != "xz"]
+    assert sampled and all(s.count == 10 for s in sampled)
+    for s in sampled:
+        assert list(s.indices) == sorted(s.indices)
+    c = build_stage2_mixture(old, new, plan, seed=43)
+    # different seed, different sample
+    assert [s.indices for s in c.slices if s.corpus.name != "xz"] != \
+        [s.indices for s in sampled]
+
+
+def test_stage2_slice_sizes_and_bounds():
+    old = [pair_corpus(5, "ex", "eng", "xho"),
+           pair_corpus(8, "ez", "eng", "zul")]
+    new = [pair_corpus(5, "xz", "xho", "zul")]
+    plan = make_balance_plan(["xho-zul"])
+    mixture = build_stage2_mixture(old, new, plan, seed=0)
+    for s in mixture.slices:
+        if len(s.corpus) == 5:
+            # the whole corpus when it holds no more than asked for
+            assert s.indices == tuple(range(5))
+        else:
+            assert s.count == 5
+            assert all(0 <= i < 8 for i in s.indices)
+    entry = plan.entries[0]
+    empty = BalancePlan((entry.__class__(new=entry.new, old=entry.old, n=0),))
+    mixture = build_stage2_mixture(old, new, empty, seed=0)
+    assert mixture.total() == 0
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40))
+@settings(max_examples=25, deadline=None)
+def test_stage2_slice_indices_are_a_subsequence(seed, n_new):
+    old = [pair_corpus(30, "ex", "eng", "xho"),
+           pair_corpus(25, "ez", "eng", "zul")]
+    new = [pair_corpus(n_new, "xz", "xho", "zul")]
+    plan = make_balance_plan(["xho-zul"])
+    mixture = build_stage2_mixture(old, new, plan, seed=seed)
+    for s in mixture.slices:
+        assert list(s.indices) == sorted(set(s.indices))
+        assert all(0 <= i < len(s.corpus) for i in s.indices)
+        # matched directions take n_new; the cap is the median new size
+        assert s.count == min(len(s.corpus), n_new)
+    again = build_stage2_mixture(old, new, plan, seed=seed)
+    assert [s.indices for s in again.slices] == \
+        [s.indices for s in mixture.slices]
 
 
 def test_stage2_coverage_and_missing_corpus_errors():

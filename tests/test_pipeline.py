@@ -125,6 +125,10 @@ def test_valid_config_has_no_problems(dataset):
     ({"stage2": {"plan": "/nowhere/plan.json"}}, "plan"),
     ({"eval": {"dev_dir": "/nowhere"}}, "dev.json"),
     ({"eval": {}}, "dev_dir"),
+    # JSON booleans are not integers
+    ({"seed": True}, "seed"),
+    ({"validation_split": False}, "validation_split"),
+    ({"stage1": {"em_iterations": [True, 5]}}, "em_iterations"),
 ])
 def test_validate_config_flags_problems(dataset, overrides, needle):
     root, manifests = dataset

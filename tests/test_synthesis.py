@@ -3,8 +3,8 @@ import pytest
 from conftest import make_corpus
 from mtkit.corpus import Provenance
 from mtkit.errors import BadPivot, LanguageMismatch, UnsupportedDirection
-from mtkit.synthesis import backtranslate, mix_real_synthetic, pivot_synthesize
-from mtkit.translator import IdentityTranslator, Lexicon, LexiconTranslator
+from mtkit.synthesis import backtranslate, pivot_synthesize
+from mtkit.translator import IdentityTranslator
 
 
 def reverser(src, tgt):
@@ -112,24 +112,3 @@ def test_pivot_rejections():
         pivot_synthesize(no_eng, reverser("eng", "tsn"), pivot_to="tsn")
     with pytest.raises(UnsupportedDirection):
         pivot_synthesize(corpus, reverser("eng", "tsn"), pivot_to="xho")
-
-
-# -- mixing --------------------------------------------------------------
-
-def test_mix_keeps_corpora_and_counts():
-    real = make_corpus(PAIRS, name="real", src="xho", tgt="zul")
-    lex = Lexicon("eng", "xho", {"a": {"x": 1.0}})
-    base = make_corpus([("a a", "aba")], name="ez", src="eng", tgt="zul")
-    synthetic = pivot_synthesize(base, LexiconTranslator(lex), pivot_to="xho")
-    mixed = mix_real_synthetic([real], [synthetic])
-    assert [c.name for c in mixed] == ["real", "xho-zul-pivot"]
-    assert sum(len(c) for c in mixed) == len(real) + len(synthetic)
-    assert [c.src_provenance.kind for c in mixed] == ["real", "synthetic"]
-
-
-def test_mix_rejects_direction_mismatch():
-    a = make_corpus(PAIRS, name="a", src="xho", tgt="zul")
-    b = make_corpus(PAIRS, name="b", src="zul", tgt="xho")
-    with pytest.raises(LanguageMismatch):
-        mix_real_synthetic([a], [b])
-    assert mix_real_synthetic([], []) == []
