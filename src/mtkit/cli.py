@@ -30,7 +30,7 @@ from .dataset_builder import (
     export_mixture,
     make_balance_plan,
 )
-from .errors import ConfigValidationError, MTKitError, StepFailure
+from .errors import ConfigValidationError, MTKitError, StepFailure, UnknownId
 from .metrics import BleuConfig, ChrfConfig, bleu, chrf, evaluate_directions, spbleu
 from .pipeline import run_pipeline, validate_config
 from .synthesis import backtranslate, pivot_synthesize
@@ -121,8 +121,14 @@ def cmd_vocab_encode(args) -> int:
 
 def cmd_vocab_decode(args) -> int:
     vocab = load_vocabulary(args.vocab)
-    for line in _read_lines(args.infile):
-        ids = [int(tok) for tok in line.split()]
+    for number, line in enumerate(_read_lines(args.infile), 1):
+        ids = []
+        for tok in line.split():
+            try:
+                ids.append(int(tok))
+            except ValueError:
+                raise UnknownId(f"{args.infile or 'stdin'} line {number}: "
+                                f"token {tok!r} is not an integer id") from None
         sys.stdout.write(vocab.decode(ids) + "\n")
     return 0
 

@@ -32,7 +32,7 @@ DEFAULT_LANGUAGES: tuple[str, ...] = (
 _CODE_RE = re.compile(r"^[a-z]{3}$")
 _NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 # Characters that would break one-sentence-per-line storage.
-_LINE_BREAKS = "\n\r\v\f\x85  "
+_LINE_BREAKS = frozenset("\n\r\v\f\x85\u2028\u2029")
 
 
 def validate_language(code: str, registry: Iterable[str] | None = None) -> str:
@@ -84,7 +84,7 @@ class SentencePair:
             object.__setattr__(self, field, text)
             if not text.rstrip():
                 raise ValueError(f"{field} side is empty after trimming")
-            if any(ch in _LINE_BREAKS for ch in text):
+            if not _LINE_BREAKS.isdisjoint(text):
                 raise ValueError(f"{field} side contains a line break")
 
 

@@ -46,7 +46,7 @@ class VocabSizeTooSmall(MTKitError):
 
 
 class UnknownId(MTKitError):
-    """decode() was given a token id outside the vocabulary."""
+    """decode() was given a token that is not an id of the vocabulary."""
 
 
 # -- metrics / reports -------------------------------------------------

@@ -11,6 +11,16 @@ with whitespace removed, plus word orders), an F_beta of n-gram
 precision and recall; orders whose reference has no n-grams are
 skipped. Defaults char_n=6, word_n=2, beta=2 make it chrF2++.
 
+All three metrics count n-grams with one corpus-level matcher
+(`_clipped_matches`): every (segment, n-gram) gets an exact dense id,
+built order by order with np.unique, and each segment's clipped matches
+are the bincount of min(hyp count, ref count) over its n-grams. These
+integers equal what per-segment Counters give, and the float steps
+(BLEU's logs, each chrF order's F_beta, the segment and corpus means
+with builtin sum()) run in plain Python in per-segment order, so every
+score equals, bit for bit, the one plain per-segment Counter loops give
+(the oracles in tests/oracles.py).
+
 Identical hypothesis and reference streams score exactly 100.0; fully
 disjoint ones score exactly 0.0. Model selection scores each candidate
 by BLEU on a dev set stored in the candidates' direction.
@@ -18,10 +28,12 @@ by BLEU on a dev set stored in the candidates' direction.
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .corpus import BitextCorpus
 from .errors import EmptyInput, LengthMismatch
@@ -66,22 +78,83 @@ def _check_streams(hyps: Sequence[str], refs: Sequence[str]) -> None:
         raise EmptyInput("no segments to score")
 
 
-def _corpus_bleu(hyp_tokens: list[list], ref_tokens: list[list],
+def _clipped_matches(hyp_ids: np.ndarray, hyp_lens: np.ndarray,
+                     ref_ids: np.ndarray, ref_lens: np.ndarray,
+                     max_n: int) -> np.ndarray:
+    """Clipped n-gram matches of every segment for orders 1..max_n.
+
+    hyp_ids and ref_ids hold the int64 token ids of all segments end to
+    end, in one id space; hyp_lens and ref_lens give each segment's token
+    count. Row n-1 of the (max_n, segments) int64 result holds, per
+    segment, the sum over its n-grams g of min(hyp count of g, ref count
+    of g).
+
+    Each n-gram gets a dense id per (segment, n-gram): order 1 densifies
+    (segment, token), order n densifies (id of the (n-1)-gram, next
+    token), both with np.unique. Ids are exact for any vocabulary size
+    (no hashing, and never more than two numbers packed into one key),
+    and an n-gram that would run past its segment's end is never formed.
+    """
+    segments = len(hyp_lens)
+    matches = np.zeros((max_n, segments), dtype=np.int64)
+    lens = np.concatenate([hyp_lens, ref_lens])
+    seg = np.repeat(np.tile(np.arange(segments), 2), lens)
+    # tokens from each position to its segment's end, itself included
+    room = np.repeat(np.cumsum(lens), lens) - np.arange(len(seg))
+    distinct, tokens = np.unique(np.concatenate([hyp_ids, ref_ids]),
+                                 return_inverse=True)
+    width = len(distinct)
+    starts, ids = np.arange(len(seg)), seg
+    for n in range(1, max_n + 1):
+        fits = room[starts] >= n
+        starts = starts[fits]
+        if not len(starts):
+            break
+        keys, ids = np.unique(ids[fits] * width + tokens[starts + n - 1],
+                              return_inverse=True)
+        hyp_side = starts < len(hyp_ids)
+        clipped = np.minimum(
+            np.bincount(ids[hyp_side], minlength=len(keys)),
+            np.bincount(ids[~hyp_side], minlength=len(keys)))
+        gram_seg = np.empty(len(keys), dtype=np.int64)
+        gram_seg[ids] = seg[starts]
+        # float weights are exact here: counts stay far below 2**53
+        matches[n - 1] = np.bincount(gram_seg, weights=clipped,
+                                     minlength=segments)
+    return matches
+
+
+_Streams = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _word_ids(hyps: Sequence[str], refs: Sequence[str]) -> _Streams:
+    """Whitespace words of both streams as ids in one shared space:
+    (hyp ids, hyp lengths, ref ids, ref lengths)."""
+    index: dict[str, int] = {}
+    out = []
+    for texts in (hyps, refs):
+        words = [t.split() for t in texts]
+        out.append(np.array([index.setdefault(w, len(index))
+                             for ws in words for w in ws], dtype=np.int64))
+        out.append(np.array([len(ws) for ws in words], dtype=np.int64))
+    return tuple(out)
+
+
+def _code_points(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Code points of *texts* end to end, and each text's length."""
+    buf = "".join(texts).encode("utf-32-le", "surrogatepass")
+    return (np.frombuffer(buf, dtype="<u4").astype(np.int64),
+            np.array([len(t) for t in texts], dtype=np.int64))
+
+
+def _corpus_bleu(hyp_ids: np.ndarray, hyp_lens: np.ndarray,
+                 ref_ids: np.ndarray, ref_lens: np.ndarray,
                  cfg: BleuConfig) -> float:
-    correct = [0] * cfg.max_ngram
-    total = [0] * cfg.max_ngram
-    hyp_len = ref_len = 0
-    for h, r in zip(hyp_tokens, ref_tokens):
-        hyp_len += len(h)
-        ref_len += len(r)
-        for n in range(1, cfg.max_ngram + 1):
-            ref_counts = Counter(tuple(r[i:i + n])
-                                 for i in range(len(r) - n + 1))
-            hyp_counts = Counter(tuple(h[i:i + n])
-                                 for i in range(len(h) - n + 1))
-            correct[n - 1] += sum(min(c, ref_counts[g])
-                                  for g, c in hyp_counts.items())
-            total[n - 1] += max(len(h) - n + 1, 0)
+    correct = _clipped_matches(hyp_ids, hyp_lens, ref_ids, ref_lens,
+                               cfg.max_ngram).sum(axis=1).tolist()
+    total = [int(np.maximum(hyp_lens - n + 1, 0).sum())
+             for n in range(1, cfg.max_ngram + 1)]
+    hyp_len, ref_len = int(hyp_lens.sum()), int(ref_lens.sum())
     if hyp_len == 0:
         return 0.0
     log_sum = 0.0
@@ -102,13 +175,19 @@ def _corpus_bleu(hyp_tokens: list[list], ref_tokens: list[list],
     return 100.0 * brevity * math.exp(log_sum / orders)
 
 
+def _flat_ids(encoded: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Token id lists end to end, and each list's length."""
+    lens = np.array([len(ids) for ids in encoded], dtype=np.int64)
+    return (np.fromiter(itertools.chain.from_iterable(encoded),
+                        dtype=np.int64, count=int(lens.sum())), lens)
+
+
 def bleu(hyps: Sequence[str], refs: Sequence[str],
          config: BleuConfig | None = None) -> float:
     """Corpus BLEU over whitespace tokens."""
     cfg = config or BleuConfig()
     _check_streams(hyps, refs)
-    return _corpus_bleu([h.split() for h in hyps],
-                        [r.split() for r in refs], cfg)
+    return _corpus_bleu(*_word_ids(hyps, refs), cfg)
 
 
 def spbleu(hyps: Sequence[str], refs: Sequence[str], vocab: Vocabulary,
@@ -117,8 +196,8 @@ def spbleu(hyps: Sequence[str], refs: Sequence[str], vocab: Vocabulary,
     actually trains on rather than whitespace luck."""
     cfg = config or BleuConfig()
     _check_streams(hyps, refs)
-    return _corpus_bleu([vocab.encode(h) for h in hyps],
-                        [vocab.encode(r) for r in refs], cfg)
+    return _corpus_bleu(*_flat_ids([vocab.encode(h) for h in hyps]),
+                        *_flat_ids([vocab.encode(r) for r in refs]), cfg)
 
 
 def _fbeta(matched: int, hyp_total: int, ref_total: int, beta2: float) -> float:
@@ -129,34 +208,15 @@ def _fbeta(matched: int, hyp_total: int, ref_total: int, beta2: float) -> float:
     return (1 + beta2) * precision * recall / (beta2 * precision + recall)
 
 
-def _segment_chrf(hyp: str, ref: str, cfg: ChrfConfig) -> float:
-    beta2 = cfg.beta * cfg.beta
-    hyp_chars = "".join(hyp.split())
-    ref_chars = "".join(ref.split())
-    hyp_words = hyp.split()
-    ref_words = ref.split()
-    scores: list[float] = []
-    for n in range(1, cfg.char_n + 1):
-        if len(ref_chars) - n + 1 <= 0:
-            continue
-        ref_counts = Counter(ref_chars[i:i + n]
-                             for i in range(len(ref_chars) - n + 1))
-        hyp_counts = Counter(hyp_chars[i:i + n]
-                             for i in range(len(hyp_chars) - n + 1))
-        matched = sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
-        scores.append(_fbeta(matched, max(len(hyp_chars) - n + 1, 0),
-                             len(ref_chars) - n + 1, beta2))
-    for n in range(1, cfg.word_n + 1):
-        if len(ref_words) - n + 1 <= 0:
-            continue
-        ref_counts = Counter(tuple(ref_words[i:i + n])
-                             for i in range(len(ref_words) - n + 1))
-        hyp_counts = Counter(tuple(hyp_words[i:i + n])
-                             for i in range(len(hyp_words) - n + 1))
-        matched = sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
-        scores.append(_fbeta(matched, max(len(hyp_words) - n + 1, 0),
-                             len(ref_words) - n + 1, beta2))
-    return sum(scores) / len(scores) if scores else 0.0
+def _order_fscores(streams: _Streams, max_n: int,
+                   beta2: float) -> list[list[float]]:
+    """Per segment, the F_beta of each order 1..max_n whose reference
+    has n-grams."""
+    matches = _clipped_matches(*streams, max_n).T.tolist()
+    hyp_lens, ref_lens = streams[1].tolist(), streams[3].tolist()
+    return [[_fbeta(m, max(h - n + 1, 0), r - n + 1, beta2)
+             for n, m in enumerate(seg_matches, 1) if r >= n]
+            for seg_matches, h, r in zip(matches, hyp_lens, ref_lens)]
 
 
 def chrf(hyps: Sequence[str], refs: Sequence[str],
@@ -164,8 +224,16 @@ def chrf(hyps: Sequence[str], refs: Sequence[str],
     """Macro-averaged segment chrF (chrF2++ with default config)."""
     cfg = config or ChrfConfig()
     _check_streams(hyps, refs)
-    return 100.0 * sum(_segment_chrf(h, r, cfg)
-                       for h, r in zip(hyps, refs)) / len(hyps)
+    beta2 = cfg.beta * cfg.beta
+    chars = (*_code_points(["".join(h.split()) for h in hyps]),
+             *_code_points(["".join(r.split()) for r in refs]))
+    seg_scores = []
+    for char_f, word_f in zip(_order_fscores(chars, cfg.char_n, beta2),
+                              _order_fscores(_word_ids(hyps, refs),
+                                             cfg.word_n, beta2)):
+        scores = char_f + word_f
+        seg_scores.append(sum(scores) / len(scores) if scores else 0.0)
+    return 100.0 * sum(seg_scores) / len(hyps)
 
 
 @dataclass(frozen=True)

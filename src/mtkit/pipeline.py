@@ -217,6 +217,10 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_positive_int(value: object) -> bool:
+    return _is_int(value) and value >= 1
+
+
 def validate_config(cfg: dict | str | Path,
                     registry: Sequence[str] | None = None) -> list[str]:
     """Schema, path-existence, and language-registry checks. Returns a
@@ -289,7 +293,7 @@ def validate_config(cfg: dict | str | Path,
     iters = stage1.get("em_iterations", [5, 15]) \
         if isinstance(stage1, dict) else None
     if (not isinstance(iters, list) or not iters
-            or any(not _is_int(i) or i < 1 for i in iters)
+            or not all(map(_is_positive_int, iters))
             or len(set(iters)) != len(iters)):
         problems.append(
             "stage1.em_iterations: non-empty list of distinct positive ints")
@@ -299,11 +303,15 @@ def validate_config(cfg: dict | str | Path,
         if bt.get("default", "internal") not in ("internal", "none"):
             problems.append(
                 "backtranslation.default: must be 'internal' or 'none'")
+        if not _is_positive_int(bt.get("batch_size", 64)):
+            problems.append("backtranslation.batch_size: must be a positive int")
     else:
         problems.append("backtranslation: must be an object")
 
     stage2 = cfg.get("stage2", {})
     if isinstance(stage2, dict):
+        if not _is_positive_int(stage2.get("em_iterations", 20)):
+            problems.append("stage2.em_iterations: must be a positive int")
         plan = stage2.get("plan")
         if plan is not None and not Path(plan).is_file():
             problems.append(f"stage2.plan: missing file {plan}")

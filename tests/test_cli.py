@@ -261,6 +261,22 @@ def test_non_utf8_text_exits_2(vocab_file, tmp_path, capsys, monkeypatch,
     assert err.startswith("error: ") and "not valid UTF-8" in err
 
 
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_vocab_decode_non_integer_token_exits_2(vocab_file, tmp_path, capsys,
+                                                monkeypatch, source):
+    raw = "1 2\n3 abc 4\n".encode()
+    argv = ["vocab", "decode", "--vocab", str(vocab_file)]
+    if source == "file":
+        (tmp_path / "ids.txt").write_bytes(raw)
+        argv += ["--in", str(tmp_path / "ids.txt")]
+    else:
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(raw)))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "line 2" in err and "'abc'" in err
+
+
 def test_synth_backtranslate_and_pivot(data, tmp_path, capsys):
     root, manifests = data
     lex = tmp_path / "xho-eng.json"
@@ -363,6 +379,14 @@ def test_pipeline_validate_exit_codes(data, tmp_path, capsys):
                       encoding="utf-8")
     assert main(["pipeline", "validate", "--config", str(listed)]) == 2
     assert "problem: eval.dev_dir" in capsys.readouterr().err
+
+    for key, field, value in (("stage2", "em_iterations", "many"),
+                              ("backtranslation", "batch_size", 0)):
+        bad_field = tmp_path / f"bad-{field}.json"
+        bad_field.write_text(json.dumps({**cfg, key: {field: value}}),
+                             encoding="utf-8")
+        assert main(["pipeline", "validate", "--config", str(bad_field)]) == 2
+        assert f"problem: {key}.{field}" in capsys.readouterr().err
 
 
 def test_pipeline_run_and_failure_exit_codes(data, tmp_path, capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from mtkit import errors
 from mtkit.corpus import (
+    _LINE_BREAKS,
     BitextCorpus,
     Provenance,
     SentencePair,
@@ -136,6 +137,21 @@ def test_sentence_pair_rejects_bad_text():
     with pytest.raises(ValueError):
         SentencePair("a\nb", "ok")
     assert SentencePair("a ", "b").src == "a "  # trailing space survives
+
+
+@pytest.mark.parametrize("brk", sorted(_LINE_BREAKS))
+def test_sentence_pair_rejects_every_line_break(brk):
+    assert len(_LINE_BREAKS) == 7
+    with pytest.raises(ValueError, match="src side contains a line break"):
+        SentencePair(f"a{brk}b", "ok")
+    with pytest.raises(ValueError, match="tgt side contains a line break"):
+        SentencePair("ok", f"a{brk}b")
+
+
+def test_sentence_pair_accepts_other_whitespace():
+    for text in ("a\tb", "a\u00a0b", "a\u2009b", "a\u3000b", "\ta b\t"):
+        pair = SentencePair(text, text)
+        assert pair.src == pair.tgt == text
 
 
 def test_same_language_pair_rejected():

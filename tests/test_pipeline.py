@@ -129,6 +129,12 @@ def test_valid_config_has_no_problems(dataset):
     ({"seed": True}, "seed"),
     ({"validation_split": False}, "validation_split"),
     ({"stage1": {"em_iterations": [True, 5]}}, "em_iterations"),
+    ({"stage2": {"em_iterations": "many"}}, "stage2.em_iterations"),
+    ({"stage2": {"em_iterations": 0}}, "stage2.em_iterations"),
+    ({"stage2": {"em_iterations": True}}, "stage2.em_iterations"),
+    ({"backtranslation": {"batch_size": 0}}, "backtranslation.batch_size"),
+    ({"backtranslation": {"batch_size": "64"}}, "backtranslation.batch_size"),
+    ({"backtranslation": {"batch_size": False}}, "backtranslation.batch_size"),
 ])
 def test_validate_config_flags_problems(dataset, overrides, needle):
     root, manifests = dataset
