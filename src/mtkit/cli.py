@@ -22,6 +22,7 @@ from .corpus import (
     split_lines,
     split_validation,
     write_bitext,
+    write_json,
 )
 from .dataset_builder import (
     BalancePlan,
@@ -63,11 +64,10 @@ def _load_corpora(paths: list[str]) -> list[BitextCorpus]:
 
 
 def _emit_json(doc, out: str | None) -> None:
-    payload = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if out:
-        Path(out).write_text(payload, encoding="utf-8")
+        write_json(out, doc, sort_keys=True)
     else:
-        sys.stdout.write(payload)
+        sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 # -- corpus ---------------------------------------------------------------
@@ -281,9 +281,7 @@ def cmd_repro_toy(args) -> int:
                    "em_iterations": 20},
         "eval": {"dev_dir": str((out / "data" / "dev").relative_to(out))},
     }
-    config_path = out / "toy-config.json"
-    config_path.write_text(json.dumps(config, indent=2, sort_keys=True) + "\n",
-                           encoding="utf-8")
+    config_path = write_json(out / "toy-config.json", config, sort_keys=True)
     result = run_pipeline(config_path, threads=args.threads,
                           run_dir=out / "run")
     print((Path(result.run_dir) / "eval" / "stage2_eval.txt")

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 import unicodedata
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Literal, Sequence
+from typing import Callable, Iterable, Literal, Sequence
 
 from .errors import (
     BadManifest,
@@ -53,8 +54,9 @@ class Provenance:
     def __post_init__(self) -> None:
         if self.kind not in ("real", "synthetic"):
             raise BadManifest(f"provenance kind {self.kind!r}")
-        if (self.kind == "synthetic") != (self.generator_id is not None):
-            raise BadManifest("generator_id is required iff kind is synthetic")
+        if (self.kind == "synthetic") != isinstance(self.generator_id, str):
+            raise BadManifest(
+                "generator_id is required iff kind is synthetic, as a string")
 
     def to_json(self) -> dict:
         if self.kind == "real":
@@ -151,6 +153,16 @@ def orient(corpus: BitextCorpus, src: str, tgt: str,
         tgt_provenance=corpus.src_provenance)
 
 
+def is_json_int(value: object) -> bool:
+    """A JSON integer; booleans are not integers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_json_number(value: object) -> bool:
+    """A JSON number: int or float, but not a boolean."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def sha256_hex(data: bytes) -> str:
     """Hex SHA-256 of *data*, as manifests and run logs record it."""
     return hashlib.sha256(data).hexdigest()
@@ -171,20 +183,66 @@ def split_lines(data: bytes, source: object,
     return lines
 
 
+def read_json(path: str | Path, error: Callable[[str], MTKitError]) -> dict:
+    """The JSON object in the file at *path*. A file that cannot be read,
+    is not strict UTF-8, is not JSON or holds anything but an object
+    raises *error* with a message naming *path*."""
+    try:
+        doc = json.loads(Path(path).read_bytes().decode("utf-8"))
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not valid UTF-8: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: line {exc.lineno} column {exc.colno}: "
+                    f"{exc.msg}") from exc
+    if not isinstance(doc, dict):
+        raise error(f"{path}: not a JSON object")
+    return doc
+
+
+def write_artifact(path: str | Path, data: str | bytes) -> Path:
+    """Write *data* (str as UTF-8, bytes as given) to *path*, creating
+    parent directories, via ``.<name>.<pid>.tmp`` and `os.replace`: *path*
+    holds its old bytes or all the new ones, never a part (no fsync, so a
+    machine crash may still lose the write). Returns *path*."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data.encode("utf-8") if isinstance(data, str)
+                        else data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return path
+
+
+def write_json(path: str | Path, doc: object, sort_keys: bool = False) -> Path:
+    """`write_artifact` of *doc* as ASCII-escaped, indent-2 JSON + LF."""
+    return write_artifact(
+        path, json.dumps(doc, indent=2, sort_keys=sort_keys) + "\n")
+
+
 def load_bitext(manifest_path: str | Path,
                 registry: Iterable[str] | None = None) -> BitextCorpus:
     """Load a corpus from its manifest, verifying alignment and checksums."""
     manifest_path = Path(manifest_path)
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise BadManifest(f"cannot parse {manifest_path}: {exc}") from exc
+    manifest = read_json(manifest_path, BadManifest)
     required = ("name", "src_lang", "tgt_lang", "src_file", "tgt_file",
                 "src_provenance", "tgt_provenance", "pair_count",
                 "src_sha256", "tgt_sha256")
     missing = [k for k in required if k not in manifest]
     if missing:
         raise BadManifest(f"{manifest_path}: missing fields {missing}")
+    for key in ("name", "src_lang", "tgt_lang", "src_file", "tgt_file",
+                "src_sha256", "tgt_sha256"):
+        if not isinstance(manifest[key], str):
+            raise BadManifest(f"{manifest_path}: {key} must be a string")
+    if not is_json_int(manifest["pair_count"]) or manifest["pair_count"] < 0:
+        raise BadManifest(
+            f"{manifest_path}: pair_count must be a non-negative integer")
 
     src_lang = validate_language(manifest["src_lang"], registry)
     tgt_lang = validate_language(manifest["tgt_lang"], registry)
@@ -194,7 +252,7 @@ def load_bitext(manifest_path: str | Path,
     sides = []
     for path, want in ((src_path, manifest["src_sha256"]),
                        (tgt_path, manifest["tgt_sha256"])):
-        if not path.exists():
+        if not path.is_file():
             raise BadManifest(f"{manifest_path}: missing file {path.name}")
         data = path.read_bytes()
         if sha256_hex(data) != want:
@@ -214,7 +272,10 @@ def load_bitext(manifest_path: str | Path,
             raise EmptyLine(str(src_path), i)
         if not tgt.rstrip():
             raise EmptyLine(str(tgt_path), i)
-        pairs.append(SentencePair(src, tgt))
+        try:
+            pairs.append(SentencePair(src, tgt))
+        except ValueError as exc:  # a line break other than LF
+            raise BadManifest(f"{manifest_path}: pair {i}: {exc}") from exc
 
     return BitextCorpus(
         name=manifest["name"],
@@ -229,7 +290,6 @@ def load_bitext(manifest_path: str | Path,
 def write_bitext(corpus: BitextCorpus, out_dir: str | Path) -> Path:
     """Write text files plus manifest under *out_dir*; returns manifest path."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     src_name = f"{corpus.name}.{corpus.src_lang}"
     tgt_name = f"{corpus.name}.{corpus.tgt_lang}"
 
@@ -238,8 +298,8 @@ def write_bitext(corpus: BitextCorpus, out_dir: str | Path) -> Path:
 
     src_bytes = render(corpus.src_sentences)
     tgt_bytes = render(corpus.tgt_sentences)
-    (out_dir / src_name).write_bytes(src_bytes)
-    (out_dir / tgt_name).write_bytes(tgt_bytes)
+    write_artifact(out_dir / src_name, src_bytes)
+    write_artifact(out_dir / tgt_name, tgt_bytes)
 
     manifest = {
         "name": corpus.name,
@@ -253,11 +313,9 @@ def write_bitext(corpus: BitextCorpus, out_dir: str | Path) -> Path:
         "src_sha256": sha256_hex(src_bytes),
         "tgt_sha256": sha256_hex(tgt_bytes),
     }
-    manifest_path = out_dir / f"{corpus.name}.json"
-    manifest_path.write_text(
-        json.dumps(manifest, ensure_ascii=False, indent=2) + "\n",
-        encoding="utf-8")
-    return manifest_path
+    return write_artifact(
+        out_dir / f"{corpus.name}.json",
+        json.dumps(manifest, ensure_ascii=False, indent=2) + "\n")
 
 
 def split_validation(corpus: BitextCorpus, n: int = 3000

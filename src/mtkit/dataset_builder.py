@@ -16,7 +16,6 @@ per-direction example counts.
 from __future__ import annotations
 
 import hashlib
-import json
 import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -25,7 +24,14 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import BitextCorpus, orient
+from .corpus import (
+    BitextCorpus,
+    is_json_int,
+    orient,
+    read_json,
+    write_artifact,
+    write_json,
+)
 from .errors import (
     MissingCorpus,
     MissingTagToken,
@@ -139,30 +145,42 @@ class BalancePlan:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "BalancePlan":
+        if not isinstance(obj.get("entries"), list):
+            raise PlanCoverage("entries must be a list")
         entries = []
-        for raw in obj["entries"]:
-            old = raw["old"]
+        for i, raw in enumerate(obj["entries"]):
+            if not isinstance(raw, dict):
+                raise PlanCoverage(f"entries[{i}] must be an object")
+            new, old, n = raw.get("new"), raw.get("old"), raw.get("n")
+            if not (isinstance(new, str) and isinstance(old, list)
+                    and all(isinstance(o, str) for o in old)):
+                raise PlanCoverage(f"entries[{i}]: new must be a direction "
+                                   f"label and old a list of labels")
             if len(old) != 2:
                 raise PlanCoverage(
-                    f"entry {raw['new']!r} lists {len(old)} old directions, "
+                    f"entry {new!r} lists {len(old)} old directions, "
                     f"want exactly 2 (encoder X->eng, decoder eng->Y)")
+            if n is not None and not (is_json_int(n) and n >= 0):
+                raise PlanCoverage(
+                    f"entries[{i}]: n must be a non-negative int, got {n!r}")
             entries.append(PlanEntry(
-                new=parse_direction(raw["new"], "new"),
+                new=parse_direction(new, "new"),
                 old=(parse_direction(old[0], "old"),
                      parse_direction(old[1], "old")),
-                n=raw.get("n"),
+                n=n,
             ))
         return cls(tuple(entries))
 
     def save(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.write_text(json.dumps(self.to_json(), indent=2) + "\n",
-                        encoding="utf-8")
-        return path
+        return write_json(path, self.to_json())
 
     @classmethod
     def load(cls, path: str | Path) -> "BalancePlan":
-        return cls.from_json(json.loads(Path(path).read_text(encoding="utf-8")))
+        doc = read_json(path, PlanCoverage)
+        try:
+            return cls.from_json(doc)
+        except (PlanCoverage, ValueError) as exc:
+            raise PlanCoverage(f"plan {path}: {exc}") from exc
 
 
 def make_balance_plan(new_directions: Iterable[str | DirectionSpec]
@@ -268,7 +286,6 @@ def export_mixture(mixture: TrainingMixture, vocab: Vocabulary,
     only on (mixture, vocab), never on thread count.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     def render_slice(s: MixtureSlice) -> list[tuple[str, str]]:
         d = s.direction
@@ -292,8 +309,8 @@ def export_mixture(mixture: TrainingMixture, vocab: Vocabulary,
 
     src_path = out_dir / f"{mixture.stage}.src"
     tgt_path = out_dir / f"{mixture.stage}.tgt"
-    src_path.write_text("".join(r[0] + "\n" for r in rows), encoding="utf-8")
-    tgt_path.write_text("".join(r[1] + "\n" for r in rows), encoding="utf-8")
+    write_artifact(src_path, "".join(r[0] + "\n" for r in rows))
+    write_artifact(tgt_path, "".join(r[1] + "\n" for r in rows))
 
     counts = mixture.direction_counts()
     sidecar = {
@@ -311,8 +328,7 @@ def export_mixture(mixture: TrainingMixture, vocab: Vocabulary,
             "synthetic": s.synthetic,
         } for s in mixture.slices],
     }
-    sidecar_path = out_dir / f"{mixture.stage}.mixture.json"
-    sidecar_path.write_text(json.dumps(sidecar, indent=2) + "\n",
-                            encoding="utf-8")
+    sidecar_path = write_json(out_dir / f"{mixture.stage}.mixture.json",
+                              sidecar)
     return ExportResult(src_path, tgt_path, sidecar_path, counts,
                         mixture.total())

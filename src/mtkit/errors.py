@@ -81,7 +81,8 @@ class NonEnglishCorpus(MTKitError):
 
 
 class PlanCoverage(MTKitError):
-    """A balance plan does not cover every new-direction corpus."""
+    """A balance plan is malformed or does not cover every new-direction
+    corpus."""
 
 
 class MissingCorpus(MTKitError):

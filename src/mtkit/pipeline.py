@@ -16,7 +16,6 @@ across thread counts and repeated runs (timestamps in the log aside).
 from __future__ import annotations
 
 import json
-import shutil
 import time
 import unicodedata
 from dataclasses import dataclass, field
@@ -28,13 +27,17 @@ from .corpus import (
     BitextCorpus,
     SentencePair,
     concat_corpora,
+    is_json_int,
     load_bitext,
     orient,
+    read_json,
     sha256_hex,
     split_lines,
     split_validation,
     validate_language,
+    write_artifact,
     write_bitext,
+    write_json,
 )
 from .dataset_builder import (
     BalancePlan,
@@ -46,6 +49,7 @@ from .dataset_builder import (
     parse_direction,
 )
 from .errors import (
+    BadManifest,
     ConfigValidationError,
     InvalidConfig,
     MTKitError,
@@ -93,7 +97,7 @@ def load_multiparallel(dev_dir: str | Path,
     """Read an n-way parallel dev set: dev.json naming one aligned
     sentence file per language, checksums verified."""
     dev_dir = Path(dev_dir)
-    manifest = json.loads((dev_dir / "dev.json").read_text(encoding="utf-8"))
+    manifest = read_json(dev_dir / "dev.json", InvalidConfig)
     out: dict[str, list[str]] = {}
     for lang in manifest["languages"]:
         validate_language(lang, registry)
@@ -128,15 +132,7 @@ def load_config(path: str | Path) -> dict:
     """Parse a config file and resolve its relative paths against the
     config file's own directory."""
     path = Path(path)
-    try:
-        cfg = json.loads(path.read_bytes().decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        raise ConfigValidationError([f"{path}: not valid UTF-8 ({exc})"])
-    except json.JSONDecodeError as exc:
-        raise ConfigValidationError(
-            [f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"])
-    if not isinstance(cfg, dict):
-        raise ConfigValidationError([f"{path}: config must be a JSON object"])
+    cfg = read_json(path, lambda msg: ConfigValidationError([msg]))
     return _resolve_paths(cfg, path.parent)
 
 
@@ -158,7 +154,18 @@ def _resolve_paths(cfg: dict, base: Path) -> dict:
     s2 = cfg.get("stage2")
     if isinstance(s2, dict) and isinstance(s2.get("plan"), str):
         s2["plan"] = resolve(s2["plan"])
+    bt = cfg.get("backtranslation")
+    if isinstance(bt, dict) and isinstance(bt.get("models"), dict):
+        bt["models"] = {label: resolve(spec) if _is_lexicon_spec(spec)
+                        else spec for label, spec in bt["models"].items()}
     return cfg
+
+
+def _is_lexicon_spec(spec: object) -> bool:
+    """A backtranslation model spec naming a lexicon file: not 'internal',
+    'none' or an exec: command."""
+    return (isinstance(spec, str) and spec not in ("internal", "none")
+            and not spec.startswith("exec:"))
 
 
 def _with_defaults(cfg: dict) -> dict:
@@ -186,11 +193,6 @@ def _with_defaults(cfg: dict) -> dict:
     return cfg
 
 
-def _manifest_langs(path: Path) -> tuple[str, str]:
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    return doc["src_lang"], doc["tgt_lang"]
-
-
 _VOCAB_FIELDS = ("vocab_size", "hrl_langs", "lrl_langs", "mean_exponent_p",
                  "special_tokens", "end_of_word_marker")
 
@@ -212,13 +214,8 @@ def _vocab_config(partial: dict) -> VocabConfig:
     return VocabConfig(**fields)
 
 
-def _is_int(value: object) -> bool:
-    """A JSON integer; booleans are not integers here."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _is_positive_int(value: object) -> bool:
-    return _is_int(value) and value >= 1
+    return is_json_int(value) and value >= 1
 
 
 def validate_config(cfg: dict | str | Path,
@@ -235,7 +232,7 @@ def validate_config(cfg: dict | str | Path,
     name = cfg.get("name")
     if not isinstance(name, str) or not name:
         problems.append("name: required non-empty string")
-    if not _is_int(cfg.get("seed")):
+    if not is_json_int(cfg.get("seed")):
         problems.append("seed: required integer (seeds must be explicit)")
     if not isinstance(cfg.get("output_root"), str):
         problems.append("output_root: required path string")
@@ -260,15 +257,17 @@ def validate_config(cfg: dict | str | Path,
                 problems.append(f"{key}: missing manifest {p}")
                 continue
             try:
-                src, tgt = _manifest_langs(path)
-            except (ValueError, KeyError, TypeError) as exc:
+                doc = read_json(path, BadManifest)
+                src, tgt = doc["src_lang"], doc["tgt_lang"]
+            except (MTKitError, KeyError) as exc:
                 problems.append(f"{key}: unreadable manifest {p} ({exc})")
                 continue
             for lang in (src, tgt):
                 if lang not in registry:
                     problems.append(
                         f"{key}: {path.name}: unknown language {lang!r}")
-                seen_langs.add(lang)
+                else:
+                    seen_langs.add(lang)
             if key == "corpora" and "eng" not in (src, tgt):
                 problems.append(
                     f"corpora: {path.name} is {src}-{tgt}; stage-1 corpora "
@@ -286,10 +285,12 @@ def validate_config(cfg: dict | str | Path,
             problems.append(f"vocab: {exc}")
 
     split = cfg.get("validation_split", 0)
-    if not _is_int(split) or split < 0:
+    if not is_json_int(split) or split < 0:
         problems.append("validation_split: must be a non-negative integer")
 
     stage1 = cfg.get("stage1", {})
+    if isinstance(stage1, dict) and not is_json_int(stage1.get("seed", 0)):
+        problems.append("stage1.seed: must be an integer")
     iters = stage1.get("em_iterations", [5, 15]) \
         if isinstance(stage1, dict) else None
     if (not isinstance(iters, list) or not iters
@@ -305,6 +306,17 @@ def validate_config(cfg: dict | str | Path,
                 "backtranslation.default: must be 'internal' or 'none'")
         if not _is_positive_int(bt.get("batch_size", 64)):
             problems.append("backtranslation.batch_size: must be a positive int")
+        models = bt.get("models", {})
+        if not isinstance(models, dict):
+            problems.append("backtranslation.models: must be an object")
+            models = {}
+        for label, spec in models.items():
+            if not isinstance(spec, str):
+                problems.append(
+                    f"backtranslation.models: {label}: spec must be a string")
+            elif _is_lexicon_spec(spec) and not Path(spec).is_file():
+                problems.append(
+                    f"backtranslation.models: {label}: no lexicon {spec}")
     else:
         problems.append("backtranslation: must be an object")
 
@@ -312,9 +324,20 @@ def validate_config(cfg: dict | str | Path,
     if isinstance(stage2, dict):
         if not _is_positive_int(stage2.get("em_iterations", 20)):
             problems.append("stage2.em_iterations: must be a positive int")
+        if not is_json_int(stage2.get("seed", 0)):
+            problems.append("stage2.seed: must be an integer")
+        cap = stage2.get("default_cap")
+        if cap is not None and not (is_json_int(cap) and cap >= 0):
+            problems.append(
+                "stage2.default_cap: must be null or a non-negative int")
         plan = stage2.get("plan")
-        if plan is not None and not Path(plan).is_file():
-            problems.append(f"stage2.plan: missing file {plan}")
+        if plan is not None and not isinstance(plan, str):
+            problems.append("stage2.plan: must be a path string")
+        elif plan is not None:
+            try:
+                BalancePlan.load(plan)
+            except MTKitError as exc:
+                problems.append(f"stage2.plan: {exc}")
         directions = stage2.get("new_directions")
         if directions is None and not new_corpora:
             problems.append(
@@ -325,6 +348,9 @@ def validate_config(cfg: dict | str | Path,
                 problems.append(
                     "stage2.new_directions: must be a non-empty list")
                 directions = []
+            if len(set(map(str, directions))) != len(directions):
+                problems.append(
+                    "stage2.new_directions: each label may appear once")
             for label in directions:
                 try:
                     d = parse_direction(str(label), "new")
@@ -351,13 +377,11 @@ def validate_config(cfg: dict | str | Path,
         problems.append(f"eval.dev_dir: no dev.json under {dev_dir}")
     else:
         try:
-            dev_doc = json.loads(
-                (Path(dev_dir) / "dev.json").read_text(encoding="utf-8"))
-        except ValueError as exc:  # bad JSON or not UTF-8
+            dev_doc = read_json(Path(dev_dir) / "dev.json", InvalidConfig)
+        except InvalidConfig as exc:
             problems.append(f"eval.dev_dir: unreadable dev.json ({exc})")
         else:
-            langs = dev_doc.get("languages", []) \
-                if isinstance(dev_doc, dict) else None
+            langs = dev_doc.get("languages", [])
             if not isinstance(langs, list):
                 problems.append(
                     "eval.dev_dir: dev.json must be an object with a "
@@ -441,8 +465,7 @@ class _Runner:
     def _write_log(self, status: str) -> None:
         doc = {"name": self.state.cfg["name"], "status": status,
                "steps": self.entries}
-        self.log_path.write_text(json.dumps(doc, indent=2) + "\n",
-                                 encoding="utf-8")
+        write_json(self.log_path, doc)
 
     def run(self) -> RunResult:
         for name in STEPS:
@@ -473,11 +496,9 @@ class _Runner:
     def step_validate(self):
         snapshot = self.state.run_dir / "config.json"
         if self.config_source is not None:
-            shutil.copyfile(self.config_source, snapshot)
+            write_artifact(snapshot, self.config_source.read_bytes())
         else:
-            snapshot.write_text(
-                json.dumps(self.state.cfg, indent=2, sort_keys=True) + "\n",
-                encoding="utf-8")
+            write_json(snapshot, self.state.cfg, sort_keys=True)
         inputs = [self.config_source] if self.config_source else []
         return inputs, [snapshot]
 
@@ -512,7 +533,6 @@ class _Runner:
             self.state.old_train + self.state.new_real)
         vocab_cfg = _vocab_config(cfg["vocab"])
         out = self.state.run_dir / "vocab"
-        out.mkdir(parents=True, exist_ok=True)
         self.state.vocab_bpe = train_bpe(data, vocab_cfg,
                                          threads=self.state.threads)
         self.state.vocab_obpe = train_obpe(data, vocab_cfg,
@@ -528,21 +548,18 @@ class _Runner:
         out = self.state.run_dir / "vocab"
         doc = vocabulary_report(self.state.old_train + self.state.new_real,
                                 self.state.vocab_bpe, self.state.vocab_obpe)
-        path = out / "vocab_report.json"
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                        encoding="utf-8")
-        table_path = out / "vocab_report.txt"
-        table_path.write_text(
+        path = write_json(out / "vocab_report.json", doc, sort_keys=True)
+        table_path = write_artifact(
+            out / "vocab_report.txt",
             doc["tables"]["representation"] + "\n\n"
             + doc["tables"]["avg_tokens_a"] + "\n\n"
-            + doc["tables"]["avg_tokens_b"] + "\n", encoding="utf-8")
+            + doc["tables"]["avg_tokens_b"] + "\n")
         return [out / "bpe.json", out / "obpe.json"], [path, table_path]
 
     def step_stage1_train(self):
         cfg, state = self.state.cfg, self.state
         out = state.run_dir / "stage1"
         cand_dir = out / "candidates"
-        cand_dir.mkdir(parents=True, exist_ok=True)
         outputs = []
         for corpus in state.old_train:
             for oriented in (corpus, orient(corpus, corpus.tgt_lang,
@@ -581,15 +598,11 @@ class _Runner:
                 "dev_bleu": {name: round(score, 4) for (_, name), score
                              in zip(candidates, scores)}}
             state.selected[label] = model
-            lex_dir = out / "lexicons"
-            lex_dir.mkdir(parents=True, exist_ok=True)
             # the candidate file already holds this lexicon's bytes
-            outputs.append(shutil.copyfile(
-                out / "candidates" / f"{label}-{chosen}.json",
-                lex_dir / f"{label}.json"))
-        path = out / "selection.json"
-        path.write_text(json.dumps(selection, indent=2, sort_keys=True) + "\n",
-                        encoding="utf-8")
+            outputs.append(write_artifact(
+                out / "lexicons" / f"{label}.json",
+                (out / "candidates" / f"{label}-{chosen}.json").read_bytes()))
+        path = write_json(out / "selection.json", selection, sort_keys=True)
         return [], outputs + [path]
 
     def step_back_translation(self):
@@ -634,7 +647,6 @@ class _Runner:
     def step_stage2_balance(self):
         cfg, state = self.state.cfg, self.state
         out = state.run_dir / "stage2"
-        out.mkdir(parents=True, exist_ok=True)
         plan = (BalancePlan.load(cfg["stage2"]["plan"])
                 if cfg["stage2"]["plan"]
                 else make_balance_plan(state.new_labels))
@@ -652,7 +664,6 @@ class _Runner:
     def step_stage2_retrain(self):
         cfg, state = self.state.cfg, self.state
         out = state.run_dir / "stage2" / "lexicons"
-        out.mkdir(parents=True, exist_ok=True)
         outputs = []
         for label in state.new_labels:
             src, tgt = label.split("-")
@@ -673,7 +684,6 @@ class _Runner:
         state = self.state
         dev = state.dev_set()
         out = state.run_dir / "eval"
-        out.mkdir(parents=True, exist_ok=True)
         old_routes = {tuple(label.split("-")): model
                       for label, model in state.selected.items()}
         stage1_system = RoutingTranslator(old_routes, copy_unsupported=True,
@@ -691,12 +701,11 @@ class _Runner:
         for system in (stage1_system, stage2_system):
             report = evaluate_directions(system, testsets, state.vocab)
             reports[system.model_id] = report
-            path = out / f"{system.model_id}_eval.json"
-            path.write_text(json.dumps(report.to_json(), indent=2) + "\n",
-                            encoding="utf-8")
-            table = out / f"{system.model_id}_eval.txt"
-            table.write_text(report.render_table() + "\n", encoding="utf-8")
-            outputs += [path, table]
+            outputs += [
+                write_json(out / f"{system.model_id}_eval.json",
+                           report.to_json()),
+                write_artifact(out / f"{system.model_id}_eval.txt",
+                               report.render_table() + "\n")]
 
         new = state.new_labels
         before = reports["stage1"].average(new)
@@ -708,10 +717,8 @@ class _Runner:
             "improved": after > before,
             "directions_evaluated": len(labels),
         }
-        summary_path = out / "summary.json"
-        summary_path.write_text(
-            json.dumps(state.summary, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
+        summary_path = write_json(out / "summary.json", state.summary,
+                                  sort_keys=True)
         return [], outputs + [summary_path]
 
 

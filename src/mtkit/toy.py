@@ -16,13 +16,19 @@ generation is byte-identical.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import BitextCorpus, SentencePair, sha256_hex, write_bitext
+from .corpus import (
+    BitextCorpus,
+    SentencePair,
+    sha256_hex,
+    write_artifact,
+    write_bitext,
+    write_json,
+)
 
 FAMILIES: dict[str, tuple[str, ...]] = {
     "germanic": ("eng", "afr"),
@@ -166,8 +172,6 @@ def generate_toy_data(root: str | Path, seed: int = 0) -> ToyData:
     root = Path(root)
     train_dir = root / "train"
     dev_dir = root / "dev"
-    train_dir.mkdir(parents=True, exist_ok=True)
-    dev_dir.mkdir(parents=True, exist_ok=True)
 
     transforms = word_transforms(seed)
     total = DEV_SIZE + sum(ENG_TRAIN_SIZES.values()) \
@@ -202,17 +206,16 @@ def generate_toy_data(root: str | Path, seed: int = 0) -> ToyData:
     for lang in LANGUAGES:
         lines = [render(s, transforms[lang]) for s in dev_base]
         payload = "".join(line + "\n" for line in lines).encode("utf-8")
-        (dev_dir / f"dev.{lang}").write_bytes(payload)
+        write_artifact(dev_dir / f"dev.{lang}", payload)
         checksums[lang] = sha256_hex(payload)
-    (dev_dir / "dev.json").write_text(json.dumps({
+    write_json(dev_dir / "dev.json", {
         "languages": list(LANGUAGES),
         "pair_count": DEV_SIZE,
         "files": {lang: f"dev.{lang}" for lang in LANGUAGES},
         "sha256": checksums,
-    }, indent=2) + "\n", encoding="utf-8")
+    })
 
-    summary_path = root / "toy.json"
-    summary_path.write_text(json.dumps({
+    summary_path = write_json(root / "toy.json", {
         "seed": seed,
         "languages": list(LANGUAGES),
         "dev_size": DEV_SIZE,
@@ -220,5 +223,5 @@ def generate_toy_data(root: str | Path, seed: int = 0) -> ToyData:
                             for name, path in sorted(manifests.items())},
         "dev_dir": str(dev_dir.relative_to(root)),
         "new_directions": new_direction_labels(),
-    }, indent=2) + "\n", encoding="utf-8")
+    })
     return ToyData(root, manifests, dev_dir, summary_path)

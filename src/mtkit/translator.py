@@ -29,7 +29,13 @@ from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from .corpus import BitextCorpus, split_lines
+from .corpus import (
+    BitextCorpus,
+    is_json_number,
+    read_json,
+    split_lines,
+    write_artifact,
+)
 from .errors import (
     BadLexicon,
     EmptyCorpus,
@@ -119,8 +125,6 @@ class Lexicon:
         return best
 
     def save(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
             "src_lang": self.src_lang,
             "tgt_lang": self.tgt_lang,
@@ -131,22 +135,15 @@ class Lexicon:
                 for e, row in sorted(self.table.items())
             },
         }
-        path.write_text(json.dumps(payload, ensure_ascii=False, indent=1) + "\n",
-                        encoding="utf-8")
-        return path
+        return write_artifact(
+            path, json.dumps(payload, ensure_ascii=False, indent=1) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "Lexicon":
         """Read a lexicon written by `save`; raises BadLexicon for a file
         that is not one. Saved probabilities are rounded, so each row is
         renormalized."""
-        path = Path(path)
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise BadLexicon(f"cannot parse lexicon {path}: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise BadLexicon(f"lexicon {path}: not a JSON object")
+        payload = read_json(path, BadLexicon)
         for key in ("src_lang", "tgt_lang"):
             if not isinstance(payload.get(key), str):
                 raise BadLexicon(f"lexicon {path}: {key} must be a string")
@@ -158,7 +155,7 @@ class Lexicon:
             if not isinstance(row, dict) or not row:
                 raise BadLexicon(
                     f"lexicon {path}: row {e!r} must be a non-empty object")
-            if not all(_is_number(p) and 0 <= p <= 1 for p in row.values()):
+            if not all(is_json_number(p) and 0 <= p <= 1 for p in row.values()):
                 raise BadLexicon(
                     f"lexicon {path}: row {e!r} holds a value that is not "
                     f"a probability")
@@ -168,16 +165,11 @@ class Lexicon:
             table[e] = {f: p / total for f, p in row.items()}
         log_likelihoods = payload.get("log_likelihoods", [])
         if not (isinstance(log_likelihoods, list)
-                and all(map(_is_number, log_likelihoods))):
+                and all(map(is_json_number, log_likelihoods))):
             raise BadLexicon(
                 f"lexicon {path}: log_likelihoods must be a list of numbers")
         return cls(payload["src_lang"], payload["tgt_lang"], table,
                    tuple(log_likelihoods))
-
-
-def _is_number(value: object) -> bool:
-    """A JSON number: int or float, but not a boolean."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def train_lexicon(corpus: BitextCorpus, iterations: int = 20) -> Lexicon:

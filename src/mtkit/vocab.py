@@ -23,7 +23,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import DEFAULT_LANGUAGES, BitextCorpus
+from .corpus import (
+    DEFAULT_LANGUAGES,
+    BitextCorpus,
+    is_json_int,
+    is_json_number,
+    read_json,
+    write_artifact,
+)
 from .errors import EmptyCorpus, InvalidConfig, UnknownId, VocabSizeTooSmall
 
 END_OF_WORD = "</w>"
@@ -62,8 +69,16 @@ class VocabConfig:
         object.__setattr__(self, "hrl_langs", frozenset(self.hrl_langs))
         object.__setattr__(self, "lrl_langs", frozenset(self.lrl_langs))
         object.__setattr__(self, "special_tokens", tuple(self.special_tokens))
-        if self.vocab_size < 1:
-            raise InvalidConfig(f"vocab_size must be positive, got {self.vocab_size}")
+        if not is_json_int(self.vocab_size) or self.vocab_size < 1:
+            raise InvalidConfig(
+                f"vocab_size must be a positive int, got {self.vocab_size!r}")
+        if not is_json_number(self.mean_exponent_p):
+            raise InvalidConfig(f"mean_exponent_p must be a number, got "
+                                f"{self.mean_exponent_p!r}")
+        if not all(isinstance(s, str) for s in (
+                *self.hrl_langs, *self.lrl_langs, *self.special_tokens)):
+            raise InvalidConfig(
+                "hrl_langs, lrl_langs and special_tokens must hold strings")
         overlap = self.hrl_langs & self.lrl_langs
         if overlap:
             raise InvalidConfig(f"languages in both hrl and lrl: {sorted(overlap)}")
@@ -71,8 +86,9 @@ class VocabConfig:
             raise InvalidConfig("duplicate special tokens")
         if UNK not in self.special_tokens:
             raise InvalidConfig(f"special tokens must include {UNK!r}")
-        if not self.end_of_word_marker:
-            raise InvalidConfig("end_of_word_marker must be non-empty")
+        if not isinstance(self.end_of_word_marker, str) \
+                or not self.end_of_word_marker:
+            raise InvalidConfig("end_of_word_marker must be a non-empty string")
 
     @property
     def languages(self) -> frozenset[str]:
@@ -510,17 +526,14 @@ class Vocabulary:
         return self._final_segmentations
 
     def save(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
             "mode": self.mode,
             "config": self.config.to_json(),
             "tokens": list(self.tokens),
             "merges": [list(m) for m in self.merges],
         }
-        path.write_text(json.dumps(payload, ensure_ascii=False, indent=2) + "\n",
-                        encoding="utf-8")
-        return path
+        return write_artifact(
+            path, json.dumps(payload, ensure_ascii=False, indent=2) + "\n")
 
 
 def _is_base_symbol(token: str, marker: str) -> bool:
@@ -533,18 +546,22 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
     """Load a saved vocabulary, re-validating structural invariants:
     contiguous ids, specials first, and every token reachable as a
     special, a base symbol, or the output of a listed merge."""
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InvalidConfig(f"cannot parse vocabulary {path}: {exc}") from exc
+    payload = read_json(path, InvalidConfig)
     try:
         cfg = VocabConfig.from_json(payload["config"])
-        mode = payload["mode"]
-        tokens = tuple(payload["tokens"])
-        merges = tuple((m[0], m[1]) for m in payload["merges"])
-    except (KeyError, IndexError, TypeError) as exc:
+        mode, tokens, merges = (payload["mode"], payload["tokens"],
+                                payload["merges"])
+    except (InvalidConfig, KeyError, TypeError) as exc:
         raise InvalidConfig(f"malformed vocabulary {path}: {exc}") from exc
+    if not (isinstance(tokens, list)
+            and all(isinstance(t, str) for t in tokens)):
+        raise InvalidConfig(f"vocabulary {path}: tokens must be strings")
+    if not (isinstance(merges, list) and all(
+            isinstance(m, list) and len(m) == 2
+            and all(isinstance(s, str) for s in m) for m in merges)):
+        raise InvalidConfig(
+            f"vocabulary {path}: merges must be [left, right] string pairs")
+    tokens, merges = tuple(tokens), tuple(map(tuple, merges))
 
     marker = cfg.end_of_word_marker
     token_set = set(tokens)

@@ -1,10 +1,13 @@
 """Command-line interface: each subcommand, output shapes, exit codes."""
 
+import contextlib
 import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtkit.cli import main
 from mtkit.corpus import BitextCorpus, SentencePair, load_bitext, write_bitext
@@ -233,6 +236,57 @@ def test_translator_run_rejects_malformed_lexicon(tmp_path, capsys, text):
     assert err.startswith("error: ") and "bad.json" in err
 
 
+_PLAN = {"entries": [{"new": "xho-zul", "old": ["xho-eng", "eng-zul"]}]}
+
+
+@pytest.mark.parametrize("kind,path,value,needle", [
+    ("manifest", ["name"], 5, "name must"),
+    ("manifest", ["src_lang"], 5, "src_lang must"),
+    ("manifest", ["src_file"], ["x"], "src_file must"),
+    ("manifest", ["pair_count"], "0", "pair_count must"),
+    ("manifest", ["pair_count"], True, "pair_count must"),
+    ("vocabulary", ["tokens", 10], 7, "tokens must"),
+    ("vocabulary", ["config", "end_of_word_marker"], 7,
+     "end_of_word_marker must"),
+    ("vocabulary", ["config", "mean_exponent_p"], "x",
+     "mean_exponent_p must"),
+    ("plan", ["entries"], {}, "entries must"),
+    ("plan", ["entries", 0], 5, "entries[0] must"),
+    ("plan", ["entries", 0, "n"], "5", "n must"),
+    ("plan", ["entries", 0, "n"], -5, "n must"),
+    ("plan", ["entries", 0, "n"], True, "n must"),
+], ids=["manifest-name-int", "manifest-src_lang-int", "manifest-src_file-list",
+        "manifest-pair_count-str", "manifest-pair_count-bool",
+        "vocab-token-int", "vocab-marker-int", "vocab-p-str",
+        "plan-entries-object", "plan-entry-int", "plan-n-str",
+        "plan-n-negative", "plan-n-bool"])
+def test_wrong_typed_field_exits_2(data, vocab_file, tmp_path, capsys, kind,
+                                   path, value, needle):
+    manifests = data[1]
+    one_pair = BitextCorpus(name="one", src_lang="eng", tgt_lang="xho",
+                            pairs=(SentencePair("a", "b"),))
+    good = {"manifest": write_bitext(one_pair, tmp_path),
+            "vocabulary": vocab_file}.get(kind)
+    doc = json.loads(good.read_text() if good else json.dumps(_PLAN))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    argv = {
+        "manifest": ["corpus", "validate", str(bad)],
+        "vocabulary": ["vocab", "encode", "--vocab", str(bad),
+                       "--in", str(tmp_path / "one.eng")],
+        "plan": ["mixture", "stage2", "--plan", str(bad), "--vocab",
+                 str(vocab_file), "--out", str(tmp_path / "mix")]
+                + [str(p) for p in manifests.values()],
+    }[kind]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "bad.json" in err and needle in err
+
+
 _RUN = ["translator", "run", "--src", "eng", "--tgt", "zul", "--model"]
 
 
@@ -246,16 +300,24 @@ _RUN = ["translator", "run", "--src", "eng", "--tgt", "zul", "--model"]
     _RUN + ["exec:cat", "--in", "BAD"],
     _RUN + ["exec:cat"],
     _RUN + ["exec:printf 'caf\\351\\n'", "--in", "GOOD"],
+    ["corpus", "validate", "BAD"],
+    ["vocab", "encode", "--vocab", "BAD", "--in", "GOOD"],
+    ["mixture", "stage2", "--plan", "BAD", "--vocab", "VOCAB", "--out", "OUT",
+     "ENG_XHO", "ENG_ZUL", "XHO_ZUL"],
+    _RUN + ["BAD", "--in", "GOOD"],
 ], ids=["encode-file", "encode-stdin", "decode-file", "decode-stdin",
-        "score-hyp", "score-ref", "run-file", "run-stdin", "run-output"])
-def test_non_utf8_text_exits_2(vocab_file, tmp_path, capsys, monkeypatch,
-                               argv):
+        "score-hyp", "score-ref", "run-file", "run-stdin", "run-output",
+        "manifest", "vocabulary", "plan", "lexicon"])
+def test_non_utf8_text_exits_2(data, vocab_file, tmp_path, capsys,
+                               monkeypatch, argv):
     raw = b"caf\xe9\n"  # Latin-1, not UTF-8
     (tmp_path / "bad.txt").write_bytes(raw)
     (tmp_path / "good.txt").write_text("a\n", encoding="utf-8")
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(raw)))
     paths = {"VOCAB": str(vocab_file), "BAD": str(tmp_path / "bad.txt"),
-             "GOOD": str(tmp_path / "good.txt")}
+             "GOOD": str(tmp_path / "good.txt"), "OUT": str(tmp_path / "mix"),
+             **{name.upper().replace("-", "_"): str(path)
+                for name, path in data[1].items()}}
     assert main([paths.get(arg, arg) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "not valid UTF-8" in err
@@ -388,6 +450,30 @@ def test_pipeline_validate_exit_codes(data, tmp_path, capsys):
         assert main(["pipeline", "validate", "--config", str(bad_field)]) == 2
         assert f"problem: {key}.{field}" in capsys.readouterr().err
 
+    for name, payload in (("list", b'["xho-zul"]'),
+                          ("latin1", b'{"entries": "caf\xe9"}')):
+        plan = tmp_path / f"plan-{name}.json"
+        plan.write_bytes(payload)
+        with_plan = tmp_path / f"with-plan-{name}.json"
+        with_plan.write_text(json.dumps({**cfg, "stage2": {"plan": str(plan)}}),
+                             encoding="utf-8")
+        assert main(["pipeline", "validate", "--config", str(with_plan)]) == 2
+        assert "problem: stage2.plan: " in capsys.readouterr().err
+
+    # a lexicon path resolves against the config's directory
+    lex_dir = tmp_path / "lexicons"
+    lex_dir.mkdir()
+    (lex_dir / "xho-eng.json").write_text("{}", encoding="utf-8")
+    with_lex = lex_dir / "config.json"
+    with_lex.write_text(json.dumps(
+        {**cfg, "backtranslation": {"models": {"eng-xho": "xho-eng.json"}}}),
+        encoding="utf-8")
+    assert main(["pipeline", "validate", "--config", str(with_lex)]) == 0
+    assert "config ok" in capsys.readouterr().out
+    (lex_dir / "xho-eng.json").unlink()
+    assert main(["pipeline", "validate", "--config", str(with_lex)]) == 2
+    assert "problem: backtranslation.models" in capsys.readouterr().err
+
 
 def test_pipeline_run_and_failure_exit_codes(data, tmp_path, capsys):
     root, manifests = data
@@ -424,6 +510,93 @@ def test_pipeline_run_and_failure_exit_codes(data, tmp_path, capsys):
     path.write_text(json.dumps(cfg), encoding="utf-8")
     assert main(["pipeline", "run", "--config", str(path)]) == 3
     assert "model-selection" in capsys.readouterr().err
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8)
+
+
+@st.composite
+def _field_replaced(draw, doc):
+    """*doc* with one field, at any depth, replaced by a random JSON value."""
+    doc = json.loads(json.dumps(doc))
+    node, key = doc, draw(st.sampled_from(sorted(doc)))
+    while (isinstance(node[key], (dict, list)) and node[key]
+           and draw(st.booleans())):
+        node = node[key]
+        key = draw(st.sampled_from(
+            sorted(node) if isinstance(node, dict) else range(len(node))))
+    node[key] = draw(_JSON_VALUES)
+    return doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_targets(data, vocab_file, tmp_path_factory):
+    """Per format: a valid document, the file the fuzzed document goes to,
+    and the command that reads it."""
+    root, manifests = data
+    work = tmp_path_factory.mktemp("fuzz")
+    for name in ("eng-xho.eng", "eng-xho.xho"):
+        (work / name).write_bytes((root / "train" / name).read_bytes())
+    target = work / "fuzzed.json"
+    text = str(work / "eng-xho.eng")
+    config = {
+        "name": "fuzz", "seed": 5, "output_root": str(work / "out"),
+        "corpora": [str(manifests["eng-xho"]), str(manifests["eng-zul"])],
+        "new_corpora": [str(manifests["xho-zul"])],
+        "vocab": {"vocab_size": 140},
+        "stage1": {"em_iterations": [2, 4]},
+        "stage2": {"em_iterations": 4, "plan": None},
+        "backtranslation": {"models": {"eng-xho": "exec:cat"}},
+        "eval": {"dev_dir": str(root / "dev")},
+    }
+    return target, {
+        "manifest": (json.loads(manifests["eng-xho"].read_text()),
+                     ["corpus", "validate", str(target)]),
+        "vocabulary": (json.loads(vocab_file.read_text()),
+                       ["vocab", "encode", "--vocab", str(target),
+                        "--in", text]),
+        "lexicon": (_LEXICON, _RUN + [str(target), "--in", text]),
+        "plan": (_PLAN, ["mixture", "stage2", "--plan", str(target),
+                         "--vocab", str(vocab_file), "--out",
+                         str(work / "mix")]
+                 + [str(p) for p in manifests.values()]),
+        "config": (config, ["pipeline", "validate", "--config",
+                            str(target)]),
+    }
+
+
+@pytest.mark.parametrize(
+    "fmt", ["manifest", "vocabulary", "lexicon", "plan", "config"])
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_fuzzed_input_file_exits_2(fuzz_targets, fmt, data):
+    """Random bytes, random JSON and valid documents with one field
+    replaced: each ends as exit 2 with an error: or problem: line (or,
+    for a replacement that happens to be valid, exit 0), never as an
+    exception out of main()."""
+    target, formats = fuzz_targets
+    valid, argv = formats[fmt]
+    kind, payload = data.draw(st.one_of(
+        st.tuples(st.just("bytes"), st.binary(max_size=64)),
+        st.tuples(st.just("json"),
+                  _JSON_VALUES.map(lambda v: json.dumps(v).encode())),
+        st.tuples(st.just("field"),
+                  _field_replaced(valid).map(lambda d: json.dumps(d).encode())),
+    ))
+    target.write_bytes(payload)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if kind == "field" and code == 0:
+        return
+    assert code == 2, (code, err.getvalue())
+    assert any(line.startswith(("error: ", "problem: "))
+               for line in err.getvalue().splitlines()), err.getvalue()
 
 
 def test_unknown_subcommand_exits_via_argparse(capsys):

@@ -1,4 +1,7 @@
 import json
+import os
+import re
+import stat
 import unicodedata
 from pathlib import Path
 
@@ -17,6 +20,7 @@ from mtkit.corpus import (
     load_bitext,
     split_lines,
     split_validation,
+    write_artifact,
     write_bitext,
 )
 
@@ -99,6 +103,12 @@ def test_checksum_mismatch(tmp_path):
     path = _manifest_dict(tmp_path, ["a"], ["x"])
     (tmp_path / "m.eng").write_text("tampered\n", encoding="utf-8")
     with pytest.raises(errors.BadManifest, match="checksum"):
+        load_bitext(path)
+
+
+def test_line_break_other_than_lf_is_a_bad_manifest(tmp_path):
+    path = _manifest_dict(tmp_path, ["a", "b\r"], ["x", "y"])
+    with pytest.raises(errors.BadManifest, match="m.json: pair 2"):
         load_bitext(path)
 
 
@@ -226,3 +236,67 @@ def test_concat_corpora_merges_provenance():
     assert merged.tgt_provenance.kind == "real"
     with pytest.raises(errors.BadManifest):
         concat_corpora("bad", [real, make_corpus(SAMPLE, src="zul", tgt="eng")])
+
+
+# -- artifact writes -----------------------------------------------------
+
+
+@pytest.mark.parametrize("old", [None, b"old bytes\n"], ids=["absent", "old"])
+@pytest.mark.parametrize("failure", ["replace", "encode"])
+def test_write_artifact_failure_keeps_target(tmp_path, monkeypatch, old,
+                                             failure):
+    target = tmp_path / "a.json"
+    if old is not None:
+        target.write_bytes(old)
+    data = "new\n"
+    if failure == "replace":
+        def refuse(src, dst):
+            raise OSError("simulated rename failure")
+        monkeypatch.setattr(os, "replace", refuse)
+    else:
+        data = "lone \udc80 surrogate"
+    with pytest.raises(OSError if failure == "replace" else UnicodeError):
+        write_artifact(target, data)
+    monkeypatch.undo()
+    assert (target.read_bytes() if target.exists() else None) == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == (
+        [] if old is None else ["a.json"])
+
+
+def test_write_artifact_replaces_whole_file(tmp_path):
+    target = tmp_path / "sub" / "dir" / "a.txt"
+    assert write_artifact(target, "caf\u00e9\n") == target
+    assert target.read_bytes() == "caf\u00e9\n".encode("utf-8")
+    write_artifact(target, b"\x00\xff")
+    assert target.read_bytes() == b"\x00\xff"
+    assert [p.name for p in target.parent.iterdir()] == ["a.txt"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_write_artifact_mode_matches_write_text(tmp_path, umask):
+    previous = os.umask(umask)
+    try:
+        write_artifact(tmp_path / "artifact", "x")
+        (tmp_path / "plain").write_text("x")
+    finally:
+        os.umask(previous)
+    modes = [stat.S_IMODE((tmp_path / name).stat().st_mode)
+             for name in ("artifact", "plain")]
+    assert modes[0] == modes[1] == 0o666 & ~umask
+
+
+def test_only_corpus_module_writes_or_reads_json_files():
+    """Every artifact reaches the disk through `corpus.write_artifact` and
+    every JSON file is read through `corpus.read_json`."""
+    import mtkit
+    forbidden = re.compile(
+        r"\.write_text\(|\.write_bytes\(|shutil\.copyfile"
+        r"|json\.loads?\((?!json\.dumps)")
+    offenders = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(Path(mtkit.__file__).parent.glob("*.py"))
+        if path.name != "corpus.py"
+        for number, line in enumerate(
+            path.read_text(encoding="utf-8").splitlines(), 1)
+        if forbidden.search(line)]
+    assert offenders == []

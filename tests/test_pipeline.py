@@ -135,6 +135,19 @@ def test_valid_config_has_no_problems(dataset):
     ({"backtranslation": {"batch_size": 0}}, "backtranslation.batch_size"),
     ({"backtranslation": {"batch_size": "64"}}, "backtranslation.batch_size"),
     ({"backtranslation": {"batch_size": False}}, "backtranslation.batch_size"),
+    ({"stage1": {"em_iterations": [2, 5], "seed": "x"}}, "stage1.seed"),
+    ({"stage2": {"em_iterations": 6, "seed": "x"}}, "stage2.seed"),
+    ({"stage2": {"em_iterations": 6, "seed": True}}, "stage2.seed"),
+    ({"stage2": {"default_cap": "many"}}, "stage2.default_cap"),
+    ({"stage2": {"default_cap": -1}}, "stage2.default_cap"),
+    ({"stage2": {"default_cap": True}}, "stage2.default_cap"),
+    ({"stage2": {"new_directions": ["xho-zul", "xho-zul"]}}, "appear once"),
+    ({"stage2": {"plan": 5}}, "stage2.plan"),
+    ({"backtranslation": {"models": {"xho-eng": "/nowhere/lex.json"}}},
+     "backtranslation.models"),
+    ({"backtranslation": {"models": ["exec:cat"]}}, "backtranslation.models"),
+    ({"backtranslation": {"models": {"xho-eng": 5}}},
+     "backtranslation.models"),
 ])
 def test_validate_config_flags_problems(dataset, overrides, needle):
     root, manifests = dataset
@@ -180,10 +193,15 @@ def test_load_config_resolves_relative_paths(dataset, tmp_path):
     root, manifests = dataset
     cfg = make_config(root, manifests)
     cfg["corpora"] = ["train/eng-xho.json"]
+    models = {"xho-eng": "lex/xho-eng.json", "zul-eng": "exec:cat",
+              "ssw-eng": "internal", "eng-ssw": "none"}
+    cfg["backtranslation"] = {"models": models}
     path = root / "cfg.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
     loaded = load_config(path)
     assert loaded["corpora"][0] == str(manifests["eng-xho"])
+    assert loaded["backtranslation"]["models"] == {
+        **models, "xho-eng": str(root / "lex" / "xho-eng.json")}
 
 
 def test_run_rejects_bad_config_without_side_effects(dataset, tmp_path):
