@@ -162,7 +162,7 @@ def cmd_mixture(args) -> int:
                     [f"{c.src_lang}-{c.tgt_lang}" for c in new]))
         mixture = build_stage2_mixture(old, new, plan, seed=args.seed,
                                        default_cap=args.cap)
-    export = export_mixture(mixture, vocab, args.out, threads=args.threads)
+    export = export_mixture(mixture, vocab, args.out)
     print(export.src_path)
     print(export.tgt_path)
     print(export.sidecar_path)
@@ -360,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=None,
                    help="stage2 cap for directions the plan does not match")
     p.add_argument("--vocab", required=True)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted and unused: export is serial")
     p.add_argument("--out", required=True)
     p.add_argument("manifests", nargs="+")
     p.set_defaults(fn=cmd_mixture)

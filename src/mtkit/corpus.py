@@ -89,6 +89,14 @@ class SentencePair:
             if not _LINE_BREAKS.isdisjoint(text):
                 raise ValueError(f"{field} side contains a line break")
 
+    def swapped(self) -> "SentencePair":
+        """This pair with its sides exchanged. The checks treat both
+        sides alike, so a swapped valid pair is valid and skips them."""
+        pair = object.__new__(SentencePair)
+        object.__setattr__(pair, "src", self.tgt)
+        object.__setattr__(pair, "tgt", self.src)
+        return pair
+
 
 @dataclass(frozen=True)
 class BitextCorpus:
@@ -148,7 +156,7 @@ def orient(corpus: BitextCorpus, src: str, tgt: str,
         return replace(corpus, pairs=pairs)
     return BitextCorpus(
         name=f"{corpus.name}-rev", src_lang=src, tgt_lang=tgt,
-        pairs=tuple(SentencePair(p.tgt, p.src) for p in pairs),
+        pairs=tuple(p.swapped() for p in pairs),
         src_provenance=corpus.tgt_provenance,
         tgt_provenance=corpus.src_provenance)
 

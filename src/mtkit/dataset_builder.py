@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -283,34 +282,33 @@ def export_mixture(mixture: TrainingMixture, vocab: Vocabulary,
     Lines are space-joined token surfaces with the direction tag first,
     so `grep -c '^<src:xho>'` style recounts can audit the sidecar. The
     global shuffle is seeded by the mixture seed; output bytes depend
-    only on (mixture, vocab), never on thread count.
+    only on (mixture, vocab). Rows are rendered serially from the
+    vocabulary's per-word surface cache (`Vocabulary.surface_line`):
+    rendering is pure Python, so worker threads would only contend for
+    the interpreter lock. *threads* is accepted and unused.
     """
     out_dir = Path(out_dir)
-
-    def render_slice(s: MixtureSlice) -> list[tuple[str, str]]:
+    line = vocab.surface_line
+    src_rows: list[str] = []
+    tgt_rows: list[str] = []
+    for s in mixture.slices:
         d = s.direction
         src_tag, tgt_tag = f"<src:{d.src}>", f"<tgt:{d.tgt}>"
         for tag in (src_tag, tgt_tag):
             if vocab.token_id(tag) is None:
                 raise MissingTagToken(f"vocabulary lacks {tag}")
-        return [(" ".join([src_tag, *vocab.segment(pair.src)]),
-                 " ".join([tgt_tag, *vocab.segment(pair.tgt)]))
-                for pair in orient(s.corpus, d.src, d.tgt, s.indices).pairs]
+        # A side always holds a word, so each row is the tag, a space
+        # and the side's surface line.
+        pairs = orient(s.corpus, d.src, d.tgt, s.indices).pairs
+        src_rows += [f"{src_tag} {line(p.src)}\n" for p in pairs]
+        tgt_rows += [f"{tgt_tag} {line(p.tgt)}\n" for p in pairs]
 
-    if threads > 1 and len(mixture.slices) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rendered = list(pool.map(render_slice, mixture.slices))
-    else:
-        rendered = [render_slice(s) for s in mixture.slices]
-    rows = [row for block in rendered for row in block]
-
-    order = np.random.default_rng(mixture.seed).permutation(len(rows))
-    rows = [rows[i] for i in order]
-
+    order = np.random.default_rng(mixture.seed).permutation(
+        len(src_rows)).tolist()
     src_path = out_dir / f"{mixture.stage}.src"
     tgt_path = out_dir / f"{mixture.stage}.tgt"
-    write_artifact(src_path, "".join(r[0] + "\n" for r in rows))
-    write_artifact(tgt_path, "".join(r[1] + "\n" for r in rows))
+    write_artifact(src_path, "".join([src_rows[i] for i in order]))
+    write_artifact(tgt_path, "".join([tgt_rows[i] for i in order]))
 
     counts = mixture.direction_counts()
     sidecar = {

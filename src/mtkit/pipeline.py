@@ -58,6 +58,7 @@ from .errors import (
 from .metrics import evaluate_directions, score_candidates
 from .synthesis import backtranslate, pivot_synthesize
 from .translator import (
+    Lexicon,
     LexiconTranslator,
     RoutingTranslator,
     TranslatorModel,
@@ -91,18 +92,50 @@ STEPS = (
 
 # -- multiparallel dev sets ----------------------------------------------
 
+def _dev_manifest(dev_dir: str | Path,
+                  registry: Sequence[str] | None = None) -> dict:
+    """The checked dev.json under *dev_dir*: `languages` a list of known
+    language codes, `files` and `sha256` objects holding a string for
+    each of them, `pair_count` a non-negative integer. A bad field
+    raises InvalidConfig naming the file."""
+    path = Path(dev_dir) / "dev.json"
+    manifest = read_json(path, InvalidConfig)
+    langs = manifest.get("languages")
+    if not (isinstance(langs, list) and all(isinstance(x, str) for x in langs)):
+        raise InvalidConfig(f"{path}: languages must be a list of strings")
+    try:
+        for lang in langs:
+            validate_language(lang, registry)
+    except MTKitError as exc:
+        raise InvalidConfig(f"{path}: languages: {exc}") from exc
+    for key in ("files", "sha256"):
+        table = manifest.get(key)
+        if not (isinstance(table, dict) and all(
+                isinstance(table.get(lang), str) for lang in langs)):
+            raise InvalidConfig(
+                f"{path}: {key} must be an object with a string for each "
+                f"language")
+    count = manifest.get("pair_count")
+    if not (is_json_int(count) and count >= 0):
+        raise InvalidConfig(f"{path}: pair_count must be a non-negative int")
+    return manifest
+
+
 def load_multiparallel(dev_dir: str | Path,
                        registry: Sequence[str] | None = None
                        ) -> dict[str, list[str]]:
-    """Read an n-way parallel dev set: dev.json naming one aligned
-    sentence file per language, checksums verified."""
+    """Read an n-way parallel dev set: dev.json, its fields checked,
+    naming one aligned sentence file per language, checksums verified."""
     dev_dir = Path(dev_dir)
-    manifest = read_json(dev_dir / "dev.json", InvalidConfig)
+    manifest = _dev_manifest(dev_dir, registry)
     out: dict[str, list[str]] = {}
     for lang in manifest["languages"]:
-        validate_language(lang, registry)
         path = dev_dir / manifest["files"][lang]
-        payload = path.read_bytes()
+        try:
+            payload = path.read_bytes()
+        except OSError as exc:
+            raise InvalidConfig(
+                f"cannot read {path}: {exc.strerror or exc}") from exc
         want = manifest["sha256"][lang]
         got = sha256_hex(payload)
         if got != want:
@@ -314,9 +347,11 @@ def validate_config(cfg: dict | str | Path,
             if not isinstance(spec, str):
                 problems.append(
                     f"backtranslation.models: {label}: spec must be a string")
-            elif _is_lexicon_spec(spec) and not Path(spec).is_file():
-                problems.append(
-                    f"backtranslation.models: {label}: no lexicon {spec}")
+            elif _is_lexicon_spec(spec):
+                try:
+                    Lexicon.load(spec)
+                except MTKitError as exc:
+                    problems.append(f"backtranslation.models: {label}: {exc}")
     else:
         problems.append("backtranslation: must be an object")
 
@@ -373,24 +408,16 @@ def validate_config(cfg: dict | str | Path,
     dev_dir = ev.get("dev_dir") if isinstance(ev, dict) else None
     if not isinstance(dev_dir, str):
         problems.append("eval.dev_dir: required path string")
-    elif not (Path(dev_dir) / "dev.json").is_file():
-        problems.append(f"eval.dev_dir: no dev.json under {dev_dir}")
     else:
         try:
-            dev_doc = read_json(Path(dev_dir) / "dev.json", InvalidConfig)
-        except InvalidConfig as exc:
-            problems.append(f"eval.dev_dir: unreadable dev.json ({exc})")
+            dev_langs = _dev_manifest(dev_dir, registry)["languages"]
+        except MTKitError as exc:
+            problems.append(f"eval.dev_dir: {exc}")
         else:
-            langs = dev_doc.get("languages", [])
-            if not isinstance(langs, list):
+            missing = sorted(seen_langs - set(dev_langs))
+            if missing:
                 problems.append(
-                    "eval.dev_dir: dev.json must be an object with a "
-                    "languages list")
-            else:
-                missing = sorted(seen_langs - set(langs))
-                if missing:
-                    problems.append(
-                        f"eval.dev_dir: dev set lacks languages {missing}")
+                    f"eval.dev_dir: dev set lacks languages {missing}")
     if isinstance(ev, dict) and ev.get("metric", "bleu") != "bleu":
         problems.append("eval.metric: only 'bleu' is available")
 
@@ -575,8 +602,7 @@ class _Runner:
                         (LexiconTranslator(lexicon), name))
         mixture = build_stage1_mixture(state.old_train,
                                        seed=cfg["stage1"]["seed"])
-        export = export_mixture(mixture, state.vocab, out / "mixture",
-                                threads=state.threads)
+        export = export_mixture(mixture, state.vocab, out / "mixture")
         outputs += [export.src_path, export.tgt_path, export.sidecar_path]
         return [], outputs
 
@@ -656,8 +682,7 @@ class _Runner:
             seed=cfg["stage2"]["seed"],
             default_cap=cfg["stage2"]["default_cap"])
         state.stage2_mixture = mixture
-        export = export_mixture(mixture, state.vocab, out / "mixture",
-                                threads=state.threads)
+        export = export_mixture(mixture, state.vocab, out / "mixture")
         return [], [plan_path, export.src_path, export.tgt_path,
                     export.sidecar_path]
 

@@ -455,7 +455,10 @@ class Vocabulary:
                            {tok: i for i, tok in enumerate(self.tokens)})
         object.__setattr__(self, "_ranks",
                            {pair: i for i, pair in enumerate(self.merges)})
+        # Per word type, filled lazily: token ids (`encode`) and the
+        # space-joined token surfaces (`surface_line`).
         object.__setattr__(self, "_cache", {})
+        object.__setattr__(self, "_surfaces", {})
         object.__setattr__(self, "_final_segmentations", None)
 
     def __len__(self) -> int:
@@ -518,6 +521,19 @@ class Vocabulary:
         """Token surfaces rather than ids; convenience for inspection."""
         return [self.tokens[i] for i in self.encode(text)]
 
+    def surface_line(self, text: str) -> str:
+        """`" ".join(self.segment(text))`, built from one joined surface
+        string per word type, each encoded once and cached."""
+        cache = self._surfaces
+        words = text.split()
+        try:
+            return " ".join([cache[w] for w in words])
+        except KeyError:  # a word not seen yet: fill the cache, then join
+            for w in words:
+                if w not in cache:
+                    cache[w] = " ".join(self.segment(w))
+            return " ".join([cache[w] for w in words])
+
     @property
     def trainer_segmentations(self) -> dict[tuple[str, str], list[str]] | None:
         """Final (lang, marked word) -> symbols state of the training run
@@ -545,22 +561,27 @@ def _is_base_symbol(token: str, marker: str) -> bool:
 def load_vocabulary(path: str | Path) -> Vocabulary:
     """Load a saved vocabulary, re-validating structural invariants:
     contiguous ids, specials first, and every token reachable as a
-    special, a base symbol, or the output of a listed merge."""
+    special, a base symbol, or the output of a listed merge. Every
+    structural error raises InvalidConfig naming *path*."""
     payload = read_json(path, InvalidConfig)
     try:
-        cfg = VocabConfig.from_json(payload["config"])
-        mode, tokens, merges = (payload["mode"], payload["tokens"],
-                                payload["merges"])
-    except (InvalidConfig, KeyError, TypeError) as exc:
-        raise InvalidConfig(f"malformed vocabulary {path}: {exc}") from exc
+        return _vocabulary_from_json(payload)
+    except KeyError as exc:
+        raise InvalidConfig(f"vocabulary {path}: missing field {exc}") from exc
+    except (InvalidConfig, TypeError) as exc:
+        raise InvalidConfig(f"vocabulary {path}: {exc}") from exc
+
+
+def _vocabulary_from_json(payload: dict) -> Vocabulary:
+    cfg = VocabConfig.from_json(payload["config"])
+    mode, tokens, merges = payload["mode"], payload["tokens"], payload["merges"]
     if not (isinstance(tokens, list)
             and all(isinstance(t, str) for t in tokens)):
-        raise InvalidConfig(f"vocabulary {path}: tokens must be strings")
+        raise InvalidConfig("tokens must be strings")
     if not (isinstance(merges, list) and all(
             isinstance(m, list) and len(m) == 2
             and all(isinstance(s, str) for s in m) for m in merges)):
-        raise InvalidConfig(
-            f"vocabulary {path}: merges must be [left, right] string pairs")
+        raise InvalidConfig("merges must be [left, right] string pairs")
     tokens, merges = tuple(tokens), tuple(map(tuple, merges))
 
     marker = cfg.end_of_word_marker

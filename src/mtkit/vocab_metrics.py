@@ -16,6 +16,7 @@ Reports serialize to JSON and render as aligned plain-text tables.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -25,7 +26,10 @@ from .vocab import LangCorpusSet, Vocabulary
 
 
 def _total_tokens(vocab: Vocabulary, sentences: Iterable[str]) -> int:
-    return sum(len(vocab.encode(s)) for s in sentences)
+    """Tokens in *sentences*, counted per word type: a word encodes to
+    the same tokens wherever it occurs."""
+    words = Counter(w for s in sentences for w in s.split())
+    return sum(n * len(vocab.encode(w)) for w, n in words.items())
 
 
 @dataclass(frozen=True)

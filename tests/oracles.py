@@ -14,6 +14,8 @@ import operator
 import random
 from collections import Counter, defaultdict
 
+import numpy as np
+
 from mtkit.errors import EmptyCorpus
 from mtkit.translator import NULL_WORD, Lexicon
 
@@ -207,8 +209,8 @@ def reference_chrf(hyps: list[str], refs: list[str], char_n: int = 6,
             rec = m / len(rg)
             fs.append((1 + beta2) * prec * rec / (beta2 * prec + rec)
                       if prec + rec > 0 else 0.0)
-        seg_scores.append(sum(fs) / len(fs) if fs else 0.0)
-    return 100.0 * sum(seg_scores) / len(seg_scores)
+        seg_scores.append(_add(fs) / len(fs) if fs else 0.0)
+    return 100.0 * _add(seg_scores) / len(seg_scores)
 
 
 def random_sentences_by_lang(seed: int, max_sentences: int = 100
@@ -229,6 +231,29 @@ def random_sentences_by_lang(seed: int, max_sentences: int = 100
                                for _ in range(rng.randint(1, 12)))
                       for _ in range(max(quota, 1))]
     return data
+
+
+# -- mixture export ----------------------------------------------------
+
+def reference_export(mixture, vocab) -> tuple[bytes, bytes]:
+    """The .src and .tgt bytes of an exported mixture, rendered sentence
+    by sentence: each slice's pairs in index order, flipped by hand when
+    the corpus stores the other orientation, each side joined from
+    `vocab.segment` behind its direction tag; then the rows permuted by
+    the mixture seed."""
+    rows = []
+    for s in mixture.slices:
+        d = s.direction
+        flip = (s.corpus.src_lang, s.corpus.tgt_lang) != (d.src, d.tgt)
+        for i in s.indices:
+            pair = s.corpus.pairs[i]
+            src, tgt = (pair.tgt, pair.src) if flip else (pair.src, pair.tgt)
+            rows.append((" ".join([f"<src:{d.src}>", *vocab.segment(src)]),
+                         " ".join([f"<tgt:{d.tgt}>", *vocab.segment(tgt)])))
+    order = np.random.default_rng(mixture.seed).permutation(len(rows))
+    rows = [rows[i] for i in order]
+    return ("".join(r[0] + "\n" for r in rows).encode("utf-8"),
+            "".join(r[1] + "\n" for r in rows).encode("utf-8"))
 
 
 # -- cipher corpora for lexicon tests ----------------------------------

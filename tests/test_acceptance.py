@@ -429,14 +429,12 @@ def test_criterion_10_repro_toy_improves_new_directions(tmp_path):
     assert len(summary["new_directions"]) == 8
     assert summary["stage2_avg_bleu_new"] > summary["stage1_avg_bleu_new"]
 
-    # Refactors keep every artifact byte. eval/ files are left out: their
-    # float sum() is compensated from Python 3.12 on, so they differ by
-    # interpreter version.
+    # Refactors keep every artifact byte, eval/ included: metrics sum
+    # floats left to right, so scores do not depend on the interpreter.
     log = json.loads(
         (tmp_path / "repro" / "run" / "run_log.json").read_text())
     outputs = {rel: sha for step in log["steps"]
-               for rel, sha in step["outputs"].items()
-               if not rel.startswith("eval/")}
+               for rel, sha in step["outputs"].items()}
     golden = json.loads((Path(__file__).parent
                          / "repro_toy_seed17_checksums.json").read_text())
     assert outputs == golden

@@ -120,6 +120,21 @@ def test_vocab_encode_decode_round_trip(data, vocab_file, tmp_path,
     assert capsys.readouterr().out == sentence + "\n"
 
 
+def test_vocab_encode_names_a_structurally_bad_vocabulary(
+        vocab_file, tmp_path, capsys):
+    payload = json.loads(vocab_file.read_text(encoding="utf-8"))
+    payload["tokens"][-1] = payload["tokens"][-2]  # last merge's output lost
+    bad = tmp_path / "dup.json"
+    bad.write_text(json.dumps(payload), encoding="utf-8")
+    infile = tmp_path / "in.txt"
+    infile.write_text("molo\n", encoding="utf-8")
+    assert main(["vocab", "encode", "--vocab", str(bad),
+                 "--in", str(infile)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err
+    assert "missing from tokens" in err
+
+
 def test_vocab_report_prints_tables(data, vocab_file, tmp_path, capsys):
     root, manifests = data
     obpe = tmp_path / "obpe.json"
@@ -463,7 +478,9 @@ def test_pipeline_validate_exit_codes(data, tmp_path, capsys):
     # a lexicon path resolves against the config's directory
     lex_dir = tmp_path / "lexicons"
     lex_dir.mkdir()
-    (lex_dir / "xho-eng.json").write_text("{}", encoding="utf-8")
+    (lex_dir / "xho-eng.json").write_text(json.dumps(
+        {"src_lang": "xho", "tgt_lang": "eng", "table": {"molo": {"hi": 1}}}),
+        encoding="utf-8")
     with_lex = lex_dir / "config.json"
     with_lex.write_text(json.dumps(
         {**cfg, "backtranslation": {"models": {"eng-xho": "xho-eng.json"}}}),
@@ -473,6 +490,27 @@ def test_pipeline_validate_exit_codes(data, tmp_path, capsys):
     (lex_dir / "xho-eng.json").unlink()
     assert main(["pipeline", "validate", "--config", str(with_lex)]) == 2
     assert "problem: backtranslation.models" in capsys.readouterr().err
+
+    # a dev.json without files: a problem now, not a failed run (exit 3)
+    no_files = tmp_path / "dev-no-files"
+    no_files.mkdir()
+    dev_doc = json.loads((root / "dev" / "dev.json").read_text())
+    del dev_doc["files"]
+    (no_files / "dev.json").write_text(json.dumps(dev_doc), encoding="utf-8")
+    without_files = tmp_path / "without-files.json"
+    without_files.write_text(
+        json.dumps({**cfg, "eval": {"dev_dir": str(no_files)}}),
+        encoding="utf-8")
+    assert main(["pipeline", "validate", "--config", str(without_files)]) == 2
+    err = capsys.readouterr().err
+    assert "problem: eval.dev_dir: " in err and "files" in err
+
+    # a lexicon file that is not a lexicon is a problem
+    (lex_dir / "xho-eng.json").write_text("{}", encoding="utf-8")
+    assert main(["pipeline", "validate", "--config", str(with_lex)]) == 2
+    err = capsys.readouterr().err
+    assert "problem: backtranslation.models: eng-xho: " in err
+    assert str(lex_dir / "xho-eng.json") in err
 
 
 def test_pipeline_run_and_failure_exit_codes(data, tmp_path, capsys):

@@ -1,11 +1,13 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import make_corpus, small_vocab
-from mtkit.corpus import Provenance, orient
+from mtkit.corpus import Provenance, SentencePair, orient
 from mtkit.dataset_builder import (
     BalancePlan,
     DirectionSpec,
@@ -23,6 +25,7 @@ from mtkit.errors import (
     NonEnglishCorpus,
     PlanCoverage,
 )
+from mtkit.vocab import Vocabulary
 
 DATA = {
     "eng": ["the cat sat", "a dog ran", "birds fly south"],
@@ -110,6 +113,30 @@ def test_oriented_pairs_flip():
     assert rev.tgt_provenance == Provenance("synthetic", "bt")
     with pytest.raises(MissingCorpus):
         orient(corpus, "xho", "eng", (0,))
+
+
+_SIDE = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",),
+                           blacklist_characters="\n\r\v\f\x85\u2028\u2029"),
+    min_size=1, max_size=12).filter(str.strip)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(_SIDE, _SIDE), min_size=1, max_size=8),
+       st.data())
+def test_orient_flip_equals_constructed_pairs(rows, data):
+    corpus = make_corpus(rows, name="ez")
+    indices = data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=8))
+    for picked in (None, indices):
+        flipped = orient(corpus, "zul", "eng", picked).pairs
+        source = corpus.pairs if picked is None else \
+            [corpus.pairs[i] for i in picked]
+        assert len(flipped) == len(source)
+        for got, pair in zip(flipped, source):
+            want = SentencePair(pair.tgt, pair.src)
+            assert type(got) is SentencePair
+            assert vars(got) == vars(want)
+            assert got == want
 
 
 def test_slice_synthetic_flag():
@@ -323,6 +350,43 @@ def test_export_deterministic_and_thread_invariant(tmp_path):
                         result.tgt_path.read_bytes(),
                         result.sidecar_path.read_bytes()))
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_export_equals_per_sentence_reference(tmp_path, seed):
+    text = oracles.random_sentences_by_lang(seed, max_sentences=60)
+    vocab = small_vocab(text, budget=8)
+    rng = random.Random(seed)
+
+    def sentences(n):
+        # corpus words, repeated, plus characters the vocabulary lacks
+        words = [w for sents in text.values() for s in sents
+                 for w in s.split()] + ["Qé", "漢", "😀x"]
+        return [" ".join(rng.choice(words) for _ in range(rng.randint(1, 6)))
+                for _ in range(n)]
+
+    old = [make_corpus(list(zip(sentences(n), sentences(n))),
+                       name=f"eng-{lang}", src="eng", tgt=lang)
+           for n, lang in zip((30, 17, 9), ("xho", "zul", "tsn"))]
+    new = [make_corpus(list(zip(sentences(12), sentences(12))),
+                       name="zul-xho", src="zul", tgt="xho")]
+    mixture = build_stage2_mixture(old, new, make_balance_plan(["xho-zul"]),
+                                   seed=seed)
+    assert any(s.corpus.src_lang != s.direction.src for s in mixture.slices)
+    want = oracles.reference_export(mixture, vocab)
+    for threads in (1, 2, 8):
+        # a fresh vocabulary each time: the caches start cold
+        fresh = Vocabulary(vocab.mode, vocab.tokens, vocab.merges,
+                           vocab.config)
+        result = export_mixture(mixture, fresh, tmp_path / f"t{threads}",
+                                threads=threads)
+        assert (result.src_path.read_bytes(),
+                result.tgt_path.read_bytes()) == want
+        # and again on warm caches
+        again = export_mixture(mixture, fresh, tmp_path / f"w{threads}",
+                               threads=threads)
+        assert (again.src_path.read_bytes(),
+                again.tgt_path.read_bytes()) == want
 
 
 def test_export_shuffles_with_seed(tmp_path):

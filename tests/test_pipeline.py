@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mtkit.corpus import BitextCorpus, SentencePair, write_bitext
-from mtkit.errors import ConfigValidationError, StepFailure
+from mtkit.errors import ConfigValidationError, InvalidConfig, StepFailure
 from mtkit.pipeline import (
     STEPS,
     dev_bitext,
@@ -179,14 +179,65 @@ def test_validate_config_requires_some_new_direction(dataset):
 
 def test_validate_config_checks_dev_language_coverage(dataset, tmp_path):
     root, manifests = dataset
+    doc = json.loads((root / "dev" / "dev.json").read_text())
     sparse = tmp_path / "dev"
     sparse.mkdir()
+    langs = ["eng", "xho"]
+    for lang in langs:
+        (sparse / f"dev.{lang}").write_bytes(
+            (root / "dev" / f"dev.{lang}").read_bytes())
     (sparse / "dev.json").write_text(json.dumps({
-        "languages": ["eng", "xho"], "pair_count": 1,
-        "files": {}, "sha256": {}}), encoding="utf-8")
+        "languages": langs, "pair_count": doc["pair_count"],
+        "files": {lang: doc["files"][lang] for lang in langs},
+        "sha256": {lang: doc["sha256"][lang] for lang in langs}}),
+        encoding="utf-8")
+    assert set(load_multiparallel(sparse)) == set(langs)
     cfg = make_config(root, manifests, eval={"dev_dir": str(sparse)})
     problems = validate_config(cfg)
     assert any("lacks languages" in p for p in problems)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("languages", None),
+    ("languages", "eng"),
+    ("languages", ["eng", 5]),
+    ("languages", ["eng", "qqq"]),
+    ("files", None),
+    ("files", ["dev.eng"]),
+    ("files", {"eng": "dev.eng"}),
+    ("sha256", None),
+    ("sha256", {"eng": 5, "ssw": 5, "xho": 5, "zul": 5}),
+    ("pair_count", None),
+    ("pair_count", True),
+    ("pair_count", -1),
+    ("pair_count", "25"),
+])
+def test_dev_manifest_fields_are_checked(dataset, tmp_path, field, value):
+    root, manifests = dataset
+    doc = json.loads((root / "dev" / "dev.json").read_text())
+    if value is None:
+        del doc[field]
+    else:
+        doc[field] = value
+    bad = tmp_path / "dev"
+    bad.mkdir()
+    (bad / "dev.json").write_text(json.dumps(doc), encoding="utf-8")
+    where = str(bad / "dev.json")
+    with pytest.raises(InvalidConfig, match=field) as excinfo:
+        load_multiparallel(bad)
+    assert where in str(excinfo.value)
+    cfg = make_config(root, manifests, eval={"dev_dir": str(bad)})
+    problems = validate_config(cfg)
+    assert any(p.startswith("eval.dev_dir: ") and where in p
+               for p in problems), problems
+
+
+def test_dev_file_that_cannot_be_read_names_it(dataset, tmp_path):
+    root, _ = dataset
+    doc = json.loads((root / "dev" / "dev.json").read_text())
+    (tmp_path / "dev.json").write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(InvalidConfig, match="cannot read .*dev.eng"):
+        load_multiparallel(tmp_path)
 
 
 def test_load_config_resolves_relative_paths(dataset, tmp_path):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -258,6 +259,33 @@ def test_encode_never_longer_than_character_segmentation(text):
     assert len(vocab.encode(text)) <= n_symbols
 
 
+@st.composite
+def _vocab_and_texts(draw):
+    """A random BPE vocabulary and texts over its words, repeated, plus
+    words with characters it has never seen."""
+    data = oracles.random_sentences_by_lang(draw(st.integers(0, 2**16)),
+                                            max_sentences=30)
+    vocab = train_bpe(data_of(data),
+                      config_for(data, draw(st.integers(1, 40))))
+    known = sorted({w for sents in data.values() for s in sents
+                    for w in s.split()})
+    word = st.sampled_from(known) | st.text(
+        alphabet="abQé漢😀", min_size=1, max_size=4)
+    space = st.sampled_from([" ", "  ", "\t", "\u00a0"])
+    text = st.lists(st.tuples(word, space), max_size=8).map(
+        lambda parts: "".join(w + sp for w, sp in parts))
+    return vocab, draw(st.lists(text, min_size=1, max_size=6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_vocab_and_texts())
+def test_surface_line_equals_joined_segments(case):
+    vocab, texts = case
+    for _ in range(2):  # a cold surface cache, then a warm one
+        for text in texts:
+            assert vocab.surface_line(text) == " ".join(vocab.segment(text))
+
+
 # -- persistence --------------------------------------------------------
 
 def test_save_load_round_trip(tmp_path):
@@ -289,6 +317,43 @@ def test_load_rejects_merge_with_unknown_input(tmp_path):
     payload["merges"].append(["no", "pe"])
     path.write_text(json.dumps(payload))
     with pytest.raises(errors.InvalidConfig, match="merge"):
+        load_vocabulary(path)
+
+
+@pytest.mark.parametrize("damage", [
+    "duplicate-last-token", "unreachable-token", "unknown-merge-input",
+    "specials-moved", "too-many-tokens", "bad-mode", "no-merges",
+    "merges-not-pairs", "tokens-not-strings", "bad-config"])
+def test_load_names_the_file_in_every_structural_error(tmp_path, damage):
+    data = {"eng": ["ab ab abc abc"]}
+    vocab = train_bpe(data_of(data), config_for(data, 2))
+    path = vocab.save(tmp_path / "v.json")
+    payload = json.loads(path.read_text())
+    tokens = payload["tokens"]
+    if damage == "duplicate-last-token":
+        tokens[-1] = tokens[-2]
+    elif damage == "unreachable-token":
+        tokens.append("zzz")
+        payload["config"]["vocab_size"] += 1
+    elif damage == "unknown-merge-input":
+        payload["merges"].append(["no", "pe"])
+    elif damage == "specials-moved":
+        tokens[0], tokens[1] = tokens[1], tokens[0]
+    elif damage == "too-many-tokens":
+        payload["config"]["vocab_size"] = len(tokens) - 1
+    elif damage == "bad-mode":
+        payload["mode"] = "wordpiece"
+    elif damage == "no-merges":
+        del payload["merges"]
+    elif damage == "merges-not-pairs":
+        payload["merges"][0].append("c")
+    elif damage == "tokens-not-strings":
+        tokens[-1] = 7
+    else:
+        payload["config"]["vocab_size"] = True
+    path.write_text(json.dumps(payload))
+    with pytest.raises(errors.InvalidConfig,
+                       match=re.escape(f"vocabulary {path}: ")):
         load_vocabulary(path)
 
 

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import make_corpus, small_vocab
@@ -46,6 +48,27 @@ def test_change_matches_encode_and_count_oracle():
         assert row.tokens_b == t_b
         expected = 100.0 * (t_b - t_a) / t_a
         assert abs(row.change_pct - expected) <= 1e-9 * max(1.0, abs(expected))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**16), st.integers(1, 30), st.integers(1, 30))
+def test_token_totals_equal_oracle_on_random_corpora(seed, budget_a,
+                                                     budget_b):
+    data = oracles.random_sentences_by_lang(seed, max_sentences=40)
+    vocab_a = small_vocab(data, budget=budget_a)
+    vocab_b = small_vocab(data, budget=budget_b)
+    # words seen again and characters neither vocabulary knows
+    extra = {lang: [f"{s} {s.split()[0]}Q é漢" for s in sents]
+             for lang, sents in data.items()}
+    for texts in (data, extra):
+        report = representation_change(data_of(texts), vocab_a, vocab_b)
+        for row in report.rows:
+            assert row.tokens_a == sum(
+                oracles.encode_token_count(s, vocab_a.merges)
+                for s in texts[row.language])
+            assert row.tokens_b == sum(
+                oracles.encode_token_count(s, vocab_b.merges)
+                for s in texts[row.language])
 
 
 def test_more_merges_never_increase_token_totals():
