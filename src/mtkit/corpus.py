@@ -8,8 +8,10 @@ load and write, so a write/load round trip is bit-identical.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import operator
 import os
 import re
 import unicodedata
@@ -169,6 +171,12 @@ def is_json_int(value: object) -> bool:
 def is_json_number(value: object) -> bool:
     """A JSON number: int or float, but not a boolean."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def left_to_right_sum(values: Iterable[float]) -> float:
+    """Float sum in iteration order. Builtin sum() compensates float sums
+    from Python 3.12 on, so its result would depend on the interpreter."""
+    return functools.reduce(operator.add, values, 0.0)
 
 
 def sha256_hex(data: bytes) -> str:

@@ -17,9 +17,9 @@ built order by order with np.unique, and each segment's clipped matches
 are the bincount of min(hyp count, ref count) over its n-grams. These
 integers equal what per-segment Counters give, and the float steps
 (BLEU's logs, each chrF order's F_beta, the segment and corpus means
-summed left to right by `_add`) run in plain Python in per-segment
-order, so every score equals, bit for bit, the one plain per-segment
-Counter loops give (the oracles in tests/oracles.py).
+summed left to right by `corpus.left_to_right_sum`) run in plain Python
+in per-segment order, so every score equals, bit for bit, the one plain
+per-segment Counter loops give (the oracles in tests/oracles.py).
 
 Identical hypothesis and reference streams score exactly 100.0; fully
 disjoint ones score exactly 0.0. Model selection scores each candidate
@@ -28,16 +28,14 @@ by BLEU on a dev set stored in the candidates' direction.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import BitextCorpus
+from .corpus import BitextCorpus, left_to_right_sum
 from .errors import EmptyInput, LengthMismatch
 from .translator import TranslatorModel, check_direction
 from .vocab import Vocabulary
@@ -221,12 +219,6 @@ def _order_fscores(streams: _Streams, max_n: int,
             for seg_matches, h, r in zip(matches, hyp_lens, ref_lens)]
 
 
-def _add(values) -> float:
-    """Left-to-right float sum. Builtin sum() compensates float sums from
-    Python 3.12 on, so its result would depend on the interpreter."""
-    return functools.reduce(operator.add, values, 0.0)
-
-
 def chrf(hyps: Sequence[str], refs: Sequence[str],
          config: ChrfConfig | None = None) -> float:
     """Macro-averaged segment chrF (chrF2++ with default config)."""
@@ -240,8 +232,9 @@ def chrf(hyps: Sequence[str], refs: Sequence[str],
                               _order_fscores(_word_ids(hyps, refs),
                                              cfg.word_n, beta2)):
         scores = char_f + word_f
-        seg_scores.append(_add(scores) / len(scores) if scores else 0.0)
-    return 100.0 * _add(seg_scores) / len(hyps)
+        seg_scores.append(left_to_right_sum(scores) / len(scores)
+                          if scores else 0.0)
+    return 100.0 * left_to_right_sum(seg_scores) / len(hyps)
 
 
 @dataclass(frozen=True)
@@ -279,7 +272,7 @@ class EvalReport:
                 if directions is None or r.direction in directions]
         if not rows:
             raise EmptyInput("no rows to average")
-        return _add(getattr(r, metric) for r in rows) / len(rows)
+        return left_to_right_sum(getattr(r, metric) for r in rows) / len(rows)
 
 
 def evaluate_directions(model: TranslatorModel,

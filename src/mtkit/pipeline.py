@@ -55,7 +55,7 @@ from .errors import (
     MTKitError,
     StepFailure,
 )
-from .metrics import evaluate_directions, score_candidates
+from .metrics import EvalReport, evaluate_directions, score_candidates
 from .synthesis import backtranslate, pivot_synthesize
 from .translator import (
     Lexicon,
@@ -442,7 +442,6 @@ class RunResult:
 class _State:
     cfg: dict
     run_dir: Path
-    threads: int
     registry: Sequence[str] | None
     old_train: list[BitextCorpus] = field(default_factory=list)
     new_real: list[BitextCorpus] = field(default_factory=list)
@@ -475,10 +474,10 @@ class _State:
 
 
 class _Runner:
-    def __init__(self, cfg: dict, run_dir: Path, threads: int,
+    def __init__(self, cfg: dict, run_dir: Path,
                  registry: Sequence[str] | None,
                  config_source: Path | None) -> None:
-        self.state = _State(cfg, run_dir, threads, registry)
+        self.state = _State(cfg, run_dir, registry)
         self.config_source = config_source
         self.log_path = run_dir / "run_log.json"
         self.entries: list[dict] = []
@@ -560,10 +559,8 @@ class _Runner:
             self.state.old_train + self.state.new_real)
         vocab_cfg = _vocab_config(cfg["vocab"])
         out = self.state.run_dir / "vocab"
-        self.state.vocab_bpe = train_bpe(data, vocab_cfg,
-                                         threads=self.state.threads)
-        self.state.vocab_obpe = train_obpe(data, vocab_cfg,
-                                           threads=self.state.threads)
+        self.state.vocab_bpe = train_bpe(data, vocab_cfg)
+        self.state.vocab_obpe = train_obpe(data, vocab_cfg)
         bpe_path = self.state.vocab_bpe.save(out / "bpe.json")
         obpe_path = self.state.vocab_obpe.save(out / "obpe.json")
         self.state.vocab = (self.state.vocab_obpe
@@ -706,35 +703,45 @@ class _Runner:
         return [], outputs
 
     def step_final_eval(self):
+        """Stage 1 on every direction, stage 2 on the new ones only. The
+        stage-2 system routes every other direction to the same selected
+        lexicon as stage 1, so its report takes those rows from stage 1's
+        rather than translating and scoring them again."""
         state = self.state
         dev = state.dev_set()
         out = state.run_dir / "eval"
-        old_routes = {tuple(label.split("-")): model
-                      for label, model in state.selected.items()}
-        stage1_system = RoutingTranslator(old_routes, copy_unsupported=True,
-                                          model_id="stage1")
-        all_routes = dict(old_routes)
-        all_routes.update({tuple(label.split("-")): model
-                           for label, model in state.stage2_models.items()})
-        stage2_system = RoutingTranslator(all_routes, copy_unsupported=True,
-                                          model_id="stage2")
+        stage1_system = RoutingTranslator(
+            {tuple(label.split("-")): model
+             for label, model in state.selected.items()},
+            copy_unsupported=True, model_id="stage1")
+        stage2_system = RoutingTranslator(
+            {tuple(label.split("-")): model
+             for label, model in state.stage2_models.items()},
+            model_id="stage2")
         labels = sorted(set(state.old_labels()) | set(state.new_labels))
-        testsets = [dev_bitext(dev, *label.split("-")) for label in labels]
+        testsets = {label: dev_bitext(dev, *label.split("-"))
+                    for label in labels}
+        stage1 = evaluate_directions(stage1_system, list(testsets.values()),
+                                     state.vocab)
+        stage2_new = evaluate_directions(
+            stage2_system, [testsets[label] for label in state.new_labels],
+            state.vocab)
+        rows = {row.direction: row for row in stage1.rows}
+        rows.update((row.direction, row) for row in stage2_new.rows)
+        stage2 = EvalReport(stage2_system.model_id,
+                            tuple(rows[label] for label in labels))
 
         outputs = []
-        reports = {}
-        for system in (stage1_system, stage2_system):
-            report = evaluate_directions(system, testsets, state.vocab)
-            reports[system.model_id] = report
+        for report in (stage1, stage2):
             outputs += [
-                write_json(out / f"{system.model_id}_eval.json",
+                write_json(out / f"{report.model_id}_eval.json",
                            report.to_json()),
-                write_artifact(out / f"{system.model_id}_eval.txt",
+                write_artifact(out / f"{report.model_id}_eval.txt",
                                report.render_table() + "\n")]
 
         new = state.new_labels
-        before = reports["stage1"].average(new)
-        after = reports["stage2"].average(new)
+        before = stage1.average(new)
+        after = stage2.average(new)
         state.summary = {
             "new_directions": sorted(new),
             "stage1_avg_bleu_new": round(before, 4),
@@ -754,7 +761,9 @@ def run_pipeline(config: dict | str | Path, threads: int = 1,
     directory (default: output_root/name, which must not already hold a
     previous run). Raises ConfigValidationError before any work if the
     config is bad, StepFailure if a step fails; partial outputs and the
-    run log stay on disk in the failure case."""
+    run log stay on disk in the failure case. *threads* is accepted and
+    ignored: every step runs serially, so it changes neither the bytes
+    nor the speed."""
     config_source = Path(config) if isinstance(config, (str, Path)) else None
     cfg = load_config(config) if config_source else _resolve_paths(
         config, Path.cwd())
@@ -770,5 +779,5 @@ def run_pipeline(config: dict | str | Path, threads: int = 1,
             [f"run directory {run_dir} already exists and is not empty"])
     run_dir.mkdir(parents=True, exist_ok=True)
 
-    runner = _Runner(cfg, run_dir, threads, registry, config_source)
+    runner = _Runner(cfg, run_dir, registry, config_source)
     return runner.run()

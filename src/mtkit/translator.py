@@ -23,6 +23,7 @@ import json
 import math
 import shlex
 import subprocess
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol, Sequence, runtime_checkable
@@ -32,6 +33,7 @@ import numpy as np
 from .corpus import (
     BitextCorpus,
     is_json_number,
+    left_to_right_sum,
     read_json,
     split_lines,
     write_artifact,
@@ -44,6 +46,22 @@ from .errors import (
 )
 
 NULL_WORD = "<null>"
+
+_json_key = json.encoder.encode_basestring  # as json.dumps(ensure_ascii=False)
+
+
+def _probability_text(p: float) -> str:
+    """`json.dumps(float(f"{p:.12g}"))`: a probability as `Lexicon.save`
+    writes it. For a normal float in [smallest normal, 1], the 12-digit
+    text reads back as a float whose shortest repr is that same text (a
+    double holds 15 significant digits), except that 1 reprs as "1.0".
+    Anything else (0, subnormals, values outside [0, 1], NaN) takes the
+    plain path: `%.12g` of 5e-324 is 4.94065645841e-324, but the float
+    that reads back as reprs as 5e-324."""
+    text = "%.12g" % p
+    if sys.float_info.min <= p <= 1.0:
+        return "1.0" if text == "1" else text
+    return json.dumps(float(text))
 
 
 @runtime_checkable
@@ -125,24 +143,39 @@ class Lexicon:
         return best
 
     def save(self, path: str | Path) -> Path:
-        payload = {
+        """Write the lexicon as `indent=1` JSON, probabilities rounded to
+        12 significant digits, rows and their entries in key order.
+
+        The text is built directly: the header goes through `json.dumps`,
+        each row is one join over its entries, keys go through
+        `json.encoder.encode_basestring`, and each probability reads as
+        `json.dumps(float(f"{p:.12g}"))` would write it
+        (`_probability_text`). The bytes equal those of `json.dumps` over
+        the whole payload (`tests/oracles.reference_lexicon_text`), which
+        CPython encodes in pure Python whenever `indent` is set."""
+        header = json.dumps({
             "src_lang": self.src_lang,
             "tgt_lang": self.tgt_lang,
             "null_word": NULL_WORD,
             "log_likelihoods": list(self.log_likelihoods),
-            "table": {
-                e: {f: float(f"{p:.12g}") for f, p in sorted(row.items())}
-                for e, row in sorted(self.table.items())
-            },
-        }
-        return write_artifact(
-            path, json.dumps(payload, ensure_ascii=False, indent=1) + "\n")
+            "table": {},
+        }, ensure_ascii=False, indent=1)
+        if self.table:
+            rows = ",\n".join(
+                f"  {_json_key(e)}: {{\n   " + ",\n   ".join(
+                    f"{_json_key(f)}: {_probability_text(p)}"
+                    for f, p in sorted(row.items())) + "\n  }"
+                for e, row in sorted(self.table.items()))
+            # the header ends in the empty table: '"table": {}\n}'
+            header = header[:-len("{}\n}")] + "{\n" + rows + "\n }\n}"
+        return write_artifact(path, header + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "Lexicon":
         """Read a lexicon written by `save`; raises BadLexicon for a file
         that is not one. Saved probabilities are rounded, so each row is
-        renormalized."""
+        renormalized by its left-to-right sum, the same on every
+        interpreter."""
         payload = read_json(path, BadLexicon)
         for key in ("src_lang", "tgt_lang"):
             if not isinstance(payload.get(key), str):
@@ -159,7 +192,7 @@ class Lexicon:
                 raise BadLexicon(
                     f"lexicon {path}: row {e!r} holds a value that is not "
                     f"a probability")
-            total = sum(row.values())
+            total = left_to_right_sum(row.values())
             if not total:
                 raise BadLexicon(f"lexicon {path}: row {e!r} is all zeros")
             table[e] = {f: p / total for f, p in row.items()}

@@ -18,7 +18,6 @@ import heapq
 import json
 import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -178,36 +177,24 @@ class LangCorpusSet:
         return sum(len(v) for v in self.sentences.values())
 
 
-def _word_frequencies(sentences: Sequence[str], threads: int) -> Counter:
-    def count(chunk: Sequence[str]) -> Counter:
-        c: Counter = Counter()
-        for s in chunk:
-            c.update(s.split())
-        return c
-
-    if threads <= 1 or len(sentences) < 2 * threads:
-        return count(sentences)
-    step = (len(sentences) + threads - 1) // threads
-    chunks = [sentences[i:i + step] for i in range(0, len(sentences), step)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(count, chunks))
-    total: Counter = Counter()
-    for part in parts:  # integer sums: chunk order cannot change the result
-        total.update(part)
-    return total
+def _word_frequencies(sentences: Sequence[str]) -> Counter:
+    counts: Counter = Counter()
+    for s in sentences:
+        counts.update(s.split())
+    return counts
 
 
 class _MergeState:
     """Word types plus incrementally maintained adjacent-pair counts."""
 
-    def __init__(self, data: LangCorpusSet, marker: str, threads: int) -> None:
+    def __init__(self, data: LangCorpusSet, marker: str) -> None:
         self.langs: tuple[str, ...] = data.languages
         n = len(self.langs)
         self.words: list[list[str]] = []
         self.freqs: list[int] = []
         self.word_lang: list[int] = []
         for li, lang in enumerate(self.langs):
-            freq = _word_frequencies(data.sentences[lang], threads)
+            freq = _word_frequencies(data.sentences[lang])
             for w in sorted(freq):
                 self.words.append(_mark_word(w, marker))
                 self.freqs.append(freq[w])
@@ -353,8 +340,7 @@ def _obpe_best(state: _MergeState, p: float
     return best_pair, best_score
 
 
-def _train(data: LangCorpusSet, cfg: VocabConfig, mode: str,
-           threads: int) -> "Vocabulary":
+def _train(data: LangCorpusSet, cfg: VocabConfig, mode: str) -> "Vocabulary":
     if data.total_sentences() == 0:
         raise EmptyCorpus("no training sentences")
     unknown = set(data.languages) - cfg.languages
@@ -362,7 +348,7 @@ def _train(data: LangCorpusSet, cfg: VocabConfig, mode: str,
         raise InvalidConfig(
             f"languages not covered by hrl/lrl sets: {sorted(unknown)}")
 
-    state = _MergeState(data, cfg.end_of_word_marker, threads)
+    state = _MergeState(data, cfg.end_of_word_marker)
     tokens: list[str] = list(cfg.special_tokens) + state.alphabet()
     token_set = set(tokens)
     if cfg.vocab_size <= len(tokens):
@@ -415,8 +401,11 @@ def train_bpe(data: LangCorpusSet, config: VocabConfig | None = None,
               threads: int = 1) -> "Vocabulary":
     """Greedy merges on pooled pair counts until the budget is spent or no
     pair occurs at least twice. Equal counts merge the lexicographically
-    smaller pair first, making the merge list deterministic."""
-    return _train(data, config or VocabConfig(), "bpe", threads)
+    smaller pair first, making the merge list deterministic. *threads*
+    is accepted and ignored: word counting is serial, because
+    `Counter.update` holds the interpreter lock, so it changes neither
+    the bytes nor the speed."""
+    return _train(data, config or VocabConfig(), "bpe")
 
 
 def train_obpe(data: LangCorpusSet, config: VocabConfig | None = None,
@@ -425,8 +414,9 @@ def train_obpe(data: LangCorpusSet, config: VocabConfig | None = None,
     (exponent config.mean_exponent_p, weights proportional to each
     language's current adjacent-pair total) of per-language relative pair
     frequencies. Negative exponents score any pair absent from some
-    language as zero; training stops when every candidate scores zero."""
-    return _train(data, config or VocabConfig(), "obpe", threads)
+    language as zero; training stops when every candidate scores zero.
+    *threads* is accepted and ignored, as by `train_bpe`."""
+    return _train(data, config or VocabConfig(), "obpe")
 
 
 @dataclass(frozen=True, eq=True)

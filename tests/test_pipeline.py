@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mtkit import pipeline
+from mtkit.cli import main
 from mtkit.corpus import BitextCorpus, SentencePair, write_bitext
 from mtkit.errors import ConfigValidationError, InvalidConfig, StepFailure
 from mtkit.pipeline import (
@@ -17,7 +19,7 @@ from mtkit.pipeline import (
     run_pipeline,
     validate_config,
 )
-from mtkit.toy import WORDS, render, word_transforms
+from mtkit.toy import WORDS, new_direction_labels, render, word_transforms
 
 LANGS = ("eng", "ssw", "xho", "zul")
 OLD_SIZES = {"xho": 120, "zul": 100, "ssw": 60}
@@ -383,6 +385,38 @@ def test_seed_changes_mixture_order(dataset, finished_run, tmp_path):
     a, b = ours.read_text(), theirs.read_text()
     assert a != b
     assert sorted(a.splitlines()) == sorted(b.splitlines())
+
+
+def test_final_eval_scores_each_system_and_direction_once(tmp_path, capsys,
+                                                          monkeypatch):
+    """Stage 2 routes the English-centric directions to stage 1's selected
+    lexicons, so the toy run scores them once, for stage 1, and its
+    stage-2 report carries stage 1's rows for them."""
+    evaluated = []
+
+    def recording(model, testsets, vocab):
+        evaluated.append((model.model_id,
+                          [f"{c.src_lang}-{c.tgt_lang}" for c in testsets]))
+        return evaluate(model, testsets, vocab)
+
+    evaluate = pipeline.evaluate_directions
+    monkeypatch.setattr(pipeline, "evaluate_directions", recording)
+    assert main(["repro-toy", "--out", str(tmp_path), "--seed", "17"]) == 0
+    capsys.readouterr()
+
+    new = new_direction_labels()
+    assert [(model, len(labels)) for model, labels in evaluated] == \
+        [("stage1", 24), ("stage2", 8)]
+    assert sorted(evaluated[1][1]) == sorted(new)
+    eval_dir = tmp_path / "run" / "eval"
+    stage1, stage2 = (json.loads((eval_dir / f"{name}_eval.json").read_text())
+                      for name in ("stage1", "stage2"))
+    assert [r["direction"] for r in stage2["rows"]] == \
+        [r["direction"] for r in stage1["rows"]] == evaluated[0][1]
+    old = [[r for r in doc["rows"] if r["direction"] not in new]
+           for doc in (stage1, stage2)]
+    assert len(old[0]) == 16
+    assert old[1] == old[0]
 
 
 # -- failures ------------------------------------------------------------

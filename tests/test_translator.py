@@ -1,7 +1,8 @@
 import json
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -154,6 +155,72 @@ def test_load_renormalizes_rounded_rows(tmp_path):
     path.write_text(json.dumps(payload), encoding="utf-8")
     lex = Lexicon.load(path)
     assert abs(sum(lex.table["a"].values()) - 1.0) <= 1e-9
+
+
+@pytest.fixture(scope="module")
+def lexicon_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("lexicon") / "lex.json"
+
+
+# keys holding characters that JSON escapes (quote, backslash, control
+# characters) or writes as they are (DEL, line separator, astral ones)
+_keys = st.text(st.one_of(
+    st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u2028",
+                     "\U0001f600"]),
+    st.characters(codec="utf-8")), max_size=4)
+# zero, subnormals, the smallest normal and values far below 1
+_small = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-310, sys.float_info.min, 1e-300,
+                     1e-13, 1e-5]),
+    st.floats(0.0, 1e-3))
+
+
+@st.composite
+def _rows(draw):
+    """A row summing to 1 within 1e-9, entries inserted in no key order:
+    small entries, plus one holding the rest of the mass or a value that
+    12 significant digits round to 1 (1.0 - 1e-13 prints as 1.0)."""
+    keys = draw(st.lists(_keys, min_size=1, max_size=6, unique=True))
+    values = draw(st.lists(_small, min_size=len(keys) - 1,
+                           max_size=len(keys) - 1))
+    rest = 1.0 - sum(values)
+    big = draw(st.sampled_from([rest, 1.0, 1.0 - 1e-13, 0.99999999999995]))
+    values.append(big if abs(sum(values) + big - 1.0) <= 1e-9 else rest)
+    order = draw(st.permutations(range(len(keys))))
+    return {keys[i]: values[i] for i in order}
+
+
+_lexicons = st.builds(
+    Lexicon, st.just("eng"), _keys,
+    st.dictionaries(_keys, _rows(), max_size=4),
+    st.lists(st.floats(), max_size=3).map(tuple))
+
+
+@given(_lexicons)
+@example(Lexicon("eng", "zul", {}, ()))
+@example(Lexicon("eng", "zul", {
+    "b": {"y": 1.0 - 1e-13, "x": 1e-13, "\x00": 0.0},
+    'a"\\': {"\U0001f600": 5e-324, "z": 1.0},
+    "\n": {"m": sys.float_info.min, "l": 1.0 - sys.float_info.min}}, ()))
+@settings(max_examples=200, deadline=None)
+def test_save_writes_the_reference_text(lexicon_file, lexicon):
+    lexicon.save(lexicon_file)
+    assert lexicon_file.read_bytes() == \
+        oracles.reference_lexicon_text(lexicon).encode("utf-8")
+
+
+@given(st.lists(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8)
+                .filter(any), min_size=1, max_size=5))
+@settings(max_examples=100, deadline=None)
+def test_load_divides_each_row_by_its_left_to_right_sum(lexicon_file, rows):
+    table = {f"e{i}": {f"f{j}": p for j, p in enumerate(row)}
+             for i, row in enumerate(rows)}
+    lexicon_file.write_text(json.dumps(
+        {"src_lang": "eng", "tgt_lang": "zul", "table": table}),
+        encoding="utf-8")
+    assert Lexicon.load(lexicon_file).table == {
+        e: {f: p / oracles._add(row.values()) for f, p in row.items()}
+        for e, row in table.items()}
 
 
 # -- the model protocol implementations ----------------------------------

@@ -179,7 +179,7 @@ def test_obpe_negative_exponent_prefers_shared_pair():
 def test_obpe_score_matches_hand_formula():
     from mtkit.vocab import _MergeState, _obpe_best
     data = data_of({"eng": OVERLAP_HRL, "zul": OVERLAP_LRL})
-    state = _MergeState(data, END_OF_WORD, threads=1)
+    state = _MergeState(data, END_OF_WORD)
     pair, score = _obpe_best(state, -2.0)
     assert pair == Y
     want = oracles.power_mean_score({"eng": 1, "zul": 1},
