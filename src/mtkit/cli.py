@@ -107,7 +107,7 @@ def cmd_vocab_train(args) -> int:
                          lrl_langs=args.lrl, mean_exponent_p=args.p)
     data = LangCorpusSet.from_bitexts(_load_corpora(args.manifests))
     train = train_obpe if args.mode == "obpe" else train_bpe
-    vocab = train(data, config, threads=args.threads)
+    vocab = train(data, config)
     print(vocab.save(args.out))
     return 0
 
@@ -249,8 +249,7 @@ def cmd_pipeline_validate(args) -> int:
 
 
 def cmd_pipeline_run(args) -> int:
-    result = run_pipeline(args.config, threads=args.threads,
-                          run_dir=args.out)
+    result = run_pipeline(args.config, run_dir=args.out)
     print(f"run dir: {result.run_dir}")
     for key, value in sorted(result.summary.items()):
         print(f"{key}: {value}")
@@ -282,8 +281,7 @@ def cmd_repro_toy(args) -> int:
         "eval": {"dev_dir": str((out / "data" / "dev").relative_to(out))},
     }
     config_path = write_json(out / "toy-config.json", config, sort_keys=True)
-    result = run_pipeline(config_path, threads=args.threads,
-                          run_dir=out / "run")
+    result = run_pipeline(config_path, run_dir=out / "run")
     print((Path(result.run_dir) / "eval" / "stage2_eval.txt")
           .read_text(encoding="utf-8"))
     summary = result.summary
@@ -333,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated low-resource languages")
     v.add_argument("--p", type=float, default=-2.0,
                    help="power-mean exponent for obpe pair scoring")
-    v.add_argument("--threads", type=int, default=1)
     v.add_argument("--out", required=True)
     v.add_argument("manifests", nargs="+")
     v.set_defaults(fn=cmd_vocab_train)
@@ -360,8 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=None,
                    help="stage2 cap for directions the plan does not match")
     p.add_argument("--vocab", required=True)
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted and unused: export is serial")
     p.add_argument("--out", required=True)
     p.add_argument("manifests", nargs="+")
     p.set_defaults(fn=cmd_mixture)
@@ -423,7 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(fn=cmd_pipeline_validate)
     v = psub.add_parser("run", help="execute every pipeline step")
     v.add_argument("--config", required=True)
-    v.add_argument("--threads", type=int, default=1)
     v.add_argument("--out", default=None,
                    help="run directory (default output_root/name)")
     v.set_defaults(fn=cmd_pipeline_run)
@@ -433,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="generate toy data, run the pipeline, report the improvement")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=17)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(fn=cmd_repro_toy)
 
     return parser

@@ -8,9 +8,10 @@ with input/output checksums per step, and leaves partial outputs in
 place when a step fails.
 
 Relative paths in a config file are resolved against the config file's
-directory, so a config can travel with its data. Thread count is a
-runtime argument, never part of the config: outputs are byte-identical
-across thread counts and repeated runs (timestamps in the log aside).
+directory, so a config can travel with its data. Every input the config
+names is loaded once, before any step runs, by the pass `validate_config`
+makes. Outputs are byte-identical across repeated runs (timestamps in the
+log aside).
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from .dataset_builder import (
     parse_direction,
 )
 from .errors import (
-    BadManifest,
     ConfigValidationError,
     InvalidConfig,
     MTKitError,
@@ -58,7 +58,6 @@ from .errors import (
 from .metrics import EvalReport, evaluate_directions, score_candidates
 from .synthesis import backtranslate, pivot_synthesize
 from .translator import (
-    Lexicon,
     LexiconTranslator,
     RoutingTranslator,
     TranslatorModel,
@@ -92,13 +91,17 @@ STEPS = (
 
 # -- multiparallel dev sets ----------------------------------------------
 
-def _dev_manifest(dev_dir: str | Path,
-                  registry: Sequence[str] | None = None) -> dict:
-    """The checked dev.json under *dev_dir*: `languages` a list of known
-    language codes, `files` and `sha256` objects holding a string for
-    each of them, `pair_count` a non-negative integer. A bad field
-    raises InvalidConfig naming the file."""
-    path = Path(dev_dir) / "dev.json"
+def load_multiparallel(dev_dir: str | Path,
+                       registry: Sequence[str] | None = None
+                       ) -> dict[str, list[str]]:
+    """Read an n-way parallel dev set: dev.json names one aligned sentence
+    file per language. Its `languages` must be a list of known language
+    codes, `files` and `sha256` objects holding a string for each of
+    them, `pair_count` a non-negative integer; a bad field raises
+    InvalidConfig naming dev.json. Every file's checksum and line count
+    are verified."""
+    dev_dir = Path(dev_dir)
+    path = dev_dir / "dev.json"
     manifest = read_json(path, InvalidConfig)
     langs = manifest.get("languages")
     if not (isinstance(langs, list) and all(isinstance(x, str) for x in langs)):
@@ -118,18 +121,8 @@ def _dev_manifest(dev_dir: str | Path,
     count = manifest.get("pair_count")
     if not (is_json_int(count) and count >= 0):
         raise InvalidConfig(f"{path}: pair_count must be a non-negative int")
-    return manifest
-
-
-def load_multiparallel(dev_dir: str | Path,
-                       registry: Sequence[str] | None = None
-                       ) -> dict[str, list[str]]:
-    """Read an n-way parallel dev set: dev.json, its fields checked,
-    naming one aligned sentence file per language, checksums verified."""
-    dev_dir = Path(dev_dir)
-    manifest = _dev_manifest(dev_dir, registry)
     out: dict[str, list[str]] = {}
-    for lang in manifest["languages"]:
+    for lang in langs:
         path = dev_dir / manifest["files"][lang]
         try:
             payload = path.read_bytes()
@@ -140,15 +133,14 @@ def load_multiparallel(dev_dir: str | Path,
         got = sha256_hex(payload)
         if got != want:
             raise ConfigValidationError(
-                [f"{path.name}: checksum mismatch (expected {want[:12]}..., "
+                [f"{path}: checksum mismatch (expected {want[:12]}..., "
                  f"got {got[:12]}...)"])
         lines = split_lines(payload, path)
-        if len(lines) != manifest["pair_count"]:
+        if len(lines) != count:
             raise ConfigValidationError(
-                [f"{path.name}: {len(lines)} lines, manifest says "
-                 f"{manifest['pair_count']}"])
+                [f"{path}: {len(lines)} lines, manifest says {count}"])
         if any(not line.strip() for line in lines):
-            raise ConfigValidationError([f"{path.name}: empty line"])
+            raise ConfigValidationError([f"{path}: empty line"])
         out[lang] = [unicodedata.normalize("NFC", line) for line in lines]
     return out
 
@@ -201,28 +193,31 @@ def _is_lexicon_spec(spec: object) -> bool:
             and not spec.startswith("exec:"))
 
 
+# Every optional field and its default; a stage's "seed" defaults to the
+# top-level seed.
+_DEFAULTS = {
+    "new_corpora": [],
+    "validation_split": 0,
+    "vocab": {"use": "obpe"},
+    "stage1": {"em_iterations": [5, 15]},
+    "backtranslation": {"default": "internal", "models": {}, "batch_size": 64},
+    "stage2": {"plan": None, "em_iterations": 20, "default_cap": None,
+               "new_directions": None},
+    "eval": {"metric": "bleu"},
+}
+
+
 def _with_defaults(cfg: dict) -> dict:
-    cfg = json.loads(json.dumps(cfg))
-    seed = cfg.get("seed", 0)
-    cfg.setdefault("new_corpora", [])
-    cfg.setdefault("validation_split", 0)
-    cfg.setdefault("vocab", {})
-    cfg["vocab"].setdefault("use", "obpe")
-    stage1 = cfg.setdefault("stage1", {})
-    stage1.setdefault("seed", seed)
-    stage1.setdefault("em_iterations", [5, 15])
-    bt = cfg.setdefault("backtranslation", {})
-    bt.setdefault("default", "internal")
-    bt.setdefault("models", {})
-    bt.setdefault("batch_size", 64)
-    stage2 = cfg.setdefault("stage2", {})
-    stage2.setdefault("plan", None)
-    stage2.setdefault("seed", seed)
-    stage2.setdefault("em_iterations", 20)
-    stage2.setdefault("default_cap", None)
-    stage2.setdefault("new_directions", None)
-    cfg.setdefault("eval", {})
-    cfg["eval"].setdefault("metric", "bleu")
+    """A copy of *cfg* with each field it omits set to its default. A
+    section that is not an object stays as it is, for validation to
+    report."""
+    cfg, defaults = json.loads(json.dumps([cfg, _DEFAULTS]))
+    defaults["stage1"]["seed"] = defaults["stage2"]["seed"] = cfg.get("seed", 0)
+    for key, default in defaults.items():
+        section = cfg.setdefault(key, default)
+        if isinstance(default, dict) and isinstance(section, dict):
+            for field_name, value in default.items():
+                section.setdefault(field_name, value)
     return cfg
 
 
@@ -251,21 +246,38 @@ def _is_positive_int(value: object) -> bool:
     return is_json_int(value) and value >= 1
 
 
-def validate_config(cfg: dict | str | Path,
-                    registry: Sequence[str] | None = None) -> list[str]:
-    """Schema, path-existence, and language-registry checks. Returns a
-    list of problems, empty when the config is usable. No side effects."""
-    try:
-        cfg = load_config(cfg) if isinstance(cfg, (str, Path)) else cfg
-    except ConfigValidationError as exc:
-        return list(exc.problems)
-    problems: list[str] = []
+@dataclass
+class _Inputs:
+    """Every input file a config names, each loaded by its format's own
+    loader."""
+    corpora: list[BitextCorpus] = field(default_factory=list)
+    new_corpora: list[BitextCorpus] = field(default_factory=list)
+    dev: dict[str, list[str]] = field(default_factory=dict)
+    plan: BalancePlan | None = None
+    models: dict[str, TranslatorModel] = field(default_factory=dict)
+
+
+def _load_inputs(cfg: dict, registry: Sequence[str] | None
+                 ) -> tuple[_Inputs, list[str]]:
+    """Check *cfg*, its defaults applied, against the schema and load
+    every input it names: corpora, the dev set, the balance plan and the
+    back-translation models. Returns the inputs and one problem line per
+    failure; the inputs are whole only when there is no problem."""
     registry = tuple(registry) if registry is not None else DEFAULT_LANGUAGES
+    inputs = _Inputs()
+    problems: list[str] = []
+
+    def section(key: str) -> dict | None:
+        if isinstance(cfg[key], dict):
+            return cfg[key]
+        problems.append(f"{key}: must be an object")
+        return None
 
     name = cfg.get("name")
     if not isinstance(name, str) or not name:
         problems.append("name: required non-empty string")
-    if not is_json_int(cfg.get("seed")):
+    seed_ok = is_json_int(cfg.get("seed"))
+    if not seed_ok:
         problems.append("seed: required integer (seeds must be explicit)")
     if not isinstance(cfg.get("output_root"), str):
         problems.append("output_root: required path string")
@@ -274,72 +286,69 @@ def validate_config(cfg: dict | str | Path,
     if not isinstance(corpora, list) or not corpora:
         problems.append("corpora: required non-empty list of manifest paths")
         corpora = []
-    new_corpora = cfg.get("new_corpora", [])
+    new_corpora = cfg["new_corpora"]
     if not isinstance(new_corpora, list):
         problems.append("new_corpora: must be a list of manifest paths")
         new_corpora = []
-
-    seen_langs: set[str] = set()
-    for key, paths in (("corpora", corpora), ("new_corpora", new_corpora)):
+    for key, paths, loaded in (("corpora", corpora, inputs.corpora),
+                               ("new_corpora", new_corpora,
+                                inputs.new_corpora)):
         for p in paths:
             if not isinstance(p, str):
                 problems.append(f"{key}: entries must be path strings")
-                continue
-            path = Path(p)
-            if not path.is_file():
+            elif not Path(p).is_file():
                 problems.append(f"{key}: missing manifest {p}")
-                continue
-            try:
-                doc = read_json(path, BadManifest)
-                src, tgt = doc["src_lang"], doc["tgt_lang"]
-            except (MTKitError, KeyError) as exc:
-                problems.append(f"{key}: unreadable manifest {p} ({exc})")
-                continue
-            for lang in (src, tgt):
-                if lang not in registry:
+            else:
+                try:
+                    corpus = load_bitext(p, registry)
+                except MTKitError as exc:
+                    where = "" if p in str(exc) else f"{p}: "
+                    problems.append(f"{key}: {where}{exc}")
+                    continue
+                loaded.append(corpus)
+                if key == "corpora" and "eng" not in corpus.languages():
                     problems.append(
-                        f"{key}: {path.name}: unknown language {lang!r}")
-                else:
-                    seen_langs.add(lang)
-            if key == "corpora" and "eng" not in (src, tgt):
-                problems.append(
-                    f"corpora: {path.name} is {src}-{tgt}; stage-1 corpora "
-                    f"need an English side")
+                        f"corpora: {Path(p).name} is {corpus.src_lang}-"
+                        f"{corpus.tgt_lang}; stage-1 corpora need an English "
+                        f"side")
 
-    vocab_cfg = cfg.get("vocab", {})
-    if not isinstance(vocab_cfg, dict):
-        problems.append("vocab: must be an object")
-    else:
-        if vocab_cfg.get("use", "obpe") not in ("bpe", "obpe"):
+    vocab_cfg = section("vocab")
+    if vocab_cfg is not None:
+        if vocab_cfg["use"] not in ("bpe", "obpe"):
             problems.append("vocab.use: must be 'bpe' or 'obpe'")
         try:
             _vocab_config(vocab_cfg)
         except (MTKitError, ValueError, TypeError) as exc:
             problems.append(f"vocab: {exc}")
 
-    split = cfg.get("validation_split", 0)
+    split = cfg["validation_split"]
     if not is_json_int(split) or split < 0:
         problems.append("validation_split: must be a non-negative integer")
 
-    stage1 = cfg.get("stage1", {})
-    if isinstance(stage1, dict) and not is_json_int(stage1.get("seed", 0)):
-        problems.append("stage1.seed: must be an integer")
-    iters = stage1.get("em_iterations", [5, 15]) \
-        if isinstance(stage1, dict) else None
-    if (not isinstance(iters, list) or not iters
-            or not all(map(_is_positive_int, iters))
-            or len(set(iters)) != len(iters)):
-        problems.append(
-            "stage1.em_iterations: non-empty list of distinct positive ints")
+    stage1, bt, stage2 = (section(key) for key in
+                          ("stage1", "backtranslation", "stage2"))
+    for key, stage in (("stage1", stage1), ("stage2", stage2)):
+        # a stage seed that only repeats a bad top-level seed (its default)
+        # is not reported again
+        if (stage is not None and not is_json_int(stage["seed"])
+                and (seed_ok or stage["seed"] != cfg.get("seed"))):
+            problems.append(f"{key}.seed: must be an integer")
 
-    bt = cfg.get("backtranslation", {})
-    if isinstance(bt, dict):
-        if bt.get("default", "internal") not in ("internal", "none"):
+    if stage1 is not None:
+        iters = stage1["em_iterations"]
+        if (not isinstance(iters, list) or not iters
+                or not all(map(_is_positive_int, iters))
+                or len(set(iters)) != len(iters)):
+            problems.append("stage1.em_iterations: non-empty list of "
+                            "distinct positive ints")
+
+    if bt is not None:
+        if bt["default"] not in ("internal", "none"):
             problems.append(
                 "backtranslation.default: must be 'internal' or 'none'")
-        if not _is_positive_int(bt.get("batch_size", 64)):
+        if not _is_positive_int(bt["batch_size"]):
             problems.append("backtranslation.batch_size: must be a positive int")
-        models = bt.get("models", {})
+        models = bt["models"]
         if not isinstance(models, dict):
             problems.append("backtranslation.models: must be an object")
             models = {}
@@ -347,33 +356,28 @@ def validate_config(cfg: dict | str | Path,
             if not isinstance(spec, str):
                 problems.append(
                     f"backtranslation.models: {label}: spec must be a string")
-            elif _is_lexicon_spec(spec):
+            elif spec not in ("internal", "none"):
                 try:
-                    Lexicon.load(spec)
+                    inputs.models[label] = load_translator(spec)
                 except MTKitError as exc:
                     problems.append(f"backtranslation.models: {label}: {exc}")
-    else:
-        problems.append("backtranslation: must be an object")
 
-    stage2 = cfg.get("stage2", {})
-    if isinstance(stage2, dict):
-        if not _is_positive_int(stage2.get("em_iterations", 20)):
+    if stage2 is not None:
+        if not _is_positive_int(stage2["em_iterations"]):
             problems.append("stage2.em_iterations: must be a positive int")
-        if not is_json_int(stage2.get("seed", 0)):
-            problems.append("stage2.seed: must be an integer")
-        cap = stage2.get("default_cap")
+        cap = stage2["default_cap"]
         if cap is not None and not (is_json_int(cap) and cap >= 0):
             problems.append(
                 "stage2.default_cap: must be null or a non-negative int")
-        plan = stage2.get("plan")
+        plan = stage2["plan"]
         if plan is not None and not isinstance(plan, str):
             problems.append("stage2.plan: must be a path string")
         elif plan is not None:
             try:
-                BalancePlan.load(plan)
+                inputs.plan = BalancePlan.load(plan)
             except MTKitError as exc:
                 problems.append(f"stage2.plan: {exc}")
-        directions = stage2.get("new_directions")
+        directions = stage2["new_directions"]
         if directions is None and not new_corpora:
             problems.append(
                 "stage2: the run needs at least one new direction; give "
@@ -401,27 +405,39 @@ def validate_config(cfg: dict | str | Path,
                     problems.append(
                         f"stage2.new_directions: {label} involves eng; new "
                         f"directions are the non-English ones")
-    else:
-        problems.append("stage2: must be an object")
 
-    ev = cfg.get("eval", {})
-    dev_dir = ev.get("dev_dir") if isinstance(ev, dict) else None
-    if not isinstance(dev_dir, str):
-        problems.append("eval.dev_dir: required path string")
-    else:
-        try:
-            dev_langs = _dev_manifest(dev_dir, registry)["languages"]
-        except MTKitError as exc:
-            problems.append(f"eval.dev_dir: {exc}")
+    ev = section("eval")
+    if ev is not None:
+        if not isinstance(ev.get("dev_dir"), str):
+            problems.append("eval.dev_dir: required path string")
         else:
-            missing = sorted(seen_langs - set(dev_langs))
-            if missing:
-                problems.append(
-                    f"eval.dev_dir: dev set lacks languages {missing}")
-    if isinstance(ev, dict) and ev.get("metric", "bleu") != "bleu":
-        problems.append("eval.metric: only 'bleu' is available")
+            try:
+                inputs.dev = load_multiparallel(ev["dev_dir"], registry)
+            except MTKitError as exc:
+                problems.append(f"eval.dev_dir: {exc}")
+            else:
+                missing = sorted(
+                    {lang for c in inputs.corpora + inputs.new_corpora
+                     for lang in c.languages()} - set(inputs.dev))
+                if missing:
+                    problems.append(
+                        f"eval.dev_dir: dev set lacks languages {missing}")
+        if ev["metric"] != "bleu":
+            problems.append("eval.metric: only 'bleu' is available")
 
-    return problems
+    return inputs, problems
+
+
+def validate_config(cfg: dict | str | Path,
+                    registry: Sequence[str] | None = None) -> list[str]:
+    """Schema and language-registry checks, and every input file the
+    config names loaded as a run loads it. Returns a list of problems,
+    empty when the config is usable. Writes nothing."""
+    try:
+        cfg = load_config(cfg) if isinstance(cfg, (str, Path)) else cfg
+    except ConfigValidationError as exc:
+        return list(exc.problems)
+    return _load_inputs(_with_defaults(cfg), registry)[1]
 
 
 # -- run machinery -------------------------------------------------------
@@ -442,13 +458,11 @@ class RunResult:
 class _State:
     cfg: dict
     run_dir: Path
-    registry: Sequence[str] | None
+    inputs: _Inputs
     old_train: list[BitextCorpus] = field(default_factory=list)
-    new_real: list[BitextCorpus] = field(default_factory=list)
     vocab_bpe: Vocabulary | None = None
     vocab_obpe: Vocabulary | None = None
     vocab: Vocabulary | None = None
-    dev: dict[str, list[str]] | None = None
     candidates: dict[str, list[tuple[TranslatorModel, str]]] = \
         field(default_factory=dict)
     selected: dict[str, TranslatorModel] = field(default_factory=dict)
@@ -459,12 +473,6 @@ class _State:
     stage2_models: dict[str, TranslatorModel] = field(default_factory=dict)
     summary: dict = field(default_factory=dict)
 
-    def dev_set(self) -> dict[str, list[str]]:
-        if self.dev is None:
-            self.dev = load_multiparallel(self.cfg["eval"]["dev_dir"],
-                                          self.registry)
-        return self.dev
-
     def old_labels(self) -> list[str]:
         labels = []
         for c in self.old_train:
@@ -474,10 +482,9 @@ class _State:
 
 
 class _Runner:
-    def __init__(self, cfg: dict, run_dir: Path,
-                 registry: Sequence[str] | None,
+    def __init__(self, cfg: dict, run_dir: Path, inputs: _Inputs,
                  config_source: Path | None) -> None:
-        self.state = _State(cfg, run_dir, registry)
+        self.state = _State(cfg, run_dir, inputs)
         self.config_source = config_source
         self.log_path = run_dir / "run_log.json"
         self.entries: list[dict] = []
@@ -532,10 +539,8 @@ class _Runner:
         cfg, run_dir = self.state.cfg, self.state.run_dir
         out = run_dir / "corpora"
         n = cfg["validation_split"]
-        inputs, outputs = [], []
-        for manifest in cfg["corpora"]:
-            inputs.append(Path(manifest))
-            corpus = load_bitext(manifest, self.state.registry)
+        outputs = []
+        for corpus in self.state.inputs.corpora:
             if n:
                 valid, train = split_validation(corpus, n)
                 outputs.append(write_bitext(valid, out))
@@ -543,20 +548,17 @@ class _Runner:
                 train = corpus
             outputs.append(write_bitext(train, out))
             self.state.old_train.append(train)
-        for manifest in cfg["new_corpora"]:
-            inputs.append(Path(manifest))
-            self.state.new_real.append(
-                load_bitext(manifest, self.state.registry))
         labels = cfg["stage2"]["new_directions"]
         if labels is None:
-            labels = [f"{c.src_lang}-{c.tgt_lang}" for c in self.state.new_real]
+            labels = [f"{c.src_lang}-{c.tgt_lang}"
+                      for c in self.state.inputs.new_corpora]
         self.state.new_labels = list(labels)
-        return inputs, outputs
+        return [Path(p) for p in cfg["corpora"] + cfg["new_corpora"]], outputs
 
     def step_vocab_train(self):
         cfg = self.state.cfg
         data = LangCorpusSet.from_bitexts(
-            self.state.old_train + self.state.new_real)
+            self.state.old_train + self.state.inputs.new_corpora)
         vocab_cfg = _vocab_config(cfg["vocab"])
         out = self.state.run_dir / "vocab"
         self.state.vocab_bpe = train_bpe(data, vocab_cfg)
@@ -570,7 +572,8 @@ class _Runner:
 
     def step_vocab_report(self):
         out = self.state.run_dir / "vocab"
-        doc = vocabulary_report(self.state.old_train + self.state.new_real,
+        doc = vocabulary_report(self.state.old_train
+                                + self.state.inputs.new_corpora,
                                 self.state.vocab_bpe, self.state.vocab_obpe)
         path = write_json(out / "vocab_report.json", doc, sort_keys=True)
         table_path = write_artifact(
@@ -605,7 +608,7 @@ class _Runner:
 
     def step_model_selection(self):
         state = self.state
-        dev = state.dev_set()
+        dev = state.inputs.dev
         out = state.run_dir / "stage1"
         selection: dict[str, dict] = {}
         outputs = []
@@ -641,7 +644,7 @@ class _Runner:
                 continue
             reverse_label = f"{corpus.tgt_lang}-{corpus.src_lang}"
             model = (state.selected[reverse_label] if spec == "internal"
-                     else load_translator(spec))
+                     else state.inputs.models[label])
             synthetic = backtranslate(corpus, model,
                                       batch_size=bt_cfg["batch_size"])
             outputs.append(write_bitext(synthetic, out))
@@ -653,7 +656,7 @@ class _Runner:
         state = self.state
         out = state.run_dir / "synth" / "pivot"
         outputs = []
-        by_pair = {c.languages(): c for c in state.new_real}
+        by_pair = {c.languages(): c for c in state.inputs.new_corpora}
         eng_train = {({c.src_lang, c.tgt_lang} - {"eng"}).pop(): c
                      for c in state.old_train}
         for label in state.new_labels:
@@ -670,9 +673,7 @@ class _Runner:
     def step_stage2_balance(self):
         cfg, state = self.state.cfg, self.state
         out = state.run_dir / "stage2"
-        plan = (BalancePlan.load(cfg["stage2"]["plan"])
-                if cfg["stage2"]["plan"]
-                else make_balance_plan(state.new_labels))
+        plan = state.inputs.plan or make_balance_plan(state.new_labels)
         plan_path = plan.save(out / "plan.json")
         mixture = build_stage2_mixture(
             state.old_pool, list(state.new_pool.values()), plan,
@@ -708,7 +709,7 @@ class _Runner:
         lexicon as stage 1, so its report takes those rows from stage 1's
         rather than translating and scoring them again."""
         state = self.state
-        dev = state.dev_set()
+        dev = state.inputs.dev
         out = state.run_dir / "eval"
         stage1_system = RoutingTranslator(
             {tuple(label.split("-")): model
@@ -757,20 +758,19 @@ class _Runner:
 def run_pipeline(config: dict | str | Path, threads: int = 1,
                  run_dir: str | Path | None = None,
                  registry: Sequence[str] | None = None) -> RunResult:
-    """Validate the config, then execute every step into the run
-    directory (default: output_root/name, which must not already hold a
-    previous run). Raises ConfigValidationError before any work if the
-    config is bad, StepFailure if a step fails; partial outputs and the
-    run log stay on disk in the failure case. *threads* is accepted and
-    ignored: every step runs serially, so it changes neither the bytes
-    nor the speed."""
+    """Validate the config and load every input it names, then execute
+    every step into the run directory (default: output_root/name, which
+    must not already hold a previous run). Raises ConfigValidationError
+    before any work if the config or an input is bad, StepFailure if a
+    step fails; partial outputs and the run log stay on disk in the
+    failure case. *threads* is accepted and ignored: every step runs
+    serially, so it changes neither the bytes nor the speed."""
     config_source = Path(config) if isinstance(config, (str, Path)) else None
-    cfg = load_config(config) if config_source else _resolve_paths(
-        config, Path.cwd())
-    problems = validate_config(cfg, registry)
+    cfg = _with_defaults(load_config(config) if config_source
+                         else _resolve_paths(config, Path.cwd()))
+    inputs, problems = _load_inputs(cfg, registry)
     if problems:
         raise ConfigValidationError(problems)
-    cfg = _with_defaults(cfg)
 
     run_dir = Path(run_dir) if run_dir is not None \
         else Path(cfg["output_root"]) / cfg["name"]
@@ -779,5 +779,5 @@ def run_pipeline(config: dict | str | Path, threads: int = 1,
             [f"run directory {run_dir} already exists and is not empty"])
     run_dir.mkdir(parents=True, exist_ok=True)
 
-    runner = _Runner(cfg, run_dir, registry, config_source)
+    runner = _Runner(cfg, run_dir, inputs, config_source)
     return runner.run()

@@ -120,7 +120,9 @@ class Lexicon:
     def _check_rows(self) -> None:
         for e, row in self.table.items():
             total = sum(row.values())
-            if abs(total - 1.0) > 1e-9:
+            # `not <=`, not `>`: a NaN sum (from a NaN entry, or inf with
+            # -inf) compares False either way and must fail
+            if not abs(total - 1.0) <= 1e-9:
                 raise AssertionError(
                     f"row {e!r} sums to {total!r}, expected 1 within 1e-9")
 
@@ -325,7 +327,11 @@ class ExternalProcessTranslator:
 
     def __init__(self, command: str) -> None:
         self.command = command
-        self.argv = shlex.split(command)
+        try:
+            self.argv = shlex.split(command)
+        except ValueError as exc:
+            raise ExternalProcessError(
+                f"cannot parse translator command {command!r}: {exc}") from exc
         if not self.argv:
             raise ExternalProcessError("empty translator command")
         self.model_id = f"exec:{command}"

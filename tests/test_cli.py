@@ -1,8 +1,11 @@
 """Command-line interface: each subcommand, output shapes, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
+import shlex
+import sys
 
 import numpy as np
 import pytest
@@ -10,7 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtkit.cli import main
-from mtkit.corpus import BitextCorpus, SentencePair, load_bitext, write_bitext
+from mtkit.corpus import (
+    BitextCorpus,
+    SentencePair,
+    load_bitext,
+    write_bitext,
+    write_json,
+)
 from mtkit.metrics import bleu
 from mtkit.toy import WORDS, render, word_transforms
 
@@ -39,7 +48,6 @@ def data(tmp_path_factory):
                               pairs=pairs)
         manifests[name] = write_bitext(corpus, root / "train")
 
-    import hashlib
     dev_dir = root / "dev"
     dev_dir.mkdir()
     dev_base = base[150:]
@@ -201,6 +209,15 @@ def test_translator_run_exec_model(data, tmp_path, capsys):
     assert main(["translator", "run", "--model", "exec:cat", "--src", "eng",
                  "--tgt", "zul", "--in", str(infile)]) == 0
     assert capsys.readouterr().out == "alpha beta\n"
+
+
+def test_translator_run_unparsable_exec_command_exits_2(tmp_path, capsys):
+    infile = tmp_path / "in.txt"
+    infile.write_text("alpha\n", encoding="utf-8")
+    assert main(["translator", "run", "--model", 'exec:"unclosed', "--src",
+                 "eng", "--tgt", "zul", "--in", str(infile)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "cannot parse" in err
 
 
 def test_translator_run_wrong_direction_fails(data, tmp_path, capsys):
@@ -534,20 +551,96 @@ def test_pipeline_run_and_failure_exit_codes(data, tmp_path, capsys):
     assert main(["pipeline", "run", "--config", str(path)]) == 2
     assert "not empty" in capsys.readouterr().err
 
-    # corrupted dev checksum: the failure surfaces mid-run, exit 3
-    broken_dev = tmp_path / "dev"
-    broken_dev.mkdir()
-    doc = json.loads((root / "dev" / "dev.json").read_text())
-    for lang in ("eng", "xho", "zul"):
-        (broken_dev / f"dev.{lang}").write_bytes(
-            (root / "dev" / f"dev.{lang}").read_bytes())
-    doc["sha256"]["eng"] = "1" * 64
-    (broken_dev / "dev.json").write_text(json.dumps(doc), encoding="utf-8")
-    cfg["eval"]["dev_dir"] = str(broken_dev)
+    # an exec: model that loads but exits 1: the failure surfaces mid-run,
+    # exit 3, with the steps before it on disk
+    failing = f"exec:{shlex.quote(sys.executable)} -c 'import sys; sys.exit(1)'"
+    cfg["backtranslation"] = {"models": {"eng-zul": failing}}
     cfg["output_root"] = str(tmp_path / "out3")
     path.write_text(json.dumps(cfg), encoding="utf-8")
     assert main(["pipeline", "run", "--config", str(path)]) == 3
-    assert "model-selection" in capsys.readouterr().err
+    assert "back-translation" in capsys.readouterr().err
+    run_dir = tmp_path / "out3" / "cli-run"
+    log = json.loads((run_dir / "run_log.json").read_text())
+    assert log["status"] == "failed"
+    assert log["steps"][-1]["step"] == "back-translation"
+    assert (run_dir / "vocab" / "obpe.json").is_file()
+    assert (run_dir / "stage1" / "mixture" / "stage1.src").is_file()
+
+
+def _copy(src_dir, dst_dir, names):
+    dst_dir.mkdir(exist_ok=True)
+    for name in names:
+        (dst_dir / name).write_bytes((src_dir / name).read_bytes())
+    return dst_dir
+
+
+def _corpus_text_edited(root, work, cfg):
+    train = _copy(root / "train", work / "train",
+                  ["eng-xho.json", "eng-xho.eng", "eng-xho.xho"])
+    text = train / "eng-xho.xho"
+    text.write_bytes(text.read_bytes().replace(b" ", b"  ", 1))
+    cfg["corpora"][0] = str(train / "eng-xho.json")
+    return "eng-xho.xho: checksum mismatch"
+
+
+def _dev_text_edited(root, work, cfg):
+    dev = _copy(root / "dev", work / "dev",
+                ["dev.json", "dev.eng", "dev.xho", "dev.zul"])
+    text = dev / "dev.zul"
+    text.write_bytes(text.read_bytes().replace(b" ", b"  ", 1))
+    cfg["eval"]["dev_dir"] = str(dev)
+    return "dev.zul: checksum mismatch"
+
+
+def _dev_line_added(root, work, cfg):
+    dev = _copy(root / "dev", work / "dev",
+                ["dev.json", "dev.eng", "dev.xho", "dev.zul"])
+    text = dev / "dev.zul"
+    text.write_bytes(text.read_bytes() + b"one more line\n")
+    doc = json.loads((dev / "dev.json").read_text())
+    doc["sha256"]["zul"] = hashlib.sha256(text.read_bytes()).hexdigest()
+    (dev / "dev.json").write_text(json.dumps(doc), encoding="utf-8")
+    cfg["eval"]["dev_dir"] = str(dev)
+    return f"dev.zul: {doc['pair_count'] + 1} lines"
+
+
+def _exec_model(spec, message):
+    def configure(root, work, cfg):
+        cfg["backtranslation"] = {"models": {"eng-xho": spec}}
+        return f"backtranslation.models: eng-xho: {message}"
+    return configure
+
+
+@pytest.mark.parametrize("breaks", [
+    _corpus_text_edited, _dev_text_edited, _dev_line_added,
+    _exec_model("exec:", "empty translator command"),
+    _exec_model('exec:"unclosed', "cannot parse translator command"),
+], ids=["corpus-checksum", "dev-checksum", "dev-line-count", "exec-empty",
+        "exec-unclosed"])
+def test_bad_input_file_exits_2_before_any_step(data, tmp_path, capsys,
+                                                breaks):
+    """`pipeline validate` and `pipeline run` load the same inputs, so they
+    reject the same bad file, and the run stops before it makes a run
+    directory."""
+    root, manifests = data
+    cfg = {
+        "name": "bad-input", "seed": 5, "output_root": str(tmp_path / "out"),
+        "corpora": [str(manifests["eng-xho"]), str(manifests["eng-zul"])],
+        "new_corpora": [str(manifests["xho-zul"])],
+        "vocab": {"vocab_size": 140},
+        "stage1": {"em_iterations": [2, 4]},
+        "stage2": {"em_iterations": 4},
+        "eval": {"dev_dir": str(root / "dev")},
+    }
+    needle = breaks(root, tmp_path, cfg)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    for verb in ("validate", "run"):
+        assert main(["pipeline", verb, "--config", str(path)]) == 2, verb
+        problems = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("problem: ")]
+        assert any(needle in line for line in problems), (verb, problems)
+    assert not (tmp_path / "out").exists()
 
 
 _JSON_VALUES = st.recursive(
@@ -580,7 +673,10 @@ def fuzz_targets(data, vocab_file, tmp_path_factory):
     work = tmp_path_factory.mktemp("fuzz")
     for name in ("eng-xho.eng", "eng-xho.xho"):
         (work / name).write_bytes((root / "train" / name).read_bytes())
-    target = work / "fuzzed.json"
+    # named dev.json so that, with the dev files beside it, `work` is also
+    # the fuzzed dev set's directory
+    _copy(root / "dev", work, ["dev.eng", "dev.xho", "dev.zul"])
+    target = work / "dev.json"
     text = str(work / "eng-xho.eng")
     config = {
         "name": "fuzz", "seed": 5, "output_root": str(work / "out"),
@@ -605,11 +701,15 @@ def fuzz_targets(data, vocab_file, tmp_path_factory):
                  + [str(p) for p in manifests.values()]),
         "config": (config, ["pipeline", "validate", "--config",
                             str(target)]),
+        "dev": (json.loads((root / "dev" / "dev.json").read_text()),
+                ["pipeline", "validate", "--config",
+                 str(write_json(work / "dev-config.json",
+                                {**config, "eval": {"dev_dir": str(work)}}))]),
     }
 
 
 @pytest.mark.parametrize(
-    "fmt", ["manifest", "vocabulary", "lexicon", "plan", "config"])
+    "fmt", ["manifest", "vocabulary", "lexicon", "plan", "config", "dev"])
 @settings(max_examples=50, deadline=None)
 @given(st.data())
 def test_fuzzed_input_file_exits_2(fuzz_targets, fmt, data):

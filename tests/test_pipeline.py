@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import shlex
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -155,6 +157,27 @@ def test_validate_config_flags_problems(dataset, overrides, needle):
     root, manifests = dataset
     problems = validate_config(make_config(root, manifests, **overrides))
     assert any(needle in p for p in problems), problems
+
+
+@pytest.mark.parametrize("overrides,problems", [
+    ({"seed": "x"}, ["seed: required integer (seeds must be explicit)"]),
+    ({"seed": "x", "stage2": {"seed": "y"}},
+     ["seed: required integer (seeds must be explicit)",
+      "stage2.seed: must be an integer"]),
+    ({"vocab": "obpe"}, ["vocab: must be an object"]),
+    ({"stage1": []}, ["stage1: must be an object"]),
+    ({"backtranslation": None}, ["backtranslation: must be an object"]),
+    ({"stage2": [6]}, ["stage2: must be an object"]),
+    ({"eval": 5}, ["eval: must be an object"]),
+])
+def test_validate_config_reports_each_problem_once(dataset, overrides,
+                                                   problems):
+    """Defaults are applied before validation: a stage seed that defaults
+    to a bad top-level seed, or a section that is not an object, gives
+    one problem line."""
+    root, manifests = dataset
+    assert validate_config(make_config(root, manifests, **overrides)) == \
+        problems
 
 
 def test_validate_config_flags_missing_manifest(dataset):
@@ -423,28 +446,24 @@ def test_final_eval_scores_each_system_and_direction_once(tmp_path, capsys,
 
 
 def test_step_failure_keeps_partial_outputs(dataset, tmp_path):
+    # an exec: model loads cleanly, so validation passes, and fails when
+    # back-translation runs it
     root, manifests = dataset
-    corrupt = tmp_path / "dev"
-    corrupt.mkdir()
-    doc = json.loads((root / "dev" / "dev.json").read_text())
-    for lang in LANGS:
-        (corrupt / f"dev.{lang}").write_bytes(
-            (root / "dev" / f"dev.{lang}").read_bytes())
-    doc["sha256"]["zul"] = "0" * 64
-    (corrupt / "dev.json").write_text(json.dumps(doc), encoding="utf-8")
-
-    cfg = make_config(root, manifests, eval={"dev_dir": str(corrupt)})
+    failing = f"exec:{shlex.quote(sys.executable)} -c 'import sys; sys.exit(1)'"
+    cfg = make_config(root, manifests,
+                      backtranslation={"models": {"eng-xho": failing}})
+    assert validate_config(cfg) == []
     run_dir = tmp_path / "failing"
     with pytest.raises(StepFailure) as excinfo:
         run_pipeline(cfg, run_dir=run_dir)
-    assert excinfo.value.step == "model-selection"
+    assert excinfo.value.step == "back-translation"
 
     log = json.loads((run_dir / "run_log.json").read_text())
     assert log["status"] == "failed"
     failed = log["steps"][-1]
-    assert failed["step"] == "model-selection"
+    assert failed["step"] == "back-translation"
     assert failed["status"] == "failed"
-    assert "checksum" in failed["error"]
+    assert "exited 1" in failed["error"]
     # everything before the failing step is still on disk
     assert (run_dir / "vocab" / "obpe.json").is_file()
     assert (run_dir / "stage1" / "mixture" / "stage1.src").is_file()

@@ -126,6 +126,16 @@ def test_row_check_rejects_bad_table():
         Lexicon("eng", "zul", {"a": {"x": 0.7, "y": 0.2}})
 
 
+@pytest.mark.parametrize("row", [
+    {"x": float("nan")},
+    {"x": 0.5, "y": float("nan")},
+    {"x": float("inf"), "y": float("-inf")},
+], ids=["nan", "nan-beside-finite", "inf-and-minus-inf"])
+def test_row_check_rejects_non_finite_rows(row):
+    with pytest.raises(AssertionError, match="sums to nan"):
+        Lexicon("eng", "zul", {"a": row})
+
+
 # -- persistence ---------------------------------------------------------
 
 def test_save_load_round_trip(tmp_path):
