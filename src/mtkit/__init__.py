@@ -17,6 +17,7 @@ from .corpus import (
     concat_corpora,
     corpus_stats,
     load_bitext,
+    load_multiparallel,
     split_validation,
     write_bitext,
 )
@@ -77,7 +78,6 @@ from .metrics import (
 from .pipeline import (
     STEPS,
     RunResult,
-    load_multiparallel,
     run_pipeline,
     validate_config,
 )

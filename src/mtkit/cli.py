@@ -139,11 +139,7 @@ def cmd_vocab_report(args) -> int:
     doc = vocabulary_report(_load_corpora(args.manifests), vocab_a, vocab_b)
     if args.out:
         _emit_json(doc, args.out)
-    print(doc["tables"]["representation"])
-    print()
-    print(doc["tables"]["avg_tokens_a"])
-    print()
-    print(doc["tables"]["avg_tokens_b"])
+    print("\n\n".join(doc["tables"].values()))
     return 0
 
 

@@ -22,6 +22,7 @@ from typing import Callable, Iterable, Literal, Sequence
 from .errors import (
     BadManifest,
     EmptyLine,
+    InvalidConfig,
     MisalignedFiles,
     MissingCorpus,
     MTKitError,
@@ -75,6 +76,17 @@ class Provenance:
 REAL = Provenance("real")
 
 
+def _checked_line(text: str, what: str = "line") -> str:
+    """*text* in NFC; ValueError naming it *what* if it is empty after
+    trimming or holds a line break. Corpus sides and dev lines alike."""
+    text = unicodedata.normalize("NFC", text)
+    if not text.rstrip():
+        raise ValueError(f"{what} is empty after trimming")
+    if not _LINE_BREAKS.isdisjoint(text):
+        raise ValueError(f"{what} contains a line break")
+    return text
+
+
 @dataclass(frozen=True)
 class SentencePair:
     """One aligned sentence pair; both sides NFC, non-empty, single-line."""
@@ -83,13 +95,8 @@ class SentencePair:
     tgt: str
 
     def __post_init__(self) -> None:
-        for field in ("src", "tgt"):
-            text = unicodedata.normalize("NFC", getattr(self, field))
-            object.__setattr__(self, field, text)
-            if not text.rstrip():
-                raise ValueError(f"{field} side is empty after trimming")
-            if not _LINE_BREAKS.isdisjoint(text):
-                raise ValueError(f"{field} side contains a line break")
+        object.__setattr__(self, "src", _checked_line(self.src, "src side"))
+        object.__setattr__(self, "tgt", _checked_line(self.tgt, "tgt side"))
 
     def swapped(self) -> "SentencePair":
         """This pair with its sides exchanged. The checks treat both
@@ -185,7 +192,8 @@ def sha256_hex(data: bytes) -> str:
 
 
 def split_lines(data: bytes, source: object,
-                error: type[MTKitError] = BadManifest) -> list[str]:
+                error: Callable[[str], MTKitError] = BadManifest
+                ) -> list[str]:
     """The LF-separated lines of UTF-8 *data*; a final LF ends the last
     line rather than starting an empty one. Bytes that are not UTF-8
     raise *error*, naming *source*."""
@@ -241,6 +249,21 @@ def write_json(path: str | Path, doc: object, sort_keys: bool = False) -> Path:
         path, json.dumps(doc, indent=2, sort_keys=sort_keys) + "\n")
 
 
+def _read_checked(path: Path, sha256: str,
+                  error: Callable[[str], MTKitError]) -> list[str]:
+    """The lines (`split_lines`) of the file at *path*, whose bytes must
+    hash to *sha256*; any fault raises *error* naming *path*."""
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc.strerror or exc}") from exc
+    got = sha256_hex(data)
+    if got != sha256:
+        raise error(f"{path}: checksum mismatch (expected {sha256[:12]}..., "
+                    f"got {got[:12]}...)")
+    return split_lines(data, path, error)
+
+
 def load_bitext(manifest_path: str | Path,
                 registry: Iterable[str] | None = None) -> BitextCorpus:
     """Load a corpus from its manifest, verifying alignment and checksums."""
@@ -265,16 +288,8 @@ def load_bitext(manifest_path: str | Path,
     base = manifest_path.parent
     src_path = base / manifest["src_file"]
     tgt_path = base / manifest["tgt_file"]
-    sides = []
-    for path, want in ((src_path, manifest["src_sha256"]),
-                       (tgt_path, manifest["tgt_sha256"])):
-        if not path.is_file():
-            raise BadManifest(f"{manifest_path}: missing file {path.name}")
-        data = path.read_bytes()
-        if sha256_hex(data) != want:
-            raise BadManifest(f"{path}: checksum mismatch (corrupt or edited)")
-        sides.append(split_lines(data, path))
-    src_lines, tgt_lines = sides
+    src_lines = _read_checked(src_path, manifest["src_sha256"], BadManifest)
+    tgt_lines = _read_checked(tgt_path, manifest["tgt_sha256"], BadManifest)
     if len(src_lines) != len(tgt_lines):
         raise MisalignedFiles(len(src_lines), len(tgt_lines))
     if len(src_lines) != manifest["pair_count"]:
@@ -332,6 +347,57 @@ def write_bitext(corpus: BitextCorpus, out_dir: str | Path) -> Path:
     return write_artifact(
         out_dir / f"{corpus.name}.json",
         json.dumps(manifest, ensure_ascii=False, indent=2) + "\n")
+
+
+def load_multiparallel(dev_dir: str | Path,
+                       registry: Iterable[str] | None = None
+                       ) -> dict[str, list[str]]:
+    """Read an n-way parallel dev set: dev.json's `languages` lists known
+    language codes, its `files` and `sha256` give a string for each, and
+    `pair_count` is a non-negative integer. Each file is read as a corpus
+    side is, holds `pair_count` lines, and each line passes the rule of a
+    `SentencePair` side. Any fault raises InvalidConfig naming the file."""
+    dev_dir = Path(dev_dir)
+    path = dev_dir / "dev.json"
+    manifest = read_json(path, InvalidConfig)
+    langs = manifest.get("languages")
+    if not (isinstance(langs, list) and all(isinstance(x, str) for x in langs)):
+        raise InvalidConfig(f"{path}: languages must be a list of strings")
+    try:
+        for lang in langs:
+            validate_language(lang, registry)
+    except MTKitError as exc:
+        raise InvalidConfig(f"{path}: languages: {exc}") from exc
+    for key in ("files", "sha256"):
+        table = manifest.get(key)
+        if not (isinstance(table, dict) and all(
+                isinstance(table.get(lang), str) for lang in langs)):
+            raise InvalidConfig(
+                f"{path}: {key} must be an object with a string for each "
+                f"language")
+    count = manifest.get("pair_count")
+    if not (is_json_int(count) and count >= 0):
+        raise InvalidConfig(f"{path}: pair_count must be a non-negative int")
+    out: dict[str, list[str]] = {}
+    for lang in langs:
+        path = dev_dir / manifest["files"][lang]
+        lines = _read_checked(path, manifest["sha256"][lang], InvalidConfig)
+        if len(lines) != count:
+            raise InvalidConfig(
+                f"{path}: {len(lines)} lines, manifest says {count}")
+        out[lang] = []
+        for i, line in enumerate(lines, start=1):
+            try:
+                out[lang].append(_checked_line(line))
+            except ValueError as exc:
+                raise InvalidConfig(f"{path}:{i}: {exc}") from exc
+    return out
+
+
+def dev_bitext(dev: dict[str, list[str]], src: str, tgt: str) -> BitextCorpus:
+    return BitextCorpus(
+        name=f"dev-{src}-{tgt}", src_lang=src, tgt_lang=tgt,
+        pairs=tuple(SentencePair(a, b) for a, b in zip(dev[src], dev[tgt])))
 
 
 def split_validation(corpus: BitextCorpus, n: int = 3000

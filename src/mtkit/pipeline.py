@@ -18,30 +18,29 @@ from __future__ import annotations
 
 import json
 import time
-import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
 from .corpus import (
     DEFAULT_LANGUAGES,
     BitextCorpus,
-    SentencePair,
     concat_corpora,
+    dev_bitext,
     is_json_int,
     load_bitext,
+    load_multiparallel,
     orient,
     read_json,
     sha256_hex,
-    split_lines,
     split_validation,
-    validate_language,
     write_artifact,
     write_bitext,
     write_json,
 )
 from .dataset_builder import (
     BalancePlan,
+    DirectionSpec,
     TrainingMixture,
     build_stage1_mixture,
     build_stage2_mixture,
@@ -49,12 +48,7 @@ from .dataset_builder import (
     make_balance_plan,
     parse_direction,
 )
-from .errors import (
-    ConfigValidationError,
-    InvalidConfig,
-    MTKitError,
-    StepFailure,
-)
+from .errors import ConfigValidationError, MTKitError, StepFailure
 from .metrics import EvalReport, evaluate_directions, score_candidates
 from .synthesis import backtranslate, pivot_synthesize
 from .translator import (
@@ -89,68 +83,6 @@ STEPS = (
 )
 
 
-# -- multiparallel dev sets ----------------------------------------------
-
-def load_multiparallel(dev_dir: str | Path,
-                       registry: Sequence[str] | None = None
-                       ) -> dict[str, list[str]]:
-    """Read an n-way parallel dev set: dev.json names one aligned sentence
-    file per language. Its `languages` must be a list of known language
-    codes, `files` and `sha256` objects holding a string for each of
-    them, `pair_count` a non-negative integer; a bad field raises
-    InvalidConfig naming dev.json. Every file's checksum and line count
-    are verified."""
-    dev_dir = Path(dev_dir)
-    path = dev_dir / "dev.json"
-    manifest = read_json(path, InvalidConfig)
-    langs = manifest.get("languages")
-    if not (isinstance(langs, list) and all(isinstance(x, str) for x in langs)):
-        raise InvalidConfig(f"{path}: languages must be a list of strings")
-    try:
-        for lang in langs:
-            validate_language(lang, registry)
-    except MTKitError as exc:
-        raise InvalidConfig(f"{path}: languages: {exc}") from exc
-    for key in ("files", "sha256"):
-        table = manifest.get(key)
-        if not (isinstance(table, dict) and all(
-                isinstance(table.get(lang), str) for lang in langs)):
-            raise InvalidConfig(
-                f"{path}: {key} must be an object with a string for each "
-                f"language")
-    count = manifest.get("pair_count")
-    if not (is_json_int(count) and count >= 0):
-        raise InvalidConfig(f"{path}: pair_count must be a non-negative int")
-    out: dict[str, list[str]] = {}
-    for lang in langs:
-        path = dev_dir / manifest["files"][lang]
-        try:
-            payload = path.read_bytes()
-        except OSError as exc:
-            raise InvalidConfig(
-                f"cannot read {path}: {exc.strerror or exc}") from exc
-        want = manifest["sha256"][lang]
-        got = sha256_hex(payload)
-        if got != want:
-            raise ConfigValidationError(
-                [f"{path}: checksum mismatch (expected {want[:12]}..., "
-                 f"got {got[:12]}...)"])
-        lines = split_lines(payload, path)
-        if len(lines) != count:
-            raise ConfigValidationError(
-                [f"{path}: {len(lines)} lines, manifest says {count}"])
-        if any(not line.strip() for line in lines):
-            raise ConfigValidationError([f"{path}: empty line"])
-        out[lang] = [unicodedata.normalize("NFC", line) for line in lines]
-    return out
-
-
-def dev_bitext(dev: dict[str, list[str]], src: str, tgt: str) -> BitextCorpus:
-    return BitextCorpus(
-        name=f"dev-{src}-{tgt}", src_lang=src, tgt_lang=tgt,
-        pairs=tuple(SentencePair(a, b) for a, b in zip(dev[src], dev[tgt])))
-
-
 # -- configuration -------------------------------------------------------
 
 def load_config(path: str | Path) -> dict:
@@ -165,45 +97,37 @@ def _resolve_paths(cfg: dict, base: Path) -> dict:
     cfg = json.loads(json.dumps(cfg))  # deep copy, JSON types only
 
     def resolve(p):
-        return str((base / p).resolve()) if not Path(p).is_absolute() else p
+        return (str((base / p).resolve())
+                if isinstance(p, str) and not Path(p).is_absolute() else p)
 
     for key in ("corpora", "new_corpora"):
         if isinstance(cfg.get(key), list):
-            cfg[key] = [resolve(p) if isinstance(p, str) else p
-                        for p in cfg[key]]
-    if isinstance(cfg.get("output_root"), str):
-        cfg["output_root"] = resolve(cfg["output_root"])
-    ev = cfg.get("eval")
-    if isinstance(ev, dict) and isinstance(ev.get("dev_dir"), str):
-        ev["dev_dir"] = resolve(ev["dev_dir"])
-    s2 = cfg.get("stage2")
-    if isinstance(s2, dict) and isinstance(s2.get("plan"), str):
-        s2["plan"] = resolve(s2["plan"])
+            cfg[key] = [resolve(p) for p in cfg[key]]
+    for section, key in ((cfg, "output_root"), (cfg.get("eval"), "dev_dir"),
+                         (cfg.get("stage2"), "plan")):
+        if isinstance(section, dict) and key in section:
+            section[key] = resolve(section[key])
     bt = cfg.get("backtranslation")
     if isinstance(bt, dict) and isinstance(bt.get("models"), dict):
-        bt["models"] = {label: resolve(spec) if _is_lexicon_spec(spec)
-                        else spec for label, spec in bt["models"].items()}
+        # 'internal', 'none' and exec: commands name no file
+        bt["models"] = {label: spec if spec in ("internal", "none")
+                        or str(spec).startswith("exec:") else resolve(spec)
+                        for label, spec in bt["models"].items()}
     return cfg
 
 
-def _is_lexicon_spec(spec: object) -> bool:
-    """A backtranslation model spec naming a lexicon file: not 'internal',
-    'none' or an exec: command."""
-    return (isinstance(spec, str) and spec not in ("internal", "none")
-            and not spec.startswith("exec:"))
-
-
-# Every optional field and its default; a stage's "seed" defaults to the
-# top-level seed.
+# Each config field with its default (vocab may add VocabConfig's fields);
+# a stage seed defaults to the top-level seed, a required field to None.
 _DEFAULTS = {
+    "name": None, "seed": None, "output_root": None, "corpora": None,
     "new_corpora": [],
     "validation_split": 0,
     "vocab": {"use": "obpe"},
-    "stage1": {"em_iterations": [5, 15]},
+    "stage1": {"em_iterations": [5, 15], "seed": None},
     "backtranslation": {"default": "internal", "models": {}, "batch_size": 64},
     "stage2": {"plan": None, "em_iterations": 20, "default_cap": None,
-               "new_directions": None},
-    "eval": {"metric": "bleu"},
+               "new_directions": None, "seed": None},
+    "eval": {"metric": "bleu", "dev_dir": None},
 }
 
 
@@ -221,25 +145,13 @@ def _with_defaults(cfg: dict) -> dict:
     return cfg
 
 
-_VOCAB_FIELDS = ("vocab_size", "hrl_langs", "lrl_langs", "mean_exponent_p",
-                 "special_tokens", "end_of_word_marker")
+_VOCAB_FIELDS = frozenset(f.name for f in fields(VocabConfig))
 
 
-def _vocab_config(partial: dict) -> VocabConfig:
-    """Build a VocabConfig from a pipeline config's vocab section: fields
-    not given fall back to the VocabConfig defaults ('use' is handled by
-    the caller and is not a VocabConfig field)."""
-    fields = {k: v for k, v in partial.items() if k != "use"}
-    unknown = sorted(set(fields) - set(_VOCAB_FIELDS))
-    if unknown:
-        raise InvalidConfig(f"unknown vocab fields: {unknown}")
-    if "hrl_langs" in fields:
-        fields["hrl_langs"] = frozenset(fields["hrl_langs"])
-    if "lrl_langs" in fields:
-        fields["lrl_langs"] = frozenset(fields["lrl_langs"])
-    if "special_tokens" in fields:
-        fields["special_tokens"] = tuple(fields["special_tokens"])
-    return VocabConfig(**fields)
+def _vocab_config(section: dict) -> VocabConfig:
+    """The VocabConfig of a config's vocab section, defaults for the rest."""
+    return VocabConfig(**{k: v for k, v in section.items()
+                          if k in _VOCAB_FIELDS})
 
 
 def _is_positive_int(value: object) -> bool:
@@ -248,13 +160,53 @@ def _is_positive_int(value: object) -> bool:
 
 @dataclass
 class _Inputs:
-    """Every input file a config names, each loaded by its format's own
-    loader."""
+    """Every input a config names, each loaded by its format's own loader,
+    and the VocabConfig and new direction labels the config gives."""
     corpora: list[BitextCorpus] = field(default_factory=list)
     new_corpora: list[BitextCorpus] = field(default_factory=list)
     dev: dict[str, list[str]] = field(default_factory=dict)
     plan: BalancePlan | None = None
     models: dict[str, TranslatorModel] = field(default_factory=dict)
+    vocab: VocabConfig | None = None
+    new_labels: list[str] = field(default_factory=list)
+
+
+def _direction_problems(where: str, new: list[DirectionSpec],
+                        corpora: list[BitextCorpus],
+                        plan: BalancePlan | None) -> list[str]:
+    """Why stage 2 could not serve the run's *new* directions (from config
+    field *where*): two on one language pair, one with an English side or
+    a language no English-centric corpus in *corpora* has; a *plan* with
+    other than one entry per direction, an entry on no new direction's
+    language pair, or an old direction no corpus serves."""
+    served = {c.languages() for c in corpora}
+    problems = []
+    first: dict[frozenset[str], DirectionSpec] = {}
+    for d in new:
+        other = first.setdefault(d.languages, d)
+        if other != d:
+            problems.append(f"{where}: {other.label} and {d.label} share "
+                            f"their languages; give one of them")
+        if "eng" in d.languages:
+            problems.append(f"{where}: {d.label} involves eng; new "
+                            f"directions are the non-English ones")
+            continue
+        problems += [f"{where}: {d.label} needs an English-centric corpus "
+                     f"for {lang}" for lang in (d.src, d.tgt)
+                     if frozenset(("eng", lang)) not in served]
+    for d in new if plan else ():
+        n = sum(e.new == d for e in plan.entries)
+        if n != 1:
+            problems.append(f"stage2.plan: {n} entries for new direction "
+                            f"{d.label}, want exactly 1")
+    for e in plan.entries if plan else ():
+        if e.new.languages not in first:
+            problems.append(f"stage2.plan: entry {e.new.label} serves no new "
+                            f"direction of the run")
+        problems += [f"stage2.plan: entry {e.new.label}: no English-centric "
+                     f"corpus serves {old.label}" for old in e.old
+                     if old.languages not in served]
+    return problems
 
 
 def _load_inputs(cfg: dict, registry: Sequence[str] | None
@@ -281,6 +233,14 @@ def _load_inputs(cfg: dict, registry: Sequence[str] | None
         problems.append("seed: required integer (seeds must be explicit)")
     if not isinstance(cfg.get("output_root"), str):
         problems.append("output_root: required path string")
+    for key, default in (("", _DEFAULTS), *_DEFAULTS.items()):
+        given = cfg[key] if key else cfg
+        if isinstance(default, dict) and isinstance(given, dict):
+            unknown = given.keys() - default.keys() - (
+                _VOCAB_FIELDS if key == "vocab" else set())
+            if unknown:
+                problems.append(f"{key + ': ' if key else ''}unknown fields "
+                                f"{sorted(unknown)}")
 
     corpora = cfg.get("corpora")
     if not isinstance(corpora, list) or not corpora:
@@ -311,14 +271,17 @@ def _load_inputs(cfg: dict, registry: Sequence[str] | None
                         f"corpora: {Path(p).name} is {corpus.src_lang}-"
                         f"{corpus.tgt_lang}; stage-1 corpora need an English "
                         f"side")
+    languages = {lang for c in inputs.corpora + inputs.new_corpora
+                 for lang in c.languages()}
 
     vocab_cfg = section("vocab")
     if vocab_cfg is not None:
         if vocab_cfg["use"] not in ("bpe", "obpe"):
             problems.append("vocab.use: must be 'bpe' or 'obpe'")
         try:
-            _vocab_config(vocab_cfg)
-        except (MTKitError, ValueError, TypeError) as exc:
+            inputs.vocab = _vocab_config(vocab_cfg)
+            inputs.vocab.check_covers(languages)
+        except MTKitError as exc:
             problems.append(f"vocab: {exc}")
 
     split = cfg["validation_split"]
@@ -377,34 +340,39 @@ def _load_inputs(cfg: dict, registry: Sequence[str] | None
                 inputs.plan = BalancePlan.load(plan)
             except MTKitError as exc:
                 problems.append(f"stage2.plan: {exc}")
-        directions = stage2["new_directions"]
-        if directions is None and not new_corpora:
+        directions, where = stage2["new_directions"], "stage2.new_directions"
+        if directions is None:
+            if not new_corpora:
+                problems.append(
+                    "stage2: the run needs at least one new direction; give "
+                    "new_corpora or stage2.new_directions")
+            directions, where = [f"{c.src_lang}-{c.tgt_lang}"
+                                 for c in inputs.new_corpora], "new_corpora"
+        elif not isinstance(directions, list) or not directions:
+            problems.append("stage2.new_directions: must be a non-empty list")
+            directions = []
+        elif len(set(map(str, directions))) != len(directions):
             problems.append(
-                "stage2: the run needs at least one new direction; give "
-                "new_corpora or stage2.new_directions")
-        if directions is not None:
-            if not isinstance(directions, list) or not directions:
-                problems.append(
-                    "stage2.new_directions: must be a non-empty list")
-                directions = []
-            if len(set(map(str, directions))) != len(directions):
-                problems.append(
-                    "stage2.new_directions: each label may appear once")
-            for label in directions:
-                try:
-                    d = parse_direction(str(label), "new")
-                except ValueError as exc:
-                    problems.append(f"stage2.new_directions: {exc}")
-                    continue
-                for lang in (d.src, d.tgt):
-                    if lang not in registry:
-                        problems.append(
-                            f"stage2.new_directions: unknown language "
-                            f"{lang!r} in {label}")
-                if "eng" in (d.src, d.tgt):
-                    problems.append(
-                        f"stage2.new_directions: {label} involves eng; new "
-                        f"directions are the non-English ones")
+                "stage2.new_directions: each label may appear once")
+        new = []
+        for label in directions:
+            try:
+                d = parse_direction(str(label), "new")
+            except ValueError as exc:
+                problems.append(f"{where}: {exc}")
+                continue
+            unknown = [lang for lang in (d.src, d.tgt) if lang not in registry]
+            problems += [f"{where}: unknown language {lang!r} in {label}"
+                         for lang in unknown]
+            if not unknown:
+                new.append(d)
+        inputs.new_labels = [d.label for d in new]
+        # only whole inputs, lest a corpus or label that failed counts twice
+        if (inputs.corpora and len(inputs.corpora) == len(corpora)
+                and len(inputs.new_corpora) == len(new_corpora)
+                and len(new) == len(directions)):
+            problems += _direction_problems(where, new, inputs.corpora,
+                                            inputs.plan)
 
     ev = section("eval")
     if ev is not None:
@@ -416,9 +384,7 @@ def _load_inputs(cfg: dict, registry: Sequence[str] | None
             except MTKitError as exc:
                 problems.append(f"eval.dev_dir: {exc}")
             else:
-                missing = sorted(
-                    {lang for c in inputs.corpora + inputs.new_corpora
-                     for lang in c.languages()} - set(inputs.dev))
+                missing = sorted(languages - set(inputs.dev))
                 if missing:
                     problems.append(
                         f"eval.dev_dir: dev set lacks languages {missing}")
@@ -468,7 +434,6 @@ class _State:
     selected: dict[str, TranslatorModel] = field(default_factory=dict)
     old_pool: list[BitextCorpus] = field(default_factory=list)
     new_pool: dict[str, BitextCorpus] = field(default_factory=dict)
-    new_labels: list[str] = field(default_factory=list)
     stage2_mixture: TrainingMixture | None = None
     stage2_models: dict[str, TranslatorModel] = field(default_factory=dict)
     summary: dict = field(default_factory=dict)
@@ -548,18 +513,13 @@ class _Runner:
                 train = corpus
             outputs.append(write_bitext(train, out))
             self.state.old_train.append(train)
-        labels = cfg["stage2"]["new_directions"]
-        if labels is None:
-            labels = [f"{c.src_lang}-{c.tgt_lang}"
-                      for c in self.state.inputs.new_corpora]
-        self.state.new_labels = list(labels)
         return [Path(p) for p in cfg["corpora"] + cfg["new_corpora"]], outputs
 
     def step_vocab_train(self):
         cfg = self.state.cfg
         data = LangCorpusSet.from_bitexts(
             self.state.old_train + self.state.inputs.new_corpora)
-        vocab_cfg = _vocab_config(cfg["vocab"])
+        vocab_cfg = self.state.inputs.vocab
         out = self.state.run_dir / "vocab"
         self.state.vocab_bpe = train_bpe(data, vocab_cfg)
         self.state.vocab_obpe = train_obpe(data, vocab_cfg)
@@ -576,11 +536,8 @@ class _Runner:
                                 + self.state.inputs.new_corpora,
                                 self.state.vocab_bpe, self.state.vocab_obpe)
         path = write_json(out / "vocab_report.json", doc, sort_keys=True)
-        table_path = write_artifact(
-            out / "vocab_report.txt",
-            doc["tables"]["representation"] + "\n\n"
-            + doc["tables"]["avg_tokens_a"] + "\n\n"
-            + doc["tables"]["avg_tokens_b"] + "\n")
+        table_path = write_artifact(out / "vocab_report.txt",
+                                    "\n\n".join(doc["tables"].values()) + "\n")
         return [out / "bpe.json", out / "obpe.json"], [path, table_path]
 
     def step_stage1_train(self):
@@ -613,8 +570,7 @@ class _Runner:
         selection: dict[str, dict] = {}
         outputs = []
         for label in state.old_labels():
-            src, tgt = label.split("-")
-            devset = dev_bitext(dev, src, tgt)
+            devset = dev_bitext(dev, *label.split("-"))
             candidates = state.candidates[label]
             scores = score_candidates(candidates, devset)
             best = scores.index(max(scores))
@@ -659,7 +615,7 @@ class _Runner:
         by_pair = {c.languages(): c for c in state.inputs.new_corpora}
         eng_train = {({c.src_lang, c.tgt_lang} - {"eng"}).pop(): c
                      for c in state.old_train}
-        for label in state.new_labels:
+        for label in state.inputs.new_labels:
             src, tgt = label.split("-")
             base = eng_train[tgt]
             model = state.selected[f"eng-{src}"]
@@ -673,7 +629,7 @@ class _Runner:
     def step_stage2_balance(self):
         cfg, state = self.state.cfg, self.state
         out = state.run_dir / "stage2"
-        plan = state.inputs.plan or make_balance_plan(state.new_labels)
+        plan = state.inputs.plan or make_balance_plan(state.inputs.new_labels)
         plan_path = plan.save(out / "plan.json")
         mixture = build_stage2_mixture(
             state.old_pool, list(state.new_pool.values()), plan,
@@ -688,7 +644,7 @@ class _Runner:
         cfg, state = self.state.cfg, self.state
         out = state.run_dir / "stage2" / "lexicons"
         outputs = []
-        for label in state.new_labels:
+        for label in state.inputs.new_labels:
             src, tgt = label.split("-")
             slices = [s for s in state.stage2_mixture.slices
                       if s.direction.role == "new"
@@ -719,13 +675,14 @@ class _Runner:
             {tuple(label.split("-")): model
              for label, model in state.stage2_models.items()},
             model_id="stage2")
-        labels = sorted(set(state.old_labels()) | set(state.new_labels))
+        new = state.inputs.new_labels
+        labels = sorted(set(state.old_labels()) | set(new))
         testsets = {label: dev_bitext(dev, *label.split("-"))
                     for label in labels}
         stage1 = evaluate_directions(stage1_system, list(testsets.values()),
                                      state.vocab)
         stage2_new = evaluate_directions(
-            stage2_system, [testsets[label] for label in state.new_labels],
+            stage2_system, [testsets[label] for label in new],
             state.vocab)
         rows = {row.direction: row for row in stage1.rows}
         rows.update((row.direction, row) for row in stage2_new.rows)
@@ -740,7 +697,6 @@ class _Runner:
                 write_artifact(out / f"{report.model_id}_eval.txt",
                                report.render_table() + "\n")]
 
-        new = state.new_labels
         before = stage1.average(new)
         after = stage2.average(new)
         state.summary = {

@@ -182,17 +182,10 @@ def generate_toy_data(root: str | Path, seed: int = 0) -> ToyData:
     dev_base = base[:DEV_SIZE]
     manifests: dict[str, Path] = {}
 
-    for lang in sorted(ENG_TRAIN_SIZES):
-        size = ENG_TRAIN_SIZES[lang]
-        chunk = base[cursor:cursor + size]
-        cursor += size
-        corpus = BitextCorpus(
-            name=f"eng-{lang}", src_lang="eng", tgt_lang=lang,
-            pairs=tuple(SentencePair(s, render(s, transforms[lang]))
-                        for s in chunk))
-        manifests[corpus.name] = write_bitext(corpus, train_dir)
-
-    for (src, tgt), size in NEW_PAIR_SIZES.items():
+    # eng-X corpora first, then the new pairs; eng renders as itself
+    sizes = {("eng", lang): ENG_TRAIN_SIZES[lang]
+             for lang in sorted(ENG_TRAIN_SIZES)} | NEW_PAIR_SIZES
+    for (src, tgt), size in sizes.items():
         chunk = base[cursor:cursor + size]
         cursor += size
         corpus = BitextCorpus(

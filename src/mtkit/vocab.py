@@ -5,7 +5,8 @@ with an end-of-word marker appended to each word's final character. BPE
 ranks candidate pairs by pooled occurrence count. OBPE ranks them by a
 weighted power mean of per-language relative pair frequencies, so a
 negative exponent rewards pairs shared across languages and a positive
-one rewards raw frequency; exponent 1 reduces exactly to BPE.
+one rewards raw frequency; exponent 1 reduces exactly to BPE and runs
+BPE's merge loop.
 
 Pair counts are maintained incrementally (only words containing the
 merged pair are rescanned), which keeps training near-linear instead of
@@ -65,19 +66,22 @@ class VocabConfig:
     end_of_word_marker: str = END_OF_WORD
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "hrl_langs", frozenset(self.hrl_langs))
-        object.__setattr__(self, "lrl_langs", frozenset(self.lrl_langs))
-        object.__setattr__(self, "special_tokens", tuple(self.special_tokens))
+        for name, kind in (("hrl_langs", frozenset), ("lrl_langs", frozenset),
+                           ("special_tokens", tuple)):
+            value = getattr(self, name)
+            # a string would become its characters, a dict its keys
+            items = (tuple(value) if isinstance(value, Iterable)
+                     and not isinstance(value, (str, dict)) else None)
+            if items is None or not all(isinstance(s, str) for s in items):
+                raise InvalidConfig(
+                    f"{name} must be a list of strings, got {value!r}")
+            object.__setattr__(self, name, kind(items))
         if not is_json_int(self.vocab_size) or self.vocab_size < 1:
             raise InvalidConfig(
                 f"vocab_size must be a positive int, got {self.vocab_size!r}")
         if not is_json_number(self.mean_exponent_p):
             raise InvalidConfig(f"mean_exponent_p must be a number, got "
                                 f"{self.mean_exponent_p!r}")
-        if not all(isinstance(s, str) for s in (
-                *self.hrl_langs, *self.lrl_langs, *self.special_tokens)):
-            raise InvalidConfig(
-                "hrl_langs, lrl_langs and special_tokens must hold strings")
         overlap = self.hrl_langs & self.lrl_langs
         if overlap:
             raise InvalidConfig(f"languages in both hrl and lrl: {sorted(overlap)}")
@@ -92,6 +96,13 @@ class VocabConfig:
     @property
     def languages(self) -> frozenset[str]:
         return self.hrl_langs | self.lrl_langs
+
+    def check_covers(self, languages: Iterable[str]) -> None:
+        """Raise InvalidConfig unless the hrl or lrl set holds each one."""
+        unknown = set(languages) - self.languages
+        if unknown:
+            raise InvalidConfig(
+                f"languages not covered by hrl/lrl sets: {sorted(unknown)}")
 
     def to_json(self) -> dict:
         return {
@@ -108,10 +119,10 @@ class VocabConfig:
         try:
             return cls(
                 vocab_size=obj["vocab_size"],
-                hrl_langs=frozenset(obj["hrl_langs"]),
-                lrl_langs=frozenset(obj["lrl_langs"]),
+                hrl_langs=obj["hrl_langs"],
+                lrl_langs=obj["lrl_langs"],
                 mean_exponent_p=obj["mean_exponent_p"],
-                special_tokens=tuple(obj["special_tokens"]),
+                special_tokens=obj["special_tokens"],
                 end_of_word_marker=obj["end_of_word_marker"],
             )
         except KeyError as exc:
@@ -276,32 +287,15 @@ class _MergeState:
 
 def _obpe_best(state: _MergeState, p: float
                ) -> tuple[tuple[str, str], float] | None:
-    """Highest-scoring candidate pair, or None when training must stop.
-
-    Ties prefer the lexicographically smaller pair, matching BPE.
-    """
+    """Highest-scoring candidate pair and its score, or None when training
+    must stop; ties go to the smaller pair, as in BPE. `_train` ranks by
+    pooled count at p = 1; here p = 1 takes the p > 0 loop."""
     totals = state.lang_totals
     grand = sum(totals)
     if grand == 0:
         return None
     best_pair: tuple[str, str] | None = None
     best_score = 0.0
-
-    if p == 1:
-        # Weighted arithmetic mean of per-language relative counts with
-        # pair-total-proportional weights collapses to pooled_count/grand;
-        # comparing pooled counts keeps ties exact instead of trusting
-        # float summation to preserve them.
-        best_count = 0
-        for pair, count in state.pair_pooled.items():
-            if count < 2:
-                continue
-            if count > best_count or (count == best_count and
-                                      (best_pair is None or pair < best_pair)):
-                best_count, best_pair = count, pair
-        if best_pair is None:
-            return None
-        return best_pair, best_count / grand
 
     weights = [t / grand for t in totals]
     candidates: Iterable[tuple[str, str]] = (
@@ -343,10 +337,7 @@ def _obpe_best(state: _MergeState, p: float
 def _train(data: LangCorpusSet, cfg: VocabConfig, mode: str) -> "Vocabulary":
     if data.total_sentences() == 0:
         raise EmptyCorpus("no training sentences")
-    unknown = set(data.languages) - cfg.languages
-    if unknown:
-        raise InvalidConfig(
-            f"languages not covered by hrl/lrl sets: {sorted(unknown)}")
+    cfg.check_covers(data.languages)
 
     state = _MergeState(data, cfg.end_of_word_marker)
     tokens: list[str] = list(cfg.special_tokens) + state.alphabet()
@@ -356,40 +347,37 @@ def _train(data: LangCorpusSet, cfg: VocabConfig, mode: str) -> "Vocabulary":
             f"vocab_size {cfg.vocab_size} <= {len(cfg.special_tokens)} special "
             f"tokens + {len(tokens) - len(cfg.special_tokens)} base symbols")
 
-    merges: list[tuple[str, str]] = []
-    if mode == "bpe":
+    # BPE ranks by pooled count, as does OBPE at p = 1 (score = pooled count
+    # / grand total): both pop a lazy max-heap of (-count, pair), whose
+    # integers keep ties exact. Other exponents rescan the scores.
+    p = cfg.mean_exponent_p
+    heap = None
+    if mode == "bpe" or p == 1:
         heap = [(-c, pair) for pair, c in state.pair_pooled.items() if c >= 2]
         heapq.heapify(heap)
-        while len(tokens) < cfg.vocab_size:
-            pair = None
-            while heap:
-                negc, cand = heapq.heappop(heap)
-                if state.pair_pooled.get(cand, 0) == -negc:
-                    pair = cand
-                    break
-            if pair is None:
-                break
-            merges.append(pair)
-            joined = pair[0] + pair[1]
-            if joined not in token_set:
-                tokens.append(joined)
-                token_set.add(joined)
-            for touched in state.apply_merge(pair):
-                count = state.pair_pooled.get(touched, 0)
+    merges: list[tuple[str, str]] = []
+    while len(tokens) < cfg.vocab_size:
+        pair = None
+        if heap is None:
+            best = _obpe_best(state, p)
+            pair = best and best[0]
+        while heap and pair is None:  # skip entries whose count is stale
+            negc, cand = heapq.heappop(heap)
+            if state.pair_pooled.get(cand, 0) == -negc:
+                pair = cand
+        if pair is None:
+            break
+        merges.append(pair)
+        joined = pair[0] + pair[1]
+        if joined not in token_set:
+            tokens.append(joined)
+            token_set.add(joined)
+        touched = state.apply_merge(pair)
+        if heap is not None:
+            for other in touched:
+                count = state.pair_pooled.get(other, 0)
                 if count >= 2:
-                    heapq.heappush(heap, (-count, touched))
-    else:
-        while len(tokens) < cfg.vocab_size:
-            best = _obpe_best(state, cfg.mean_exponent_p)
-            if best is None:
-                break
-            pair, _ = best
-            merges.append(pair)
-            joined = pair[0] + pair[1]
-            if joined not in token_set:
-                tokens.append(joined)
-                token_set.add(joined)
-            state.apply_merge(pair)
+                    heapq.heappush(heap, (-count, other))
 
     vocab = Vocabulary(mode=mode, tokens=tuple(tokens),
                        merges=tuple(merges), config=cfg)

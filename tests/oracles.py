@@ -105,19 +105,66 @@ def power_mean_score(counts_by_lang: dict[str, int],
                      totals_by_lang: dict[str, int], p: float) -> float:
     """The overlap score, written straight from its definition: weighted
     power mean of per-language relative frequencies, weights proportional
-    to per-language adjacent-pair totals, zero anywhere -> zero for p<=0."""
+    to per-language adjacent-pair totals. At p < 0 a pair absent from any
+    language scores zero; p = 0 is the weighted geometric mean over the
+    languages of nonzero weight (zero if the pair is absent from one);
+    p > 0 skips the languages without the pair. Languages are taken in
+    sorted order and every float sum runs left to right (`_add`)."""
     langs = sorted(totals_by_lang)
     grand = sum(totals_by_lang.values())
-    rel = {l: counts_by_lang.get(l, 0) / totals_by_lang[l] for l in langs}
+    counts = {l: counts_by_lang.get(l, 0) for l in langs}
     weights = {l: totals_by_lang[l] / grand for l in langs}
+
+    def rel(l: str) -> float:
+        return counts[l] / totals_by_lang[l]
+
     if p == 0:
-        if any(rel[l] == 0 for l in langs):
+        weighted = [l for l in langs if weights[l] > 0]
+        if any(counts[l] == 0 for l in weighted):
             return 0.0
-        return math.exp(sum(weights[l] * math.log(rel[l]) for l in langs))
-    if p < 0 and any(rel[l] == 0 for l in langs):
+        return math.exp(_add(weights[l] * math.log(rel(l)) for l in weighted))
+    if p < 0 and any(counts[l] == 0 for l in langs):
         return 0.0
-    acc = sum(weights[l] * rel[l] ** p for l in langs if rel[l] > 0)
+    acc = _add(weights[l] * rel(l) ** p for l in langs if counts[l] > 0)
     return acc ** (1.0 / p) if acc > 0 else 0.0
+
+
+def reference_obpe(sentences_by_lang: dict[str, list[str]], budget: int,
+                   p: float, marker: str = MARKER):
+    """OBPE by full recount: each step counts every adjacent pair per
+    language, scores each pair that occurs at least twice in all with
+    `power_mean_score`, and merges the highest score; a score <= 0 never
+    wins and ties go to the smaller pair. *budget* counts new token
+    surfaces, as in `reference_bpe`. Returns the merge list."""
+    words, freqs, word_langs = word_table(sentences_by_lang, marker)
+    langs = sorted(sentences_by_lang)
+    surfaces = {sym for w in words for sym in w}
+    merges: list[tuple[str, str]] = []
+    new_tokens = 0
+    while new_tokens < budget:
+        by_lang = {lang: count_pairs(
+            [w for w, l in zip(words, word_langs) if l == lang],
+            [f for f, l in zip(freqs, word_langs) if l == lang])
+            for lang in langs}
+        totals = {lang: sum(by_lang[lang].values()) for lang in langs}
+        pooled = count_pairs(words, freqs)
+        best, best_score = None, 0.0
+        for pair in sorted(pooled):
+            if pooled[pair] < 2:
+                continue
+            score = power_mean_score(
+                {lang: by_lang[lang][pair] for lang in langs}, totals, p)
+            if score > best_score:
+                best, best_score = pair, score
+        if best is None:
+            break
+        merges.append(best)
+        joined = best[0] + best[1]
+        if joined not in surfaces:
+            surfaces.add(joined)
+            new_tokens += 1
+        words = [merge_word(w, *best) for w in words]
+    return merges
 
 
 def reference_encode(word: str, merges: list[tuple[str, str]],

@@ -604,6 +604,36 @@ def _dev_line_added(root, work, cfg):
     return f"dev.zul: {doc['pair_count'] + 1} lines"
 
 
+def _dev_line_break(root, work, cfg):
+    dev = _copy(root / "dev", work / "dev",
+                ["dev.json", "dev.eng", "dev.xho", "dev.zul"])
+    text = dev / "dev.zul"
+    lines = text.read_bytes().split(b"\n")
+    lines[2] = lines[2].replace(b" ", "\u2028".encode(), 1)
+    text.write_bytes(b"\n".join(lines))
+    doc = json.loads((dev / "dev.json").read_text())
+    doc["sha256"]["zul"] = hashlib.sha256(text.read_bytes()).hexdigest()
+    (dev / "dev.json").write_text(json.dumps(doc), encoding="utf-8")
+    cfg["eval"]["dev_dir"] = str(dev)
+    return "dev.zul:3: line contains a line break"
+
+
+def _set(section, key, value, message):
+    """Set *key* of config *section*; a callable *value* is called with
+    the work directory first."""
+    def configure(root, work, cfg):
+        cfg[section][key] = value(work) if callable(value) else value
+        return f"{section}{message}"
+    return configure
+
+
+def _plan(*entries):
+    def write(work):
+        return str(write_json(work / "plan.json", {"entries": [
+            {"new": new, "old": list(old)} for new, old in entries]}))
+    return write
+
+
 def _exec_model(spec, message):
     def configure(root, work, cfg):
         cfg["backtranslation"] = {"models": {"eng-xho": spec}}
@@ -615,8 +645,23 @@ def _exec_model(spec, message):
     _corpus_text_edited, _dev_text_edited, _dev_line_added,
     _exec_model("exec:", "empty translator command"),
     _exec_model('exec:"unclosed', "cannot parse translator command"),
+    _dev_line_break,
+    _set("stage2", "new_directions", ["xho-tsn"],
+         ".new_directions: xho-tsn needs an English-centric corpus for tsn"),
+    _set("stage2", "plan", _plan(("ssw-xho", ("ssw-eng", "eng-xho"))),
+         ".plan: 0 entries for new direction xho-zul, want exactly 1"),
+    _set("stage2", "plan", _plan(("xho-zul", ("xho-eng", "eng-tsn"))),
+         ".plan: entry xho-zul: no English-centric corpus serves eng-tsn"),
+    _set("vocab", "hrl_langs", "eng",
+         ": hrl_langs must be a list of strings, got 'eng'"),
+    _set("vocab", "lrl_langs", ["afr"],
+         ": languages not covered by hrl/lrl sets: ['zul']"),
+    _set("stage2", "new_direction", ["xho-zul"],
+         ": unknown fields ['new_direction']"),
 ], ids=["corpus-checksum", "dev-checksum", "dev-line-count", "exec-empty",
-        "exec-unclosed"])
+        "exec-unclosed", "dev-line-break", "direction-without-corpus",
+        "plan-without-direction", "plan-old-unserved", "vocab-langs-string",
+        "vocab-langs-uncovered", "unknown-field"])
 def test_bad_input_file_exits_2_before_any_step(data, tmp_path, capsys,
                                                 breaks):
     """`pipeline validate` and `pipeline run` load the same inputs, so they

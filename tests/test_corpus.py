@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -18,6 +19,7 @@ from mtkit.corpus import (
     concat_corpora,
     corpus_stats,
     load_bitext,
+    load_multiparallel,
     split_lines,
     split_validation,
     write_artifact,
@@ -162,6 +164,73 @@ def test_sentence_pair_accepts_other_whitespace():
     for text in ("a\tb", "a\u00a0b", "a\u2009b", "a\u3000b", "\ta b\t"):
         pair = SentencePair(text, text)
         assert pair.src == pair.tgt == text
+
+
+def _dev_set(root, lines_by_lang):
+    """A dev set under *root* holding the given lines, checksums right."""
+    files, sums = {}, {}
+    for lang, lines in lines_by_lang.items():
+        data = "".join(line + "\n" for line in lines).encode("utf-8")
+        (root / f"dev.{lang}").write_bytes(data)
+        files[lang] = f"dev.{lang}"
+        sums[lang] = hashlib.sha256(data).hexdigest()
+    (root / "dev.json").write_text(json.dumps({
+        "languages": sorted(lines_by_lang), "files": files, "sha256": sums,
+        "pair_count": len(next(iter(lines_by_lang.values())))}))
+    return root
+
+
+@pytest.mark.parametrize("line,message", [
+    *[(f"a{brk}b", "contains a line break") for brk in sorted(_LINE_BREAKS)
+      if brk != "\n"],
+    ("", "is empty after trimming"),
+    (" \t\u3000", "is empty after trimming"),
+])
+def test_dev_lines_obey_the_sentence_pair_rule(tmp_path, line, message):
+    """Dev lines pass the check a corpus side passes, and a dev line that
+    fails it is an InvalidConfig naming the file and line."""
+    _dev_set(tmp_path, {"eng": ["a", "b", "c"], "zul": ["x", line, "z"]})
+    with pytest.raises(errors.InvalidConfig,
+                       match=re.escape(f"dev.zul:2: line {message}")):
+        load_multiparallel(tmp_path)
+    with pytest.raises(ValueError, match=f"tgt side {message}"):
+        SentencePair("ok", line)
+
+
+def test_dev_lines_are_nfc(tmp_path):
+    decomposed = unicodedata.normalize("NFD", "café")
+    _dev_set(tmp_path, {"eng": ["cafe"], "zul": [decomposed]})
+    assert load_multiparallel(tmp_path)["zul"] == ["café"]
+
+
+@pytest.mark.parametrize("damage,message", [
+    ("tamper", "dev.zul: checksum mismatch"),
+    ("remove", "cannot read .*dev.zul"),
+    ("extra", "dev.zul: 3 lines, manifest says 2"),
+    ("latin-1", "dev.zul is not valid UTF-8"),
+])
+def test_every_dev_file_fault_is_invalid_config(tmp_path, damage, message):
+    _dev_set(tmp_path, {"eng": ["a", "b"], "zul": ["x", "y"]})
+    path = tmp_path / "dev.zul"
+    if damage == "tamper":
+        path.write_bytes(b"x\nY\n")
+    elif damage == "remove":
+        path.unlink()
+    else:
+        data = b"x\ny\nz\n" if damage == "extra" else b"x\n\xe9\n"
+        path.write_bytes(data)
+        doc = json.loads((tmp_path / "dev.json").read_text())
+        doc["sha256"]["zul"] = hashlib.sha256(data).hexdigest()
+        (tmp_path / "dev.json").write_text(json.dumps(doc))
+    with pytest.raises(errors.InvalidConfig, match=message):
+        load_multiparallel(tmp_path)
+
+
+def test_unreadable_corpus_side_names_the_file(tmp_path):
+    path = _manifest_dict(tmp_path, ["a"], ["x"])
+    (tmp_path / "m.zul").unlink()
+    with pytest.raises(errors.BadManifest, match="cannot read .*m.zul"):
+        load_bitext(path)
 
 
 def test_same_language_pair_rejected():

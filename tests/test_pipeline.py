@@ -152,6 +152,30 @@ def test_valid_config_has_no_problems(dataset):
     ({"backtranslation": {"models": ["exec:cat"]}}, "backtranslation.models"),
     ({"backtranslation": {"models": {"xho-eng": 5}}},
      "backtranslation.models"),
+    # stage-2 directions against the corpora
+    ({"stage2": {"new_directions": ["xho-tsn"]}},
+     "xho-tsn needs an English-centric corpus for tsn"),
+    ({"stage2": {"new_directions": ["tsn-zul"]}},
+     "tsn-zul needs an English-centric corpus for tsn"),
+    ({"stage2": {"new_directions": ["xho-zul", "zul-xho"]}},
+     "share their languages"),
+    # vocabulary language sets
+    ({"vocab": {"vocab_size": 160, "hrl_langs": "eng"}}, "vocab: hrl_langs"),
+    ({"vocab": {"vocab_size": 160, "lrl_langs": "zul"}}, "vocab: lrl_langs"),
+    ({"vocab": {"vocab_size": 160, "special_tokens": "<unk>"}},
+     "vocab: special_tokens"),
+    ({"vocab": {"vocab_size": 160, "hrl_langs": [["eng"]]}},
+     "vocab: hrl_langs"),
+    ({"vocab": {"vocab_size": 160, "lrl_langs": ["afr"]}},
+     "vocab: languages not covered by hrl/lrl sets: ['ssw', 'zul']"),
+    # unknown fields, in every section
+    ({"new_corpus": []}, "unknown fields ['new_corpus']"),
+    ({"stage1": {"em_iteration": [2]}}, "stage1: unknown fields"),
+    ({"backtranslation": {"model": {}}}, "backtranslation: unknown fields"),
+    ({"stage2": {"new_direction": ["xho-zul"]}},
+     "stage2: unknown fields ['new_direction']"),
+    ({"eval": {"dev_dir": "/nowhere", "metrics": "bleu"}},
+     "eval: unknown fields"),
 ])
 def test_validate_config_flags_problems(dataset, overrides, needle):
     root, manifests = dataset
@@ -200,6 +224,54 @@ def test_validate_config_requires_some_new_direction(dataset):
     root, manifests = dataset
     cfg = make_config(root, manifests, new_corpora=[])
     assert any("new direction" in p for p in validate_config(cfg))
+
+
+def test_validate_config_rejects_an_english_new_corpus(dataset):
+    root, manifests = dataset
+    cfg = make_config(root, manifests, new_corpora=[str(manifests["eng-xho"])])
+    assert "new_corpora: eng-xho involves eng; new directions are the " \
+        "non-English ones" in validate_config(cfg)
+
+
+def _plan_config(root, manifests, tmp_path, entries):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"entries": [
+        {"new": new, "old": list(old)} for new, old in entries]}))
+    return make_config(root, manifests,
+                       stage2={"em_iterations": 6, "plan": str(plan)})
+
+
+def test_validate_config_accepts_a_plan_covering_the_run(dataset, tmp_path):
+    root, manifests = dataset
+    cfg = _plan_config(root, manifests, tmp_path,
+                       [("xho-zul", ("xho-eng", "eng-zul"))])
+    assert validate_config(cfg) == []
+
+
+@pytest.mark.parametrize("entries,needle", [
+    ([("ssw-xho", ("ssw-eng", "eng-xho"))],
+     "0 entries for new direction xho-zul, want exactly 1"),
+    ([("zul-xho", ("zul-eng", "eng-xho"))],
+     "0 entries for new direction xho-zul, want exactly 1"),
+    ([("xho-zul", ("xho-eng", "eng-zul"))] * 2,
+     "2 entries for new direction xho-zul, want exactly 1"),
+    ([("xho-zul", ("xho-eng", "eng-zul")),
+      ("ssw-xho", ("ssw-eng", "eng-xho"))],
+     "entry ssw-xho serves no new direction of the run"),
+    ([("xho-zul", ("xho-eng", "eng-tsn"))],
+     "entry xho-zul: no English-centric corpus serves eng-tsn"),
+])
+def test_validate_config_checks_the_plan_against_the_run(dataset, tmp_path,
+                                                         entries, needle):
+    """A plan needs one entry per new direction, no entry for another,
+    and a corpus for each old direction; `run` stops before any step."""
+    root, manifests = dataset
+    cfg = _plan_config(root, manifests, tmp_path, entries)
+    assert f"stage2.plan: {needle}" in validate_config(cfg)
+    run_dir = tmp_path / "never"
+    with pytest.raises(ConfigValidationError, match=needle):
+        run_pipeline(cfg, run_dir=run_dir)
+    assert not run_dir.exists()
 
 
 def test_validate_config_checks_dev_language_coverage(dataset, tmp_path):
@@ -480,7 +552,7 @@ def test_load_multiparallel_rejects_bad_checksum(dataset, tmp_path):
         (broken / f.name).write_bytes(f.read_bytes())
     text = (broken / "dev.eng").read_text()
     (broken / "dev.eng").write_text(text + "extra line\n", encoding="utf-8")
-    with pytest.raises(ConfigValidationError, match="checksum"):
+    with pytest.raises(InvalidConfig, match="checksum"):
         load_multiparallel(broken)
 
 

@@ -128,6 +128,34 @@ def test_hrl_lrl_overlap_rejected():
         VocabConfig(hrl_langs=frozenset({"eng"}), lrl_langs=frozenset({"eng"}))
 
 
+@pytest.mark.parametrize("field,value", [
+    ("hrl_langs", "eng"), ("lrl_langs", "zul"), ("special_tokens", "<unk>"),
+    ("hrl_langs", 5), ("lrl_langs", [["zul"]]),
+])
+def test_vocab_config_wants_a_list_of_strings(field, value):
+    """A string would otherwise become the set of its characters."""
+    with pytest.raises(errors.InvalidConfig, match=f"{field} must be a list"):
+        VocabConfig(**{field: value})
+
+
+def test_saved_vocabulary_with_a_string_language_set_is_rejected(tmp_path):
+    data = {"eng": ["ab ab"]}
+    path = train_bpe(data_of(data), config_for(data, 1)).save(
+        tmp_path / "v.json")
+    doc = json.loads(path.read_text())
+    doc["config"]["hrl_langs"] = "eng"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(errors.InvalidConfig, match="hrl_langs must be a list"):
+        load_vocabulary(path)
+
+
+def test_check_covers_names_the_uncovered_languages():
+    cfg = VocabConfig(hrl_langs=["eng"], lrl_langs=["afr"])
+    cfg.check_covers(["afr", "eng"])
+    with pytest.raises(errors.InvalidConfig, match=r"\['tsn', 'zul'\]"):
+        cfg.check_covers(["eng", "zul", "tsn"])
+
+
 # -- OBPE ---------------------------------------------------------------
 
 @pytest.mark.parametrize("seed", range(12))
@@ -196,6 +224,28 @@ def test_obpe_stops_when_all_scores_zero():
     data = {"eng": ["aa aa"], "zul": ["bb bb"]}
     vocab = train_obpe(data_of(data), config_for(data, 5, mean_exponent_p=-2.0))
     assert vocab.merges == ()
+
+
+@pytest.mark.parametrize("p", [-2.0, -0.5, 0.0, 0.5, 2.0])
+@pytest.mark.parametrize("seed", range(16))
+def test_obpe_matches_full_recount_oracle(seed, p):
+    """The incremental trainer gives the merge list of
+    `oracles.reference_obpe`, which recounts every pair at every step."""
+    data = oracles.random_sentences_by_lang(seed + 200)
+    budget = 5 + seed * 37 % 150
+    cfg = config_for(data, budget, mean_exponent_p=p)
+    assert list(train_obpe(data_of(data), cfg).merges) == \
+        oracles.reference_obpe(data, budget, p)
+
+
+@pytest.mark.parametrize("p", [-2.0, -0.5, 0.0, 0.5, 2.0])
+def test_obpe_matches_oracle_with_a_language_without_pairs(p):
+    """A language of one-character words has a pair total of 0 and so a
+    weight of 0."""
+    data = {**oracles.random_sentences_by_lang(7), "ssw": ["a b c a b"]}
+    cfg = config_for(data, 40, mean_exponent_p=p)
+    assert list(train_obpe(data_of(data), cfg).merges) == \
+        oracles.reference_obpe(data, 40, p)
 
 
 # -- encode / decode ----------------------------------------------------
