@@ -31,12 +31,7 @@ from .corpus import (
     write_artifact,
     write_json,
 )
-from .errors import (
-    MissingCorpus,
-    MissingTagToken,
-    NonEnglishCorpus,
-    PlanCoverage,
-)
+from .errors import MissingTagToken, NonEnglishCorpus, PlanCoverage
 from .vocab import Vocabulary
 
 
@@ -74,9 +69,10 @@ class MixtureSlice:
     direction: DirectionSpec
     indices: tuple[int, ...]
 
-    @property
-    def corpus_name(self) -> str:
-        return self.corpus.name
+    def read(self) -> BitextCorpus:
+        """The slice's pairs, read in its direction."""
+        return orient(self.corpus, self.direction.src, self.direction.tgt,
+                      self.indices)
 
     @property
     def count(self) -> int:
@@ -109,20 +105,27 @@ def _slice_seed(seed: int, label: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def _both_directions(corpus: BitextCorpus) -> tuple[DirectionSpec, ...]:
+    """The two old directions of an English-centric corpus, stored first."""
+    return (DirectionSpec(corpus.src_lang, corpus.tgt_lang, "old"),
+            DirectionSpec(corpus.tgt_lang, corpus.src_lang, "old"))
+
+
+def _without_english(corpora: Sequence[BitextCorpus]) -> list[str]:
+    return [f"{c.name} ({c.src_lang}-{c.tgt_lang}) has no English side; "
+            f"stage 1 is English-centric"
+            for c in corpora if "eng" not in c.languages()]
+
+
 def build_stage1_mixture(corpora: Sequence[BitextCorpus],
                          seed: int = 0) -> TrainingMixture:
     """Both directions of every English-centric corpus, nothing sampled."""
-    slices: list[MixtureSlice] = []
-    for corpus in corpora:
-        if "eng" not in corpus.languages():
-            raise NonEnglishCorpus(
-                f"{corpus.name} ({corpus.src_lang}-{corpus.tgt_lang}) has no "
-                f"English side; stage 1 is English-centric")
-        everything = tuple(range(len(corpus)))
-        for direction in (DirectionSpec(corpus.src_lang, corpus.tgt_lang, "old"),
-                          DirectionSpec(corpus.tgt_lang, corpus.src_lang, "old")):
-            slices.append(MixtureSlice(corpus, direction, everything))
-    return TrainingMixture("stage1", tuple(slices), seed)
+    problems = _without_english(corpora)
+    if problems:
+        raise NonEnglishCorpus("; ".join(problems))
+    return TrainingMixture("stage1", tuple(
+        MixtureSlice(corpus, direction, tuple(range(len(corpus))))
+        for corpus in corpora for direction in _both_directions(corpus)), seed)
 
 
 @dataclass(frozen=True)
@@ -197,16 +200,45 @@ def make_balance_plan(new_directions: Iterable[str | DirectionSpec]
     return BalancePlan(tuple(entries))
 
 
-def _find_corpus(corpora: Sequence[BitextCorpus], direction: DirectionSpec,
-                 kind: str) -> BitextCorpus:
-    found = [c for c in corpora if c.languages() == direction.languages]
-    if not found:
-        raise MissingCorpus(f"no {kind} corpus for {direction.label}")
-    if len(found) > 1:
-        raise MissingCorpus(
-            f"{len(found)} {kind} corpora for {direction.label}; "
-            f"concatenate them first")
-    return found[0]
+def stage2_problems(old: Sequence[BitextCorpus],
+                    new: Sequence[DirectionSpec],
+                    plan: BalancePlan | None) -> list[tuple[str, str]]:
+    """Why *old* corpora, *new* directions and *plan* (if given) cannot
+    make a stage-2 mixture, each problem as (what, message) with *what*
+    one of "old", "new" and "plan". Old corpora need an English side and
+    new directions none; no two old corpora and no two new directions
+    share a language pair; each new direction's language pair has
+    exactly one plan entry, no entry is off those pairs, and each entry's
+    old directions have a corpus. Directions match by language pair."""
+    problems = [("old", m) for m in _without_english(old)]
+    for what, named in (("old", [(c.languages(), c.name) for c in old]),
+                        ("new", [(d.languages, d.label) for d in new])):
+        by_pair: dict[frozenset[str], list[str]] = {}
+        for pair, name in named:
+            by_pair.setdefault(pair, []).append(name)
+        problems += [(what, f"{' and '.join(names)} share their languages; "
+                            f"each language pair may appear once")
+                     for names in by_pair.values() if len(names) > 1]
+    problems += [("new", f"{d.label} involves eng; new directions are the "
+                         f"non-English ones")
+                 for d in new if "eng" in d.languages]
+    if plan is None:
+        return problems
+    pairs = {d.languages: d for d in new}
+    served = {c.languages() for c in old}
+    for d in pairs.values():
+        n = sum(e.new.languages == d.languages for e in plan.entries)
+        if n != 1:
+            problems.append(("plan", f"{n} entries for new direction "
+                                     f"{d.label}, want exactly 1"))
+    for e in plan.entries:
+        if e.new.languages not in pairs:
+            problems.append(("plan", f"entry {e.new.label} serves no new "
+                                     f"direction of the run"))
+        problems += [("plan", f"entry {e.new.label}: no English-centric "
+                              f"corpus serves {o.label}")
+                     for o in e.old if o.languages not in served]
+    return problems
 
 
 def build_stage2_mixture(old: Sequence[BitextCorpus],
@@ -214,27 +246,21 @@ def build_stage2_mixture(old: Sequence[BitextCorpus],
                          plan: BalancePlan,
                          seed: int,
                          default_cap: int | None = None) -> TrainingMixture:
-    """Balanced stage-2 mixture per the plan. Every new corpus must be
-    covered by a plan entry; every matched old direction must have a
-    corpus. Sampling is per-slice seeded, so adding or removing one
-    entry never reshuffles the others."""
-    covered = {e.new.languages for e in plan.entries}
-    uncovered = [c.name for c in new if c.languages() not in covered]
-    if uncovered:
-        raise PlanCoverage(f"plan does not cover new corpora: {uncovered}")
-
-    new_sizes = []
-    for entry in plan.entries:
-        corpus = _find_corpus(new, entry.new, "new")
-        new_sizes.append(entry.n if entry.n is not None else len(corpus))
+    """Balanced stage-2 mixture per the plan; raises PlanCoverage with
+    every problem `stage2_problems` finds. Sampling is per-slice seeded,
+    so adding or removing one entry never reshuffles the others."""
+    problems = stage2_problems(
+        old, [DirectionSpec(c.src_lang, c.tgt_lang, "new") for c in new], plan)
+    if problems:
+        raise PlanCoverage("; ".join(m for _, m in problems))
+    by_pair = {c.languages(): c for c in (*old, *new)}
+    new_sizes = [e.n if e.n is not None else len(by_pair[e.new.languages])
+                 for e in plan.entries]
     cap = default_cap if default_cap is not None else (
         int(statistics.median(new_sizes)) if new_sizes else 0)
 
-    slices: list[MixtureSlice] = []
-    matched: set[str] = set()
-
-    def sampled_slice(corpus: BitextCorpus, direction: DirectionSpec,
-                      n: int) -> MixtureSlice:
+    def sampled_slice(direction: DirectionSpec, n: int) -> MixtureSlice:
+        corpus = by_pair[direction.languages]
         n = min(n, len(corpus))
         if n == len(corpus):
             indices = tuple(range(len(corpus)))
@@ -246,23 +272,12 @@ def build_stage2_mixture(old: Sequence[BitextCorpus],
                 np.sort(rng.choice(len(corpus), size=n, replace=False)))
         return MixtureSlice(corpus, direction, indices)
 
-    for entry, n in zip(plan.entries, new_sizes):
-        corpus = _find_corpus(new, entry.new, "new")
-        slices.append(sampled_slice(corpus, entry.new, n))
-        for old_dir in entry.old:
-            old_corpus = _find_corpus(old, old_dir, "old")
-            slices.append(sampled_slice(old_corpus, old_dir, n))
-            matched.add(old_dir.label)
-
-    leftovers = []
-    for corpus in old:
-        for direction in (DirectionSpec(corpus.src_lang, corpus.tgt_lang, "old"),
-                          DirectionSpec(corpus.tgt_lang, corpus.src_lang, "old")):
-            if direction.label not in matched:
-                leftovers.append((direction.label, corpus, direction))
-    for _, corpus, direction in sorted(leftovers, key=lambda x: x[0]):
-        slices.append(sampled_slice(corpus, direction, cap))
-
+    slices = [sampled_slice(d, n) for e, n in zip(plan.entries, new_sizes)
+              for d in (e.new, *e.old)]
+    matched = {d.label for e in plan.entries for d in e.old}
+    leftovers = sorted((d for c in old for d in _both_directions(c)
+                        if d.label not in matched), key=lambda d: d.label)
+    slices += [sampled_slice(d, cap) for d in leftovers]
     return TrainingMixture("stage2", tuple(slices), seed)
 
 
@@ -299,7 +314,7 @@ def export_mixture(mixture: TrainingMixture, vocab: Vocabulary,
                 raise MissingTagToken(f"vocabulary lacks {tag}")
         # A side always holds a word, so each row is the tag, a space
         # and the side's surface line.
-        pairs = orient(s.corpus, d.src, d.tgt, s.indices).pairs
+        pairs = s.read().pairs
         src_rows += [f"{src_tag} {line(p.src)}\n" for p in pairs]
         tgt_rows += [f"{tgt_tag} {line(p.tgt)}\n" for p in pairs]
 
@@ -319,7 +334,7 @@ def export_mixture(mixture: TrainingMixture, vocab: Vocabulary,
         "tgt_file": tgt_path.name,
         "directions": {k: counts[k] for k in sorted(counts)},
         "slices": [{
-            "corpus": s.corpus_name,
+            "corpus": s.corpus.name,
             "direction": s.direction.label,
             "role": s.direction.role,
             "count": s.count,

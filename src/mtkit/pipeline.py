@@ -47,6 +47,7 @@ from .dataset_builder import (
     export_mixture,
     make_balance_plan,
     parse_direction,
+    stage2_problems,
 )
 from .errors import ConfigValidationError, MTKitError, StepFailure
 from .metrics import EvalReport, evaluate_directions, score_candidates
@@ -174,39 +175,21 @@ class _Inputs:
 def _direction_problems(where: str, new: list[DirectionSpec],
                         corpora: list[BitextCorpus],
                         plan: BalancePlan | None) -> list[str]:
-    """Why stage 2 could not serve the run's *new* directions (from config
-    field *where*): two on one language pair, one with an English side or
-    a language no English-centric corpus in *corpora* has; a *plan* with
-    other than one entry per direction, an entry on no new direction's
-    language pair, or an old direction no corpus serves."""
+    """The run's own rules for its *new* directions (from config field
+    *where*): pivot synthesis needs an English-centric corpus in *corpora*
+    for each language of one, and stage2-retrain and final-eval read each
+    in its own direction, so its *plan* entry must have the same src and
+    tgt."""
     served = {c.languages() for c in corpora}
-    problems = []
-    first: dict[frozenset[str], DirectionSpec] = {}
-    for d in new:
-        other = first.setdefault(d.languages, d)
-        if other != d:
-            problems.append(f"{where}: {other.label} and {d.label} share "
-                            f"their languages; give one of them")
-        if "eng" in d.languages:
-            problems.append(f"{where}: {d.label} involves eng; new "
-                            f"directions are the non-English ones")
-            continue
-        problems += [f"{where}: {d.label} needs an English-centric corpus "
-                     f"for {lang}" for lang in (d.src, d.tgt)
-                     if frozenset(("eng", lang)) not in served]
-    for d in new if plan else ():
-        n = sum(e.new == d for e in plan.entries)
-        if n != 1:
-            problems.append(f"stage2.plan: {n} entries for new direction "
-                            f"{d.label}, want exactly 1")
-    for e in plan.entries if plan else ():
-        if e.new.languages not in first:
-            problems.append(f"stage2.plan: entry {e.new.label} serves no new "
-                            f"direction of the run")
-        problems += [f"stage2.plan: entry {e.new.label}: no English-centric "
-                     f"corpus serves {old.label}" for old in e.old
-                     if old.languages not in served]
-    return problems
+    problems = [f"{where}: {d.label} needs an English-centric corpus for "
+                f"{lang}" for d in new if "eng" not in d.languages
+                for lang in (d.src, d.tgt)
+                if frozenset(("eng", lang)) not in served]
+    return problems + [
+        f"stage2.plan: entry {e.new.label} is new direction {d.label} "
+        f"reversed; give it as {d.label}"
+        for d in new for e in (plan.entries if plan else ())
+        if e.new.languages == d.languages and e.new.label != d.label]
 
 
 def _load_inputs(cfg: dict, registry: Sequence[str] | None
@@ -260,17 +243,10 @@ def _load_inputs(cfg: dict, registry: Sequence[str] | None
                 problems.append(f"{key}: missing manifest {p}")
             else:
                 try:
-                    corpus = load_bitext(p, registry)
+                    loaded.append(load_bitext(p, registry))
                 except MTKitError as exc:
                     where = "" if p in str(exc) else f"{p}: "
                     problems.append(f"{key}: {where}{exc}")
-                    continue
-                loaded.append(corpus)
-                if key == "corpora" and "eng" not in corpus.languages():
-                    problems.append(
-                        f"corpora: {Path(p).name} is {corpus.src_lang}-"
-                        f"{corpus.tgt_lang}; stage-1 corpora need an English "
-                        f"side")
     languages = {lang for c in inputs.corpora + inputs.new_corpora
                  for lang in c.languages()}
 
@@ -325,6 +301,8 @@ def _load_inputs(cfg: dict, registry: Sequence[str] | None
                 except MTKitError as exc:
                     problems.append(f"backtranslation.models: {label}: {exc}")
 
+    new: list[DirectionSpec] = []
+    directions, where = [], "stage2.new_directions"
     if stage2 is not None:
         if not _is_positive_int(stage2["em_iterations"]):
             problems.append("stage2.em_iterations: must be a positive int")
@@ -340,7 +318,7 @@ def _load_inputs(cfg: dict, registry: Sequence[str] | None
                 inputs.plan = BalancePlan.load(plan)
             except MTKitError as exc:
                 problems.append(f"stage2.plan: {exc}")
-        directions, where = stage2["new_directions"], "stage2.new_directions"
+        directions = stage2["new_directions"]
         if directions is None:
             if not new_corpora:
                 problems.append(
@@ -351,10 +329,6 @@ def _load_inputs(cfg: dict, registry: Sequence[str] | None
         elif not isinstance(directions, list) or not directions:
             problems.append("stage2.new_directions: must be a non-empty list")
             directions = []
-        elif len(set(map(str, directions))) != len(directions):
-            problems.append(
-                "stage2.new_directions: each label may appear once")
-        new = []
         for label in directions:
             try:
                 d = parse_direction(str(label), "new")
@@ -367,12 +341,18 @@ def _load_inputs(cfg: dict, registry: Sequence[str] | None
             if not unknown:
                 new.append(d)
         inputs.new_labels = [d.label for d in new]
-        # only whole inputs, lest a corpus or label that failed counts twice
-        if (inputs.corpora and len(inputs.corpora) == len(corpora)
-                and len(inputs.new_corpora) == len(new_corpora)
-                and len(new) == len(directions)):
-            problems += _direction_problems(where, new, inputs.corpora,
-                                            inputs.plan)
+    # new directions and the plan only from whole inputs, lest a corpus or
+    # label that failed counts twice
+    whole = bool(inputs.corpora and len(inputs.corpora) == len(corpora)
+                 and len(inputs.new_corpora) == len(new_corpora)
+                 and len(new) == len(directions))
+    fields_of = {"old": "corpora", "new": where, "plan": "stage2.plan"}
+    problems += [f"{fields_of[what]}: {message}" for what, message in
+                 stage2_problems(inputs.corpora, new if whole else [],
+                                 inputs.plan if whole else None)]
+    if whole:
+        problems += _direction_problems(where, new, inputs.corpora,
+                                        inputs.plan)
 
     ev = section("eval")
     if ev is not None:
@@ -437,13 +417,6 @@ class _State:
     stage2_mixture: TrainingMixture | None = None
     stage2_models: dict[str, TranslatorModel] = field(default_factory=dict)
     summary: dict = field(default_factory=dict)
-
-    def old_labels(self) -> list[str]:
-        labels = []
-        for c in self.old_train:
-            labels += [f"{c.src_lang}-{c.tgt_lang}",
-                       f"{c.tgt_lang}-{c.src_lang}"]
-        return sorted(labels)
 
 
 class _Runner:
@@ -545,20 +518,19 @@ class _Runner:
         out = state.run_dir / "stage1"
         cand_dir = out / "candidates"
         outputs = []
-        for corpus in state.old_train:
-            for oriented in (corpus, orient(corpus, corpus.tgt_lang,
-                                            corpus.src_lang)):
-                label = f"{oriented.src_lang}-{oriented.tgt_lang}"
-                state.candidates[label] = []
-                for iters in cfg["stage1"]["em_iterations"]:
-                    lexicon = train_lexicon(oriented, iterations=iters)
-                    name = f"em{iters}"
-                    outputs.append(
-                        lexicon.save(cand_dir / f"{label}-{name}.json"))
-                    state.candidates[label].append(
-                        (LexiconTranslator(lexicon), name))
         mixture = build_stage1_mixture(state.old_train,
                                        seed=cfg["stage1"]["seed"])
+        for s in mixture.slices:
+            d = s.direction
+            oriented = orient(s.corpus, d.src, d.tgt)
+            state.candidates[d.label] = []
+            for iters in cfg["stage1"]["em_iterations"]:
+                lexicon = train_lexicon(oriented, iterations=iters)
+                name = f"em{iters}"
+                outputs.append(
+                    lexicon.save(cand_dir / f"{d.label}-{name}.json"))
+                state.candidates[d.label].append(
+                    (LexiconTranslator(lexicon), name))
         export = export_mixture(mixture, state.vocab, out / "mixture")
         outputs += [export.src_path, export.tgt_path, export.sidecar_path]
         return [], outputs
@@ -569,7 +541,7 @@ class _Runner:
         out = state.run_dir / "stage1"
         selection: dict[str, dict] = {}
         outputs = []
-        for label in state.old_labels():
+        for label in sorted(state.candidates):
             devset = dev_bitext(dev, *label.split("-"))
             candidates = state.candidates[label]
             scores = score_candidates(candidates, devset)
@@ -644,17 +616,12 @@ class _Runner:
         cfg, state = self.state.cfg, self.state
         out = state.run_dir / "stage2" / "lexicons"
         outputs = []
-        for label in state.inputs.new_labels:
-            src, tgt = label.split("-")
-            slices = [s for s in state.stage2_mixture.slices
-                      if s.direction.role == "new"
-                      and s.direction.label == label]
-            pairs = [p for s in slices
-                     for p in orient(s.corpus, src, tgt, s.indices).pairs]
-            corpus = BitextCorpus(name=f"{label}-balanced", src_lang=src,
-                                  tgt_lang=tgt, pairs=tuple(pairs))
+        for s in state.stage2_mixture.slices:
+            if s.direction.role != "new":
+                continue
+            label = s.direction.label
             lexicon = train_lexicon(
-                corpus, iterations=cfg["stage2"]["em_iterations"])
+                s.read(), iterations=cfg["stage2"]["em_iterations"])
             outputs.append(lexicon.save(out / f"{label}.json"))
             state.stage2_models[label] = LexiconTranslator(lexicon)
         return [], outputs
@@ -676,7 +643,7 @@ class _Runner:
              for label, model in state.stage2_models.items()},
             model_id="stage2")
         new = state.inputs.new_labels
-        labels = sorted(set(state.old_labels()) | set(new))
+        labels = sorted(set(state.candidates) | set(new))
         testsets = {label: dev_bitext(dev, *label.split("-"))
                     for label in labels}
         stage1 = evaluate_directions(stage1_system, list(testsets.values()),

@@ -285,9 +285,9 @@ def test_stage2_coverage_and_missing_corpus_errors():
     with pytest.raises(PlanCoverage):
         build_stage2_mixture(old, new + [pair_corpus(5, "st", "ssw", "tsn")],
                              plan, seed=0)
-    with pytest.raises(MissingCorpus):
+    with pytest.raises(PlanCoverage):
         build_stage2_mixture(old[:1], new, plan, seed=0)  # no eng-zul corpus
-    with pytest.raises(MissingCorpus):
+    with pytest.raises(PlanCoverage):
         build_stage2_mixture(old + [pair_corpus(4, "ez2", "eng", "zul")],
                              new, plan, seed=0)  # duplicated eng-zul
 

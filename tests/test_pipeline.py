@@ -252,7 +252,7 @@ def test_validate_config_accepts_a_plan_covering_the_run(dataset, tmp_path):
     ([("ssw-xho", ("ssw-eng", "eng-xho"))],
      "0 entries for new direction xho-zul, want exactly 1"),
     ([("zul-xho", ("zul-eng", "eng-xho"))],
-     "0 entries for new direction xho-zul, want exactly 1"),
+     "entry zul-xho is new direction xho-zul reversed; give it as xho-zul"),
     ([("xho-zul", ("xho-eng", "eng-zul"))] * 2,
      "2 entries for new direction xho-zul, want exactly 1"),
     ([("xho-zul", ("xho-eng", "eng-zul")),
