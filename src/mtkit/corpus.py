@@ -349,9 +349,7 @@ def write_bitext(corpus: BitextCorpus, out_dir: str | Path) -> Path:
         json.dumps(manifest, ensure_ascii=False, indent=2) + "\n")
 
 
-def load_multiparallel(dev_dir: str | Path,
-                       registry: Iterable[str] | None = None
-                       ) -> dict[str, list[str]]:
+def load_multiparallel(dev_dir: str | Path) -> dict[str, list[str]]:
     """Read an n-way parallel dev set: dev.json's `languages` lists known
     language codes, its `files` and `sha256` give a string for each, and
     `pair_count` is a non-negative integer. Each file is read as a corpus
@@ -365,7 +363,7 @@ def load_multiparallel(dev_dir: str | Path,
         raise InvalidConfig(f"{path}: languages must be a list of strings")
     try:
         for lang in langs:
-            validate_language(lang, registry)
+            validate_language(lang)
     except MTKitError as exc:
         raise InvalidConfig(f"{path}: languages: {exc}") from exc
     for key in ("files", "sha256"):

@@ -81,13 +81,12 @@ class NonEnglishCorpus(MTKitError):
 
 
 class PlanCoverage(MTKitError):
-    """A balance plan is malformed or does not cover every new-direction
-    corpus."""
+    """A balance plan is malformed, or it and the corpora cannot make a
+    stage-2 mixture."""
 
 
 class MissingCorpus(MTKitError):
-    """A direction has no corpus to serve it: none matches a plan entry,
-    or a corpus is read in a direction it does not hold."""
+    """A corpus is read in a direction it does not hold."""
 
 
 # -- translators / synthesis -------------------------------------------

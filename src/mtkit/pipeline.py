@@ -20,7 +20,6 @@ import json
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Sequence
 
 from .corpus import (
     DEFAULT_LANGUAGES,
@@ -56,6 +55,7 @@ from .translator import (
     LexiconTranslator,
     RoutingTranslator,
     TranslatorModel,
+    check_direction,
     load_translator,
     train_lexicon,
 )
@@ -186,19 +186,17 @@ def _direction_problems(where: str, new: list[DirectionSpec],
                 for lang in (d.src, d.tgt)
                 if frozenset(("eng", lang)) not in served]
     return problems + [
-        f"stage2.plan: entry {e.new.label} is new direction {d.label} "
-        f"reversed; give it as {d.label}"
+        f"stage2.plan: entry {e.new.label} reverses new direction "
+        f"{d.label}; give it as {d.label}"
         for d in new for e in (plan.entries if plan else ())
         if e.new.languages == d.languages and e.new.label != d.label]
 
 
-def _load_inputs(cfg: dict, registry: Sequence[str] | None
-                 ) -> tuple[_Inputs, list[str]]:
+def _load_inputs(cfg: dict) -> tuple[_Inputs, list[str]]:
     """Check *cfg*, its defaults applied, against the schema and load
     every input it names: corpora, the dev set, the balance plan and the
     back-translation models. Returns the inputs and one problem line per
     failure; the inputs are whole only when there is no problem."""
-    registry = tuple(registry) if registry is not None else DEFAULT_LANGUAGES
     inputs = _Inputs()
     problems: list[str] = []
 
@@ -243,7 +241,7 @@ def _load_inputs(cfg: dict, registry: Sequence[str] | None
                 problems.append(f"{key}: missing manifest {p}")
             else:
                 try:
-                    loaded.append(load_bitext(p, registry))
+                    loaded.append(load_bitext(p))
                 except MTKitError as exc:
                     where = "" if p in str(exc) else f"{p}: "
                     problems.append(f"{key}: {where}{exc}")
@@ -261,8 +259,16 @@ def _load_inputs(cfg: dict, registry: Sequence[str] | None
             problems.append(f"vocab: {exc}")
 
     split = cfg["validation_split"]
-    if not is_json_int(split) or split < 0:
+    split_ok = is_json_int(split) and split >= 0
+    if not split_ok:
         problems.append("validation_split: must be a non-negative integer")
+    for corpus in inputs.corpora:
+        if not corpus.pairs:
+            problems.append(f"corpora: {corpus.name} holds no pairs")
+        elif split_ok and split >= len(corpus):
+            problems.append(
+                f"validation_split: {split} takes all {len(corpus)} pairs of "
+                f"{corpus.name}, leaving none to train on")
 
     stage1, bt, stage2 = (section(key) for key in
                           ("stage1", "backtranslation", "stage2"))
@@ -291,15 +297,25 @@ def _load_inputs(cfg: dict, registry: Sequence[str] | None
         if not isinstance(models, dict):
             problems.append("backtranslation.models: must be an object")
             models = {}
+        # a model back-translates the corpus stored as its key
+        stored = {f"{c.src_lang}-{c.tgt_lang}": c for c in inputs.corpora}
         for label, spec in models.items():
+            corpus = stored.get(label)
             if not isinstance(spec, str):
                 problems.append(
                     f"backtranslation.models: {label}: spec must be a string")
-            elif spec not in ("internal", "none"):
-                try:
-                    inputs.models[label] = load_translator(spec)
-                except MTKitError as exc:
-                    problems.append(f"backtranslation.models: {label}: {exc}")
+                continue
+            if corpus is None and len(inputs.corpora) == len(corpora):
+                problems.append(f"backtranslation.models: {label}: no corpus "
+                                f"in corpora is stored as {label}")
+            if spec in ("internal", "none"):
+                continue
+            try:
+                inputs.models[label] = model = load_translator(spec)
+                if corpus is not None:
+                    check_direction(model, corpus.tgt_lang, corpus.src_lang)
+            except MTKitError as exc:
+                problems.append(f"backtranslation.models: {label}: {exc}")
 
     new: list[DirectionSpec] = []
     directions, where = [], "stage2.new_directions"
@@ -318,6 +334,10 @@ def _load_inputs(cfg: dict, registry: Sequence[str] | None
                 inputs.plan = BalancePlan.load(plan)
             except MTKitError as exc:
                 problems.append(f"stage2.plan: {exc}")
+            else:
+                problems += [f"stage2.plan: entry {e.new.label} has n 0, "
+                             f"leaving stage2-retrain no pairs for it"
+                             for e in inputs.plan.entries if e.n == 0]
         directions = stage2["new_directions"]
         if directions is None:
             if not new_corpora:
@@ -335,7 +355,8 @@ def _load_inputs(cfg: dict, registry: Sequence[str] | None
             except ValueError as exc:
                 problems.append(f"{where}: {exc}")
                 continue
-            unknown = [lang for lang in (d.src, d.tgt) if lang not in registry]
+            unknown = [lang for lang in (d.src, d.tgt)
+                       if lang not in DEFAULT_LANGUAGES]
             problems += [f"{where}: unknown language {lang!r} in {label}"
                          for lang in unknown]
             if not unknown:
@@ -360,7 +381,7 @@ def _load_inputs(cfg: dict, registry: Sequence[str] | None
             problems.append("eval.dev_dir: required path string")
         else:
             try:
-                inputs.dev = load_multiparallel(ev["dev_dir"], registry)
+                inputs.dev = load_multiparallel(ev["dev_dir"])
             except MTKitError as exc:
                 problems.append(f"eval.dev_dir: {exc}")
             else:
@@ -374,8 +395,7 @@ def _load_inputs(cfg: dict, registry: Sequence[str] | None
     return inputs, problems
 
 
-def validate_config(cfg: dict | str | Path,
-                    registry: Sequence[str] | None = None) -> list[str]:
+def validate_config(cfg: dict | str | Path) -> list[str]:
     """Schema and language-registry checks, and every input file the
     config names loaded as a run loads it. Returns a list of problems,
     empty when the config is usable. Writes nothing."""
@@ -383,7 +403,7 @@ def validate_config(cfg: dict | str | Path,
         cfg = load_config(cfg) if isinstance(cfg, (str, Path)) else cfg
     except ConfigValidationError as exc:
         return list(exc.problems)
-    return _load_inputs(_with_defaults(cfg), registry)[1]
+    return _load_inputs(_with_defaults(cfg))[1]
 
 
 # -- run machinery -------------------------------------------------------
@@ -679,8 +699,7 @@ class _Runner:
 
 
 def run_pipeline(config: dict | str | Path, threads: int = 1,
-                 run_dir: str | Path | None = None,
-                 registry: Sequence[str] | None = None) -> RunResult:
+                 run_dir: str | Path | None = None) -> RunResult:
     """Validate the config and load every input it names, then execute
     every step into the run directory (default: output_root/name, which
     must not already hold a previous run). Raises ConfigValidationError
@@ -691,7 +710,7 @@ def run_pipeline(config: dict | str | Path, threads: int = 1,
     config_source = Path(config) if isinstance(config, (str, Path)) else None
     cfg = _with_defaults(load_config(config) if config_source
                          else _resolve_paths(config, Path.cwd()))
-    inputs, problems = _load_inputs(cfg, registry)
+    inputs, problems = _load_inputs(cfg)
     if problems:
         raise ConfigValidationError(problems)
 

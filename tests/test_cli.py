@@ -17,10 +17,12 @@ from mtkit.corpus import (
     BitextCorpus,
     SentencePair,
     load_bitext,
+    orient,
     write_bitext,
     write_json,
 )
 from mtkit.metrics import bleu
+from mtkit.translator import train_lexicon
 from mtkit.toy import WORDS, render, word_transforms
 
 
@@ -641,6 +643,48 @@ def _exec_model(spec, message):
     return configure
 
 
+def _listed_twice(key, name):
+    def configure(root, work, cfg):
+        cfg[key].append(str(root / "train" / f"{name}.json"))
+        return f"{key}: {name} and {name} share their languages"
+    return configure
+
+
+def _stored_reversed(root, work, cfg):
+    corpus = load_bitext(root / "train" / "eng-xho.json")
+    flipped = BitextCorpus("xho-eng", "xho", "eng",
+                           orient(corpus, "xho", "eng").pairs)
+    cfg["corpora"].append(str(write_bitext(flipped, work)))
+    return "corpora: eng-xho and xho-eng share their languages"
+
+
+def _bt_lexicon(key, src, tgt, message):
+    """A back-translation model under *key*: a src->tgt lexicon trained
+    on eng-xho."""
+    def configure(root, work, cfg):
+        corpus = orient(load_bitext(root / "train" / "eng-xho.json"), src, tgt)
+        lexicon = train_lexicon(corpus, iterations=1).save(work / "lex.json")
+        cfg["backtranslation"] = {"models": {key: str(lexicon)}}
+        return f"backtranslation.models: {key}: {message}"
+    return configure
+
+
+def _corpus_without_pairs(root, work, cfg):
+    empty = BitextCorpus("eng-zul", "eng", "zul", ())
+    cfg["corpora"][1] = str(write_bitext(empty, work))
+    return "corpora: eng-zul holds no pairs"
+
+
+def _split_takes_everything(root, work, cfg):
+    cfg["validation_split"] = 60
+    return "validation_split: 60 takes all 60 pairs of eng-zul"
+
+
+def _plan_without_pairs(work):
+    return str(write_json(work / "plan.json", {"entries": [
+        {"new": "xho-zul", "old": ["xho-eng", "eng-zul"], "n": 0}]}))
+
+
 @pytest.mark.parametrize("breaks", [
     _corpus_text_edited, _dev_text_edited, _dev_line_added,
     _exec_model("exec:", "empty translator command"),
@@ -658,10 +702,23 @@ def _exec_model(spec, message):
          ": languages not covered by hrl/lrl sets: ['zul']"),
     _set("stage2", "new_direction", ["xho-zul"],
          ": unknown fields ['new_direction']"),
+    _listed_twice("corpora", "eng-xho"),
+    _stored_reversed,
+    _listed_twice("new_corpora", "xho-zul"),
+    _bt_lexicon("xho-eng", "xho", "eng",
+                "no corpus in corpora is stored as xho-eng"),
+    _bt_lexicon("eng-xho", "eng", "xho", "model does not support xho->eng"),
+    _corpus_without_pairs,
+    _split_takes_everything,
+    _set("stage2", "plan", _plan_without_pairs,
+         ".plan: entry xho-zul has n 0"),
 ], ids=["corpus-checksum", "dev-checksum", "dev-line-count", "exec-empty",
         "exec-unclosed", "dev-line-break", "direction-without-corpus",
         "plan-without-direction", "plan-old-unserved", "vocab-langs-string",
-        "vocab-langs-uncovered", "unknown-field"])
+        "vocab-langs-uncovered", "unknown-field", "corpus-listed-twice",
+        "corpus-stored-reversed", "new-corpus-listed-twice",
+        "bt-model-key-unstored", "bt-model-wrong-direction",
+        "corpus-without-pairs", "split-takes-everything", "plan-entry-without-pairs"])
 def test_bad_input_file_exits_2_before_any_step(data, tmp_path, capsys,
                                                 breaks):
     """`pipeline validate` and `pipeline run` load the same inputs, so they

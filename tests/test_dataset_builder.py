@@ -18,6 +18,7 @@ from mtkit.dataset_builder import (
     export_mixture,
     make_balance_plan,
     parse_direction,
+    stage2_problems,
 )
 from mtkit.errors import (
     MissingCorpus,
@@ -290,6 +291,47 @@ def test_stage2_coverage_and_missing_corpus_errors():
     with pytest.raises(PlanCoverage):
         build_stage2_mixture(old + [pair_corpus(4, "ez2", "eng", "zul")],
                              new, plan, seed=0)  # duplicated eng-zul
+
+
+def test_stage2_rejects_two_new_corpora_on_one_pair():
+    old, new, plan = stage2_fixture()
+    with pytest.raises(PlanCoverage, match="xho-zul and zul-xho share their "
+                                           "languages"):
+        build_stage2_mixture(old, new + [pair_corpus(4, "zx", "zul", "xho")],
+                             plan, seed=0)
+
+
+def test_stage2_rejects_two_plan_entries_for_one_new_corpus():
+    old, new, plan = stage2_fixture()
+    with pytest.raises(PlanCoverage, match="2 entries for new direction "
+                                           "xho-zul, want exactly 1"):
+        build_stage2_mixture(old, new, BalancePlan(plan.entries * 2), seed=0)
+
+
+def test_stage2_problems_names_what_each_is_about():
+    old, _, _ = stage2_fixture()
+    old += [pair_corpus(3, "xz", "xho", "zul"), pair_corpus(3, "ze", "zul",
+                                                             "eng")]
+    new = [parse_direction(label, "new")
+           for label in ("ssw-tsn", "tsn-ssw", "eng-ssw")]
+    plan = make_balance_plan(["ssw-tsn", "xho-ssw"])
+    assert stage2_problems(old, new, plan) == [
+        ("old", "xz (xho-zul) has no English side; stage 1 is "
+                "English-centric"),
+        ("old", "ez and ze share their languages; each language pair may "
+                "appear once"),
+        ("new", "ssw-tsn and tsn-ssw share their languages; each language "
+                "pair may appear once"),
+        ("new", "eng-ssw involves eng; new directions are the non-English "
+                "ones"),
+        ("plan", "0 entries for new direction eng-ssw, want exactly 1"),
+        ("plan", "entry ssw-tsn: no English-centric corpus serves ssw-eng"),
+        ("plan", "entry xho-ssw serves no new direction of the run"),
+        ("plan", "entry xho-ssw: no English-centric corpus serves eng-ssw"),
+    ]
+    # without a plan, only the corpora and the directions are checked
+    assert stage2_problems(old, new, None) == \
+        stage2_problems(old, new, plan)[:4]
 
 
 # -- export --------------------------------------------------------------

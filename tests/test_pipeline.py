@@ -8,10 +8,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtkit import pipeline
 from mtkit.cli import main
-from mtkit.corpus import BitextCorpus, SentencePair, write_bitext
+from mtkit.corpus import (
+    BitextCorpus,
+    SentencePair,
+    load_bitext,
+    orient,
+    write_bitext,
+)
 from mtkit.errors import ConfigValidationError, InvalidConfig, StepFailure
 from mtkit.pipeline import (
     STEPS,
@@ -22,6 +30,7 @@ from mtkit.pipeline import (
     validate_config,
 )
 from mtkit.toy import WORDS, new_direction_labels, render, word_transforms
+from mtkit.translator import train_lexicon
 
 LANGS = ("eng", "ssw", "xho", "zul")
 OLD_SIZES = {"xho": 120, "zul": 100, "ssw": 60}
@@ -252,7 +261,7 @@ def test_validate_config_accepts_a_plan_covering_the_run(dataset, tmp_path):
     ([("ssw-xho", ("ssw-eng", "eng-xho"))],
      "0 entries for new direction xho-zul, want exactly 1"),
     ([("zul-xho", ("zul-eng", "eng-xho"))],
-     "entry zul-xho is new direction xho-zul reversed; give it as xho-zul"),
+     "entry zul-xho reverses new direction xho-zul; give it as xho-zul"),
     ([("xho-zul", ("xho-eng", "eng-zul"))] * 2,
      "2 entries for new direction xho-zul, want exactly 1"),
     ([("xho-zul", ("xho-eng", "eng-zul")),
@@ -350,6 +359,125 @@ def test_load_config_resolves_relative_paths(dataset, tmp_path):
     assert loaded["corpora"][0] == str(manifests["eng-xho"])
     assert loaded["backtranslation"]["models"] == {
         **models, "xho-eng": str(root / "lex" / "xho-eng.json")}
+
+
+@pytest.fixture(scope="module")
+def variant_inputs(dataset, tmp_path_factory):
+    """Manifest paths by corpus name, with an xho-eng copy of eng-xho
+    among them, and an eng->xho and an xho->eng lexicon."""
+    root, manifests = dataset
+    work = tmp_path_factory.mktemp("variants")
+    eng_xho = load_bitext(manifests["eng-xho"])
+    flipped = BitextCorpus("xho-eng", "xho", "eng",
+                           orient(eng_xho, "xho", "eng").pairs)
+    paths = {**manifests, "xho-eng": write_bitext(flipped, work)}
+    lexicons = {f"{s}-{t}": train_lexicon(orient(eng_xho, s, t), 1).save(
+        work / f"{s}-{t}.lexicon.json") for s, t in (("eng", "xho"),
+                                                     ("xho", "eng"))}
+    return paths, lexicons
+
+
+_LANGS = ("ssw", "xho", "zul")
+_NON_ENGLISH = [f"{a}-{b}" for a in _LANGS for b in _LANGS if a != b]
+# the lexicon that back-translates the corpus stored as the key
+_BT_LEXICON = {"eng-xho": "xho-eng", "xho-eng": "eng-xho"}
+_FAULTS = ("corpus repeated", "corpus reversed", "corpus dropped",
+           "new corpus repeated", "any new direction", "plan entry reversed",
+           "plan entry without pairs", "split takes everything",
+           "any model key")
+
+
+@st.composite
+def _variant(draw):
+    """Overrides of `make_config`, by name: a valid variation (corpus
+    subsets, either orientation of eng-xho, new directions among the
+    corpora's languages or from new_corpora, a plan with n absent or 3,
+    a split of 0 or 10, models keyed by a corpus), then up to two faults
+    validation must catch."""
+    langs = sorted(draw(st.sets(st.sampled_from(_LANGS), min_size=2)))
+    corpora = ["xho-eng" if lang == "xho" and draw(st.booleans())
+               else f"eng-{lang}" for lang in langs]
+    directions = draw(st.lists(
+        st.sampled_from([d for d in _NON_ENGLISH
+                         if set(d.split("-")) <= set(langs)]),
+        min_size=1, max_size=2, unique_by=lambda d: frozenset(d.split("-"))))
+    new_corpora = (["xho-zul"] if {"xho", "zul"} <= set(langs)
+                   and draw(st.booleans()) else [])
+    if new_corpora and draw(st.booleans()):
+        directions = None  # the run's directions come from new_corpora
+    plan = draw(st.none() | st.just(
+        [(d, draw(st.sampled_from([None, 3])))
+         for d in directions or ["xho-zul"]]))
+    split = draw(st.sampled_from([0, 10]))
+    models = {key: draw(st.sampled_from(["internal", "none"] + (
+        [_BT_LEXICON[key]] if key in _BT_LEXICON else [])))
+        for key in draw(st.sets(st.sampled_from(corpora), max_size=2))}
+    for fault in draw(st.lists(st.sampled_from(_FAULTS), max_size=2)):
+        if fault == "corpus repeated":
+            corpora.append(draw(st.sampled_from(corpora)))
+        elif fault == "corpus reversed":
+            corpora.append("eng-xho" if "xho-eng" in corpora else "xho-eng")
+        elif fault == "corpus dropped":
+            corpora.remove(draw(st.sampled_from(corpora)))
+        elif fault == "new corpus repeated":
+            new_corpora = ["xho-zul", "xho-zul"]
+        elif fault == "any new direction":
+            directions = draw(st.lists(st.sampled_from(_NON_ENGLISH),
+                                       min_size=1, max_size=2))
+        elif fault.startswith("plan entry"):
+            plan = plan or [(d, None) for d in directions or ["xho-zul"]]
+            d, n = plan[0]
+            plan[0] = ((d, 0) if fault.endswith("pairs")
+                       else ("-".join(reversed(d.split("-"))), n))
+        elif fault == "split takes everything":
+            split = draw(st.sampled_from([60, 200]))
+        else:
+            models[draw(st.sampled_from(["eng-xho", "xho-eng", "eng-zul"]))] \
+                = draw(st.sampled_from(["internal", "eng-xho", "xho-eng"]))
+    return {"corpora": corpora, "new_corpora": new_corpora,
+            "new_directions": directions, "plan": plan,
+            "validation_split": split, "models": models}
+
+
+@settings(max_examples=50, deadline=None)
+@given(_variant())
+def test_validate_and_run_agree(dataset, variant_inputs, tmp_path_factory,
+                                variant):
+    """`validate_config` finds no problem exactly when `run_pipeline`
+    finishes; otherwise the run raises the same problems before it makes
+    a run directory."""
+    root, manifests = dataset
+    paths, lexicons = variant_inputs
+    work = tmp_path_factory.mktemp("variant")
+    stage2 = {"em_iterations": 2}
+    if variant["new_directions"] is not None:
+        stage2["new_directions"] = variant["new_directions"]
+    if variant["plan"] is not None:
+        stage2["plan"] = str(work / "plan.json")
+        (work / "plan.json").write_text(json.dumps({"entries": [
+            {"new": new, "old": [f"{new[:3]}-eng", f"eng-{new[4:]}"],
+             **({} if n is None else {"n": n})}
+            for new, n in variant["plan"]]}), encoding="utf-8")
+    cfg = make_config(
+        root, manifests,
+        corpora=[str(paths[name]) for name in variant["corpora"]],
+        new_corpora=[str(paths[name]) for name in variant["new_corpora"]],
+        validation_split=variant["validation_split"],
+        vocab={"vocab_size": 100},
+        stage1={"em_iterations": [2]},
+        stage2=stage2,
+        backtranslation={"models": {
+            key: spec if spec in ("internal", "none") else str(lexicons[spec])
+            for key, spec in variant["models"].items()}})
+    problems = validate_config(cfg)
+    run_dir = work / "run"
+    try:
+        run_pipeline(cfg, run_dir=run_dir)
+    except ConfigValidationError as exc:
+        assert exc.problems == problems != []
+        assert not run_dir.exists()
+    else:
+        assert problems == []
 
 
 def test_run_rejects_bad_config_without_side_effects(dataset, tmp_path):
