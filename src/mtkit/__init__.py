@@ -12,12 +12,14 @@ from .corpus import (
     DEFAULT_LANGUAGES,
     BitextCorpus,
     CorpusStats,
+    DirectionSpec,
     Provenance,
     SentencePair,
     concat_corpora,
     corpus_stats,
     load_bitext,
     load_multiparallel,
+    parse_direction,
     split_validation,
     write_bitext,
 )
@@ -54,14 +56,12 @@ from .translator import (
 from .synthesis import backtranslate, pivot_synthesize
 from .dataset_builder import (
     BalancePlan,
-    DirectionSpec,
     PlanEntry,
     TrainingMixture,
     build_stage1_mixture,
     build_stage2_mixture,
     export_mixture,
     make_balance_plan,
-    parse_direction,
 )
 from .metrics import (
     BleuConfig,

@@ -76,7 +76,7 @@ def cmd_corpus_validate(args) -> int:
     for path in args.manifests:
         corpus = load_bitext(path)
         print(f"ok {corpus.name}: {len(corpus.pairs)} pairs "
-              f"{corpus.src_lang}-{corpus.tgt_lang}")
+              f"{corpus.direction.label}")
     return 0
 
 
@@ -154,8 +154,7 @@ def cmd_mixture(args) -> int:
         old = [c for c in corpora if "eng" in c.languages()]
         new = [c for c in corpora if "eng" not in c.languages()]
         plan = (BalancePlan.load(args.plan) if args.plan
-                else make_balance_plan(
-                    [f"{c.src_lang}-{c.tgt_lang}" for c in new]))
+                else make_balance_plan([c.direction for c in new]))
         mixture = build_stage2_mixture(old, new, plan, seed=args.seed,
                                        default_cap=args.cap)
     export = export_mixture(mixture, vocab, args.out)

@@ -15,6 +15,7 @@ import operator
 import os
 import re
 import unicodedata
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Literal, Sequence
@@ -74,6 +75,44 @@ class Provenance:
 
 
 REAL = Provenance("real")
+
+
+class DirectionSpec(namedtuple("DirectionSpec", "src tgt")):
+    """A translation direction src->tgt. It compares and hashes as the
+    (src, tgt) tuple, so it keys `RoutingTranslator` routes as it is, and
+    with 3-letter codes tuple order is label order."""
+
+    __slots__ = ()
+
+    def __new__(cls, src: str, tgt: str) -> "DirectionSpec":
+        if src == tgt:
+            raise ValueError(f"direction {src}->{tgt}")
+        return super().__new__(cls, src, tgt)
+
+    @property
+    def label(self) -> str:
+        """The direction as 'src-tgt', the form configs and files use."""
+        return f"{self.src}-{self.tgt}"
+
+    @property
+    def languages(self) -> frozenset[str]:
+        return frozenset(self)
+
+    @property
+    def role(self) -> str:
+        """"old" if English-centric (trained in stage 1), else "new"."""
+        return "old" if "eng" in self else "new"
+
+    def reversed(self) -> "DirectionSpec":
+        return DirectionSpec(self.tgt, self.src)
+
+
+def parse_direction(label: str) -> DirectionSpec:
+    """The direction a 'src-tgt' *label* names; ValueError otherwise."""
+    parts = label.split("-")
+    if len(parts) != 2:
+        raise ValueError(f"direction label {label!r}, want 'src-tgt'")
+    return DirectionSpec(*parts)
 
 
 def _checked_line(text: str, what: str = "line") -> str:
@@ -138,13 +177,10 @@ class BitextCorpus:
     def languages(self) -> frozenset[str]:
         return frozenset((self.src_lang, self.tgt_lang))
 
-    def side(self, lang: str) -> list[str]:
-        """Sentences of the given side, whichever orientation holds it."""
-        if lang == self.src_lang:
-            return self.src_sentences
-        if lang == self.tgt_lang:
-            return self.tgt_sentences
-        raise KeyError(f"{self.name} has no {lang} side")
+    @property
+    def direction(self) -> DirectionSpec:
+        """The direction the corpus is stored in."""
+        return DirectionSpec(self.src_lang, self.tgt_lang)
 
 
 def orient(corpus: BitextCorpus, src: str, tgt: str,
@@ -153,12 +189,12 @@ def orient(corpus: BitextCorpus, src: str, tgt: str,
     default), with pairs and provenance swapped side for side when the
     corpus stores tgt->src. Only the pairs read are flipped. Raises
     MissingCorpus when the corpus holds neither orientation."""
-    if (corpus.src_lang, corpus.tgt_lang) == (src, tgt):
+    if corpus.direction == (src, tgt):
         flip = False
-    elif (corpus.tgt_lang, corpus.src_lang) == (src, tgt):
+    elif corpus.direction == (tgt, src):
         flip = True
     else:
-        raise MissingCorpus(f"{corpus.name} cannot serve {src}-{tgt}")
+        raise MissingCorpus(f"{corpus.name} cannot serve {src}->{tgt}")
     pairs = corpus.pairs if indices is None else tuple(
         corpus.pairs[i] for i in indices)
     if not flip:
@@ -394,8 +430,8 @@ def load_multiparallel(dev_dir: str | Path) -> dict[str, list[str]]:
 
 def dev_bitext(dev: dict[str, list[str]], src: str, tgt: str) -> BitextCorpus:
     return BitextCorpus(
-        name=f"dev-{src}-{tgt}", src_lang=src, tgt_lang=tgt,
-        pairs=tuple(SentencePair(a, b) for a, b in zip(dev[src], dev[tgt])))
+        f"dev-{DirectionSpec(src, tgt).label}", src, tgt,
+        tuple(SentencePair(a, b) for a, b in zip(dev[src], dev[tgt])))
 
 
 def split_validation(corpus: BitextCorpus, n: int = 3000
@@ -408,15 +444,8 @@ def split_validation(corpus: BitextCorpus, n: int = 3000
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     head, tail = corpus.pairs[:n], corpus.pairs[n:]
-    mk = lambda suffix, pairs: BitextCorpus(
-        name=f"{corpus.name}-{suffix}",
-        src_lang=corpus.src_lang,
-        tgt_lang=corpus.tgt_lang,
-        pairs=pairs,
-        src_provenance=corpus.src_provenance,
-        tgt_provenance=corpus.tgt_provenance,
-    )
-    return mk("valid", head), mk("train", tail)
+    return (replace(corpus, name=f"{corpus.name}-valid", pairs=head),
+            replace(corpus, name=f"{corpus.name}-train", pairs=tail))
 
 
 @dataclass(frozen=True)
@@ -458,10 +487,10 @@ def concat_corpora(name: str, corpora: Sequence[BitextCorpus]) -> BitextCorpus:
         raise ValueError("nothing to concatenate")
     first = corpora[0]
     for c in corpora[1:]:
-        if (c.src_lang, c.tgt_lang) != (first.src_lang, first.tgt_lang):
+        if c.direction != first.direction:
             raise BadManifest(
-                f"cannot concatenate {c.name}: {c.src_lang}-{c.tgt_lang} vs "
-                f"{first.src_lang}-{first.tgt_lang}")
+                f"cannot concatenate {c.name}: {c.direction.label} vs "
+                f"{first.direction.label}")
     pairs = tuple(p for c in corpora for p in c.pairs)
 
     def merge_side(provs: list[Provenance]) -> Provenance:

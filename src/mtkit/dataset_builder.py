@@ -25,42 +25,16 @@ import numpy as np
 
 from .corpus import (
     BitextCorpus,
+    DirectionSpec,
     is_json_int,
     orient,
+    parse_direction,
     read_json,
     write_artifact,
     write_json,
 )
 from .errors import MissingTagToken, NonEnglishCorpus, PlanCoverage
 from .vocab import Vocabulary
-
-
-@dataclass(frozen=True)
-class DirectionSpec:
-    src: str
-    tgt: str
-    role: str  # "old" (English-centric stage-1) or "new" (added in stage 2)
-
-    def __post_init__(self) -> None:
-        if self.role not in ("old", "new"):
-            raise ValueError(f"role {self.role!r}")
-        if self.src == self.tgt:
-            raise ValueError(f"direction {self.src}->{self.tgt}")
-
-    @property
-    def label(self) -> str:
-        return f"{self.src}-{self.tgt}"
-
-    @property
-    def languages(self) -> frozenset[str]:
-        return frozenset((self.src, self.tgt))
-
-
-def parse_direction(label: str, role: str) -> DirectionSpec:
-    parts = label.split("-")
-    if len(parts) != 2:
-        raise ValueError(f"direction label {label!r}, want 'src-tgt'")
-    return DirectionSpec(parts[0], parts[1], role)
 
 
 @dataclass(frozen=True)
@@ -71,8 +45,7 @@ class MixtureSlice:
 
     def read(self) -> BitextCorpus:
         """The slice's pairs, read in its direction."""
-        return orient(self.corpus, self.direction.src, self.direction.tgt,
-                      self.indices)
+        return orient(self.corpus, *self.direction, self.indices)
 
     @property
     def count(self) -> int:
@@ -107,12 +80,11 @@ def _slice_seed(seed: int, label: str) -> int:
 
 def _both_directions(corpus: BitextCorpus) -> tuple[DirectionSpec, ...]:
     """The two old directions of an English-centric corpus, stored first."""
-    return (DirectionSpec(corpus.src_lang, corpus.tgt_lang, "old"),
-            DirectionSpec(corpus.tgt_lang, corpus.src_lang, "old"))
+    return corpus.direction, corpus.direction.reversed()
 
 
 def _without_english(corpora: Sequence[BitextCorpus]) -> list[str]:
-    return [f"{c.name} ({c.src_lang}-{c.tgt_lang}) has no English side; "
+    return [f"{c.name} ({c.direction.label}) has no English side; "
             f"stage 1 is English-centric"
             for c in corpora if "eng" not in c.languages()]
 
@@ -166,9 +138,8 @@ class BalancePlan:
                 raise PlanCoverage(
                     f"entries[{i}]: n must be a non-negative int, got {n!r}")
             entries.append(PlanEntry(
-                new=parse_direction(new, "new"),
-                old=(parse_direction(old[0], "old"),
-                     parse_direction(old[1], "old")),
+                new=parse_direction(new),
+                old=(parse_direction(old[0]), parse_direction(old[1])),
                 n=n,
             ))
         return cls(tuple(entries))
@@ -191,11 +162,11 @@ def make_balance_plan(new_directions: Iterable[str | DirectionSpec]
     keeps seeing X input) and eng->Y (the decoder keeps emitting Y)."""
     entries = []
     for d in new_directions:
-        spec = parse_direction(d, "new") if isinstance(d, str) else d
+        spec = parse_direction(d) if isinstance(d, str) else d
         entries.append(PlanEntry(
             new=spec,
-            old=(DirectionSpec(spec.src, "eng", "old"),
-                 DirectionSpec("eng", spec.tgt, "old")),
+            old=(DirectionSpec(spec.src, "eng"),
+                 DirectionSpec("eng", spec.tgt)),
         ))
     return BalancePlan(tuple(entries))
 
@@ -249,8 +220,7 @@ def build_stage2_mixture(old: Sequence[BitextCorpus],
     """Balanced stage-2 mixture per the plan; raises PlanCoverage with
     every problem `stage2_problems` finds. Sampling is per-slice seeded,
     so adding or removing one entry never reshuffles the others."""
-    problems = stage2_problems(
-        old, [DirectionSpec(c.src_lang, c.tgt_lang, "new") for c in new], plan)
+    problems = stage2_problems(old, [c.direction for c in new], plan)
     if problems:
         raise PlanCoverage("; ".join(m for _, m in problems))
     by_pair = {c.languages(): c for c in (*old, *new)}
@@ -274,9 +244,9 @@ def build_stage2_mixture(old: Sequence[BitextCorpus],
 
     slices = [sampled_slice(d, n) for e, n in zip(plan.entries, new_sizes)
               for d in (e.new, *e.old)]
-    matched = {d.label for e in plan.entries for d in e.old}
-    leftovers = sorted((d for c in old for d in _both_directions(c)
-                        if d.label not in matched), key=lambda d: d.label)
+    matched = {d for e in plan.entries for d in e.old}
+    leftovers = sorted(d for c in old for d in _both_directions(c)
+                       if d not in matched)
     slices += [sampled_slice(d, cap) for d in leftovers]
     return TrainingMixture("stage2", tuple(slices), seed)
 

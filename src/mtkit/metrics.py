@@ -289,7 +289,7 @@ def evaluate_directions(model: TranslatorModel,
                                      corpus.src_lang, corpus.tgt_lang)
         refs = corpus.tgt_sentences
         rows.append(EvalRow(
-            direction=f"{corpus.src_lang}-{corpus.tgt_lang}",
+            direction=corpus.direction.label,
             pair_count=len(corpus),
             bleu=bleu(hyps, refs, bleu_config),
             spbleu=spbleu(hyps, refs, vocab, bleu_config),

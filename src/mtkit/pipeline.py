@@ -24,12 +24,14 @@ from pathlib import Path
 from .corpus import (
     DEFAULT_LANGUAGES,
     BitextCorpus,
+    DirectionSpec,
     concat_corpora,
     dev_bitext,
     is_json_int,
     load_bitext,
     load_multiparallel,
     orient,
+    parse_direction,
     read_json,
     sha256_hex,
     split_validation,
@@ -39,13 +41,11 @@ from .corpus import (
 )
 from .dataset_builder import (
     BalancePlan,
-    DirectionSpec,
     TrainingMixture,
     build_stage1_mixture,
     build_stage2_mixture,
     export_mixture,
     make_balance_plan,
-    parse_direction,
     stage2_problems,
 )
 from .errors import ConfigValidationError, MTKitError, StepFailure
@@ -162,14 +162,14 @@ def _is_positive_int(value: object) -> bool:
 @dataclass
 class _Inputs:
     """Every input a config names, each loaded by its format's own loader,
-    and the VocabConfig and new direction labels the config gives."""
+    and the VocabConfig and new directions the config gives."""
     corpora: list[BitextCorpus] = field(default_factory=list)
     new_corpora: list[BitextCorpus] = field(default_factory=list)
     dev: dict[str, list[str]] = field(default_factory=dict)
     plan: BalancePlan | None = None
     models: dict[str, TranslatorModel] = field(default_factory=dict)
     vocab: VocabConfig | None = None
-    new_labels: list[str] = field(default_factory=list)
+    new: list[DirectionSpec] = field(default_factory=list)
 
 
 def _direction_problems(where: str, new: list[DirectionSpec],
@@ -189,7 +189,7 @@ def _direction_problems(where: str, new: list[DirectionSpec],
         f"stage2.plan: entry {e.new.label} reverses new direction "
         f"{d.label}; give it as {d.label}"
         for d in new for e in (plan.entries if plan else ())
-        if e.new.languages == d.languages and e.new.label != d.label]
+        if e.new.languages == d.languages and e.new != d]
 
 
 def _load_inputs(cfg: dict) -> tuple[_Inputs, list[str]]:
@@ -298,7 +298,7 @@ def _load_inputs(cfg: dict) -> tuple[_Inputs, list[str]]:
             problems.append("backtranslation.models: must be an object")
             models = {}
         # a model back-translates the corpus stored as its key
-        stored = {f"{c.src_lang}-{c.tgt_lang}": c for c in inputs.corpora}
+        stored = {c.direction.label: c for c in inputs.corpora}
         for label, spec in models.items():
             corpus = stored.get(label)
             if not isinstance(spec, str):
@@ -344,24 +344,25 @@ def _load_inputs(cfg: dict) -> tuple[_Inputs, list[str]]:
                 problems.append(
                     "stage2: the run needs at least one new direction; give "
                     "new_corpora or stage2.new_directions")
-            directions, where = [f"{c.src_lang}-{c.tgt_lang}"
-                                 for c in inputs.new_corpora], "new_corpora"
+            # load_bitext has checked these corpora's languages
+            new = [c.direction for c in inputs.new_corpora]
+            directions, where = new, "new_corpora"
         elif not isinstance(directions, list) or not directions:
             problems.append("stage2.new_directions: must be a non-empty list")
             directions = []
-        for label in directions:
-            try:
-                d = parse_direction(str(label), "new")
-            except ValueError as exc:
-                problems.append(f"{where}: {exc}")
-                continue
-            unknown = [lang for lang in (d.src, d.tgt)
-                       if lang not in DEFAULT_LANGUAGES]
-            problems += [f"{where}: unknown language {lang!r} in {label}"
-                         for lang in unknown]
-            if not unknown:
-                new.append(d)
-        inputs.new_labels = [d.label for d in new]
+        else:
+            for label in directions:
+                try:
+                    d = parse_direction(str(label))
+                except ValueError as exc:
+                    problems.append(f"{where}: {exc}")
+                    continue
+                unknown = [lang for lang in d if lang not in DEFAULT_LANGUAGES]
+                problems += [f"{where}: unknown language {lang!r} in {label}"
+                             for lang in unknown]
+                if not unknown:
+                    new.append(d)
+        inputs.new = new
     # new directions and the plan only from whole inputs, lest a corpus or
     # label that failed counts twice
     whole = bool(inputs.corpora and len(inputs.corpora) == len(corpora)
@@ -429,13 +430,15 @@ class _State:
     vocab_bpe: Vocabulary | None = None
     vocab_obpe: Vocabulary | None = None
     vocab: Vocabulary | None = None
-    candidates: dict[str, list[tuple[TranslatorModel, str]]] = \
+    candidates: dict[DirectionSpec, list[tuple[TranslatorModel, str]]] = \
         field(default_factory=dict)
-    selected: dict[str, TranslatorModel] = field(default_factory=dict)
+    selected: dict[DirectionSpec, TranslatorModel] = \
+        field(default_factory=dict)
     old_pool: list[BitextCorpus] = field(default_factory=list)
-    new_pool: dict[str, BitextCorpus] = field(default_factory=dict)
+    new_pool: list[BitextCorpus] = field(default_factory=list)
     stage2_mixture: TrainingMixture | None = None
-    stage2_models: dict[str, TranslatorModel] = field(default_factory=dict)
+    stage2_models: dict[DirectionSpec, TranslatorModel] = \
+        field(default_factory=dict)
     summary: dict = field(default_factory=dict)
 
 
@@ -543,13 +546,13 @@ class _Runner:
         for s in mixture.slices:
             d = s.direction
             oriented = orient(s.corpus, d.src, d.tgt)
-            state.candidates[d.label] = []
+            state.candidates[d] = []
             for iters in cfg["stage1"]["em_iterations"]:
                 lexicon = train_lexicon(oriented, iterations=iters)
                 name = f"em{iters}"
                 outputs.append(
                     lexicon.save(cand_dir / f"{d.label}-{name}.json"))
-                state.candidates[d.label].append(
+                state.candidates[d].append(
                     (LexiconTranslator(lexicon), name))
         export = export_mixture(mixture, state.vocab, out / "mixture")
         outputs += [export.src_path, export.tgt_path, export.sidecar_path]
@@ -561,9 +564,10 @@ class _Runner:
         out = state.run_dir / "stage1"
         selection: dict[str, dict] = {}
         outputs = []
-        for label in sorted(state.candidates):
-            devset = dev_bitext(dev, *label.split("-"))
-            candidates = state.candidates[label]
+        for d in sorted(state.candidates):
+            label = d.label
+            devset = dev_bitext(dev, d.src, d.tgt)
+            candidates = state.candidates[d]
             scores = score_candidates(candidates, devset)
             best = scores.index(max(scores))
             model, chosen = candidates[best]
@@ -571,7 +575,7 @@ class _Runner:
                 "chosen": chosen,
                 "dev_bleu": {name: round(score, 4) for (_, name), score
                              in zip(candidates, scores)}}
-            state.selected[label] = model
+            state.selected[d] = model
             # the candidate file already holds this lexicon's bytes
             outputs.append(write_artifact(
                 out / "lexicons" / f"{label}.json",
@@ -585,14 +589,13 @@ class _Runner:
         out = state.run_dir / "synth" / "bt"
         outputs = []
         for corpus in state.old_train:
-            label = f"{corpus.src_lang}-{corpus.tgt_lang}"
+            label = corpus.direction.label
             spec = bt_cfg["models"].get(label, bt_cfg["default"])
             if spec == "none":
                 state.old_pool.append(corpus)
                 continue
-            reverse_label = f"{corpus.tgt_lang}-{corpus.src_lang}"
-            model = (state.selected[reverse_label] if spec == "internal"
-                     else state.inputs.models[label])
+            model = (state.selected[corpus.direction.reversed()]
+                     if spec == "internal" else state.inputs.models[label])
             synthetic = backtranslate(corpus, model,
                                       batch_size=bt_cfg["batch_size"])
             outputs.append(write_bitext(synthetic, out))
@@ -607,24 +610,23 @@ class _Runner:
         by_pair = {c.languages(): c for c in state.inputs.new_corpora}
         eng_train = {({c.src_lang, c.tgt_lang} - {"eng"}).pop(): c
                      for c in state.old_train}
-        for label in state.inputs.new_labels:
-            src, tgt = label.split("-")
-            base = eng_train[tgt]
-            model = state.selected[f"eng-{src}"]
-            synthetic = pivot_synthesize(base, model, pivot_to=src)
+        for d in state.inputs.new:
+            base = eng_train[d.tgt]
+            model = state.selected[DirectionSpec("eng", d.src)]
+            synthetic = pivot_synthesize(base, model, pivot_to=d.src)
             outputs.append(write_bitext(synthetic, out))
-            real = by_pair.get(frozenset((src, tgt)))
-            parts = ([orient(real, src, tgt)] if real else []) + [synthetic]
-            state.new_pool[label] = concat_corpora(f"{label}-all", parts)
+            real = by_pair.get(d.languages)
+            parts = ([orient(real, *d)] if real else []) + [synthetic]
+            state.new_pool.append(concat_corpora(f"{d.label}-all", parts))
         return [], outputs
 
     def step_stage2_balance(self):
         cfg, state = self.state.cfg, self.state
         out = state.run_dir / "stage2"
-        plan = state.inputs.plan or make_balance_plan(state.inputs.new_labels)
+        plan = state.inputs.plan or make_balance_plan(state.inputs.new)
         plan_path = plan.save(out / "plan.json")
         mixture = build_stage2_mixture(
-            state.old_pool, list(state.new_pool.values()), plan,
+            state.old_pool, state.new_pool, plan,
             seed=cfg["stage2"]["seed"],
             default_cap=cfg["stage2"]["default_cap"])
         state.stage2_mixture = mixture
@@ -639,11 +641,10 @@ class _Runner:
         for s in state.stage2_mixture.slices:
             if s.direction.role != "new":
                 continue
-            label = s.direction.label
             lexicon = train_lexicon(
                 s.read(), iterations=cfg["stage2"]["em_iterations"])
-            outputs.append(lexicon.save(out / f"{label}.json"))
-            state.stage2_models[label] = LexiconTranslator(lexicon)
+            outputs.append(lexicon.save(out / f"{s.direction.label}.json"))
+            state.stage2_models[s.direction] = LexiconTranslator(lexicon)
         return [], outputs
 
     def step_final_eval(self):
@@ -655,26 +656,20 @@ class _Runner:
         dev = state.inputs.dev
         out = state.run_dir / "eval"
         stage1_system = RoutingTranslator(
-            {tuple(label.split("-")): model
-             for label, model in state.selected.items()},
-            copy_unsupported=True, model_id="stage1")
-        stage2_system = RoutingTranslator(
-            {tuple(label.split("-")): model
-             for label, model in state.stage2_models.items()},
-            model_id="stage2")
-        new = state.inputs.new_labels
-        labels = sorted(set(state.candidates) | set(new))
-        testsets = {label: dev_bitext(dev, *label.split("-"))
-                    for label in labels}
+            state.selected, copy_unsupported=True, model_id="stage1")
+        stage2_system = RoutingTranslator(state.stage2_models,
+                                          model_id="stage2")
+        new = state.inputs.new
+        directions = sorted(set(state.candidates) | set(new))
+        testsets = {d: dev_bitext(dev, d.src, d.tgt) for d in directions}
         stage1 = evaluate_directions(stage1_system, list(testsets.values()),
                                      state.vocab)
         stage2_new = evaluate_directions(
-            stage2_system, [testsets[label] for label in new],
-            state.vocab)
+            stage2_system, [testsets[d] for d in new], state.vocab)
         rows = {row.direction: row for row in stage1.rows}
         rows.update((row.direction, row) for row in stage2_new.rows)
         stage2 = EvalReport(stage2_system.model_id,
-                            tuple(rows[label] for label in labels))
+                            tuple(rows[d.label] for d in directions))
 
         outputs = []
         for report in (stage1, stage2):
@@ -684,14 +679,15 @@ class _Runner:
                 write_artifact(out / f"{report.model_id}_eval.txt",
                                report.render_table() + "\n")]
 
-        before = stage1.average(new)
-        after = stage2.average(new)
+        new_labels = sorted(d.label for d in new)
+        before = stage1.average(new_labels)
+        after = stage2.average(new_labels)
         state.summary = {
-            "new_directions": sorted(new),
+            "new_directions": new_labels,
             "stage1_avg_bleu_new": round(before, 4),
             "stage2_avg_bleu_new": round(after, 4),
             "improved": after > before,
-            "directions_evaluated": len(labels),
+            "directions_evaluated": len(directions),
         }
         summary_path = write_json(out / "summary.json", state.summary,
                                   sort_keys=True)

@@ -7,7 +7,15 @@ provenance stays auditable through any number of mixing steps.
 
 from __future__ import annotations
 
-from .corpus import BitextCorpus, Provenance, SentencePair
+from dataclasses import replace
+
+from .corpus import (
+    BitextCorpus,
+    DirectionSpec,
+    Provenance,
+    SentencePair,
+    orient,
+)
 from .errors import BadPivot, LanguageMismatch
 from .translator import TranslatorModel, check_direction
 
@@ -32,20 +40,14 @@ def backtranslate(corpus: BitextCorpus, model: TranslatorModel,
     For an input (A, B) corpus and a B->A model, output pair i is
     (model(B_i), B_i): a synthetic A side, the untouched real B side.
     """
-    check_direction(model, corpus.tgt_lang, corpus.src_lang)
+    back = corpus.direction.reversed()
+    check_direction(model, *back)
     tgt_side = corpus.tgt_sentences
-    translated = _batched_translate(model, tgt_side, corpus.tgt_lang,
-                                    corpus.src_lang, batch_size)
+    translated = _batched_translate(model, tgt_side, *back, batch_size)
     pairs = tuple(SentencePair(src, tgt)
                   for src, tgt in zip(translated, tgt_side))
-    return BitextCorpus(
-        name=name or f"{corpus.name}-bt",
-        src_lang=corpus.src_lang,
-        tgt_lang=corpus.tgt_lang,
-        pairs=pairs,
-        src_provenance=Provenance("synthetic", model.model_id),
-        tgt_provenance=corpus.tgt_provenance,
-    )
+    return replace(corpus, name=name or f"{corpus.name}-bt", pairs=pairs,
+                   src_provenance=Provenance("synthetic", model.model_id))
 
 
 def pivot_synthesize(corpus: BitextCorpus, model: TranslatorModel,
@@ -62,19 +64,16 @@ def pivot_synthesize(corpus: BitextCorpus, model: TranslatorModel,
     if pivot_to in langs:
         raise BadPivot(f"pivot target {pivot_to} already in {corpus.name}")
     check_direction(model, "eng", pivot_to)
-    eng_side = corpus.side("eng")
-    other_side = corpus.side(other)
-    other_prov = (corpus.src_provenance if corpus.src_lang == other
-                  else corpus.tgt_provenance)
-    translated = _batched_translate(model, eng_side, "eng", pivot_to,
-                                    batch_size)
+    kept = orient(corpus, "eng", other)
+    translated = _batched_translate(model, kept.src_sentences, "eng",
+                                    pivot_to, batch_size)
     pairs = tuple(SentencePair(src, tgt)
-                  for src, tgt in zip(translated, other_side))
+                  for src, tgt in zip(translated, kept.tgt_sentences))
     return BitextCorpus(
-        name=name or f"{pivot_to}-{other}-pivot",
+        name=name or f"{DirectionSpec(pivot_to, other).label}-pivot",
         src_lang=pivot_to,
         tgt_lang=other,
         pairs=pairs,
         src_provenance=Provenance("synthetic", model.model_id),
-        tgt_provenance=other_prov,
+        tgt_provenance=kept.tgt_provenance,
     )

@@ -23,6 +23,7 @@ import numpy as np
 
 from .corpus import (
     BitextCorpus,
+    DirectionSpec,
     SentencePair,
     sha256_hex,
     write_artifact,
@@ -96,9 +97,8 @@ def family_of(lang: str) -> str:
 def new_direction_labels() -> list[str]:
     """The eight non-English directions of the toy setup, real-data ones
     first, each as 'src-tgt'."""
-    labels = [f"{a}-{b}" for a, b in NEW_PAIR_SIZES]
-    labels += [f"{a}-{b}" for a, b in PIVOT_ONLY_DIRECTIONS]
-    return labels
+    return [DirectionSpec(*pair).label
+            for pair in (*NEW_PAIR_SIZES, *PIVOT_ONLY_DIRECTIONS)]
 
 
 def _family_cipher(family: str, seed: int) -> dict[str, str]:
@@ -189,7 +189,7 @@ def generate_toy_data(root: str | Path, seed: int = 0) -> ToyData:
         chunk = base[cursor:cursor + size]
         cursor += size
         corpus = BitextCorpus(
-            name=f"{src}-{tgt}", src_lang=src, tgt_lang=tgt,
+            name=DirectionSpec(src, tgt).label, src_lang=src, tgt_lang=tgt,
             pairs=tuple(SentencePair(render(s, transforms[src]),
                                      render(s, transforms[tgt]))
                         for s in chunk))

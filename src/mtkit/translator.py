@@ -32,6 +32,7 @@ import numpy as np
 
 from .corpus import (
     BitextCorpus,
+    DirectionSpec,
     is_json_number,
     left_to_right_sum,
     read_json,
@@ -182,6 +183,8 @@ class Lexicon:
         for key in ("src_lang", "tgt_lang"):
             if not isinstance(payload.get(key), str):
                 raise BadLexicon(f"lexicon {path}: {key} must be a string")
+        if payload["src_lang"] == payload["tgt_lang"]:
+            raise BadLexicon(f"lexicon {path}: src_lang equals tgt_lang")
         rows = payload.get("table")
         if not isinstance(rows, dict):
             raise BadLexicon(f"lexicon {path}: table must be an object")
@@ -309,8 +312,8 @@ def lexicon_translate(lexicon: Lexicon, sentence: str) -> str:
 class LexiconTranslator:
     def __init__(self, lexicon: Lexicon, model_id: str | None = None) -> None:
         self.lexicon = lexicon
-        self.model_id = model_id or (
-            f"lexicon:{lexicon.src_lang}-{lexicon.tgt_lang}")
+        self.model_id = model_id or "lexicon:" + DirectionSpec(
+            lexicon.src_lang, lexicon.tgt_lang).label
 
     def supported_directions(self) -> frozenset[tuple[str, str]]:
         return frozenset({(self.lexicon.src_lang, self.lexicon.tgt_lang)})

@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .corpus import BitextCorpus
+from .corpus import BitextCorpus, orient
 from .errors import EmptyCorpus, EmptyLanguage
 from .vocab import LangCorpusSet, Vocabulary
 
@@ -109,10 +109,11 @@ def avg_tokens_per_pair(corpus: BitextCorpus, vocab: Vocabulary) -> SpeedRow:
     if "eng" not in corpus.languages():
         raise ValueError(f"{corpus.name} has no English side")
     other = next(iter(corpus.languages() - {"eng"}))
-    tokens_eng = _total_tokens(vocab, corpus.side("eng"))
-    tokens_other = _total_tokens(vocab, corpus.side(other))
+    from_eng = orient(corpus, "eng", other)
+    tokens_eng = _total_tokens(vocab, from_eng.src_sentences)
+    tokens_other = _total_tokens(vocab, from_eng.tgt_sentences)
     return SpeedRow(
-        pair=f"{corpus.src_lang}-{corpus.tgt_lang}",
+        pair=corpus.direction.label,
         other_lang=other,
         pair_count=len(corpus),
         tokens_other=tokens_other,

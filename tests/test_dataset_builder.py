@@ -25,7 +25,9 @@ from mtkit.errors import (
     MissingTagToken,
     NonEnglishCorpus,
     PlanCoverage,
+    UnsupportedDirection,
 )
+from mtkit.translator import IdentityTranslator, RoutingTranslator
 from mtkit.vocab import Vocabulary
 
 DATA = {
@@ -43,16 +45,36 @@ def pair_corpus(n, name, src, tgt, **kw):
 # -- direction specs -----------------------------------------------------
 
 def test_direction_spec_and_parse():
-    d = parse_direction("xho-zul", "new")
-    assert d == DirectionSpec("xho", "zul", "new")
+    d = parse_direction("xho-zul")
+    assert d == DirectionSpec("xho", "zul")
     assert d.label == "xho-zul"
     assert d.languages == frozenset({"xho", "zul"})
     with pytest.raises(ValueError):
-        parse_direction("xho", "new")
+        parse_direction("xho")
     with pytest.raises(ValueError):
-        DirectionSpec("xho", "xho", "new")
-    with pytest.raises(ValueError):
-        DirectionSpec("xho", "zul", "weird")
+        DirectionSpec("xho", "xho")
+    # the role follows from the languages: English-centric is stage 1's
+    assert DirectionSpec("eng", "zul").role == "old"
+    assert DirectionSpec("zul", "eng").role == "old"
+    assert d.role == "new"
+    assert d.reversed() == DirectionSpec("zul", "xho")
+    assert make_corpus([("a", "b")], src="zul", tgt="xho").direction == \
+        d.reversed()
+    # equal to and hashed as its (src, tgt) tuple, so a DirectionSpec-keyed
+    # dict routes translate_batch(..., src, tgt) as it is
+    assert d == ("xho", "zul") and hash(d) == hash(("xho", "zul"))
+    router = RoutingTranslator({d: IdentityTranslator()})
+    assert router.translate_batch(["molo"], "xho", "zul") == ["molo"]
+    assert ("xho", "zul") in router.supported_directions()
+    with pytest.raises(UnsupportedDirection):
+        router.translate_batch(["molo"], "zul", "xho")
+    labels = ["xho-zul", "eng-zul", "afr-eng", "zul-xho", "eng-afr",
+              "ssw-tsn"]
+    assert [x.label for x in sorted(map(parse_direction, labels))] == \
+        sorted(labels)
+    for bad in ("xho", "xho-xho", "a-b-c"):
+        with pytest.raises(ValueError):
+            parse_direction(bad)
 
 
 # -- tagging -------------------------------------------------------------
@@ -61,7 +83,7 @@ def test_export_prepends_tag_surfaces(tmp_path):
     vocab = small_vocab(DATA, budget=4)
     corpus = make_corpus([("the cat", "aba kha")], name="ez")
     mixture = TrainingMixture("stage1", (MixtureSlice(
-        corpus, DirectionSpec("eng", "zul", "old"), (0,)),), seed=0)
+        corpus, DirectionSpec("eng", "zul"), (0,)),), seed=0)
     result = export_mixture(mixture, vocab, tmp_path)
     assert result.src_path.read_text() == " ".join(
         ["<src:eng>"] + vocab.segment("the cat")) + "\n"
@@ -73,7 +95,7 @@ def test_tag_direction_missing_tag_token(tmp_path):
     vocab = small_vocab(DATA, budget=2)
     corpus = make_corpus([("a", "b")], name="fz", src="fra", tgt="zul")
     mixture = TrainingMixture("stage2", (MixtureSlice(
-        corpus, DirectionSpec("fra", "zul", "new"), (0,)),), seed=0)
+        corpus, DirectionSpec("fra", "zul"), (0,)),), seed=0)
     with pytest.raises(MissingTagToken, match="<src:fra>"):
         export_mixture(mixture, vocab, tmp_path)
 
@@ -143,7 +165,7 @@ def test_orient_flip_equals_constructed_pairs(rows, data):
 def test_slice_synthetic_flag():
     synth = pair_corpus(2, "bt", "eng", "zul",
                         src_provenance=Provenance("synthetic", "m"))
-    s = MixtureSlice(synth, DirectionSpec("eng", "zul", "old"), (0, 1))
+    s = MixtureSlice(synth, DirectionSpec("eng", "zul"), (0, 1))
     assert s.synthetic
 
 
@@ -312,7 +334,7 @@ def test_stage2_problems_names_what_each_is_about():
     old, _, _ = stage2_fixture()
     old += [pair_corpus(3, "xz", "xho", "zul"), pair_corpus(3, "ze", "zul",
                                                              "eng")]
-    new = [parse_direction(label, "new")
+    new = [parse_direction(label)
            for label in ("ssw-tsn", "tsn-ssw", "eng-ssw")]
     plan = make_balance_plan(["ssw-tsn", "xho-ssw"])
     assert stage2_problems(old, new, plan) == [

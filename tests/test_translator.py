@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import make_corpus
-from mtkit.errors import EmptyCorpus, ExternalProcessError, UnsupportedDirection
+from mtkit.errors import (
+    BadLexicon,
+    EmptyCorpus,
+    ExternalProcessError,
+    UnsupportedDirection,
+)
 from mtkit.translator import (
     NULL_WORD,
     ExternalProcessTranslator,
@@ -151,6 +156,14 @@ def test_save_load_round_trip(tmp_path):
             assert loaded.table[e][f] == pytest.approx(p, rel=1e-9)
     for w in sorted(lex.src_vocab)[:20]:
         assert loaded.best_translation(w) == lex.best_translation(w)
+
+
+def test_load_rejects_a_lexicon_into_its_own_language(tmp_path):
+    path = tmp_path / "lex.json"
+    path.write_text(json.dumps({"src_lang": "zul", "tgt_lang": "zul",
+                                "table": {"a": {"b": 1.0}}}))
+    with pytest.raises(BadLexicon, match="src_lang equals tgt_lang"):
+        Lexicon.load(path)
 
 
 def test_load_renormalizes_rounded_rows(tmp_path):
