@@ -20,6 +20,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Literal, Sequence
 
+import numpy as np
+
 from .errors import (
     BadManifest,
     EmptyLine,
@@ -225,6 +227,13 @@ def left_to_right_sum(values: Iterable[float]) -> float:
 def sha256_hex(data: bytes) -> str:
     """Hex SHA-256 of *data*, as manifests and run logs record it."""
     return hashlib.sha256(data).hexdigest()
+
+
+def seeded_rng(text: str) -> np.random.Generator:
+    """A numpy generator seeded by the first 8 bytes, read big-endian, of
+    the SHA-256 of *text* in UTF-8."""
+    digest = hashlib.sha256(text.encode("utf-8")).digest()
+    return np.random.default_rng(int.from_bytes(digest[:8], "big"))
 
 
 def split_lines(data: bytes, source: object,

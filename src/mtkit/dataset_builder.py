@@ -15,7 +15,6 @@ per-direction example counts.
 
 from __future__ import annotations
 
-import hashlib
 import statistics
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,6 +29,7 @@ from .corpus import (
     orient,
     parse_direction,
     read_json,
+    seeded_rng,
     write_artifact,
     write_json,
 )
@@ -71,11 +71,6 @@ class TrainingMixture:
 
     def total(self) -> int:
         return sum(s.count for s in self.slices)
-
-
-def _slice_seed(seed: int, label: str) -> int:
-    digest = hashlib.sha256(f"{seed}:{label}".encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
 
 
 def _both_directions(corpus: BitextCorpus) -> tuple[DirectionSpec, ...]:
@@ -235,8 +230,7 @@ def build_stage2_mixture(old: Sequence[BitextCorpus],
         if n == len(corpus):
             indices = tuple(range(len(corpus)))
         else:
-            rng = np.random.default_rng(
-                _slice_seed(seed, f"stage2:{direction.label}:{corpus.name}"))
+            rng = seeded_rng(f"{seed}:stage2:{direction.label}:{corpus.name}")
             indices = tuple(
                 int(i) for i in
                 np.sort(rng.choice(len(corpus), size=n, replace=False)))

@@ -48,7 +48,12 @@ from .dataset_builder import (
     make_balance_plan,
     stage2_problems,
 )
-from .errors import ConfigValidationError, MTKitError, StepFailure
+from .errors import (
+    ConfigValidationError,
+    MTKitError,
+    StepFailure,
+    VocabSizeTooSmall,
+)
 from .metrics import EvalReport, evaluate_directions, score_candidates
 from .synthesis import backtranslate, pivot_synthesize
 from .translator import (
@@ -63,6 +68,7 @@ from .vocab import (
     LangCorpusSet,
     VocabConfig,
     Vocabulary,
+    base_tokens,
     train_bpe,
     train_obpe,
 )
@@ -269,6 +275,16 @@ def _load_inputs(cfg: dict) -> tuple[_Inputs, list[str]]:
             problems.append(
                 f"validation_split: {split} takes all {len(corpus)} pairs of "
                 f"{corpus.name}, leaving none to train on")
+    if (inputs.vocab is not None and split_ok
+            and len(inputs.corpora) == len(corpora)
+            and len(inputs.new_corpora) == len(new_corpora)):
+        # the text vocab-train learns from
+        train = [split_validation(c, split)[1] for c in inputs.corpora]
+        try:
+            base_tokens(LangCorpusSet.from_bitexts(
+                train + inputs.new_corpora), inputs.vocab)
+        except VocabSizeTooSmall as exc:
+            problems.append(f"vocab.vocab_size: {exc}")
 
     stage1, bt, stage2 = (section(key) for key in
                           ("stage1", "backtranslation", "stage2"))

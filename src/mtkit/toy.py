@@ -15,7 +15,6 @@ generation is byte-identical.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,6 +24,7 @@ from .corpus import (
     BitextCorpus,
     DirectionSpec,
     SentencePair,
+    seeded_rng,
     sha256_hex,
     write_artifact,
     write_bitext,
@@ -105,8 +105,7 @@ def _family_cipher(family: str, seed: int) -> dict[str, str]:
     letters = "abcdefghijklmnopqrstuvwxyz"
     if family == "germanic":
         return {c: c for c in letters}  # keeps eng and afr legible-ish
-    digest = hashlib.sha256(f"cipher:{family}:{seed}".encode()).digest()
-    rng = np.random.default_rng(int.from_bytes(digest[:8], "big"))
+    rng = seeded_rng(f"cipher:{family}:{seed}")
     shuffled = list(letters)
     rng.shuffle(shuffled)
     return dict(zip(letters, shuffled))

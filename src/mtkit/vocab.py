@@ -188,6 +188,23 @@ class LangCorpusSet:
         return sum(len(v) for v in self.sentences.values())
 
 
+def base_tokens(data: LangCorpusSet, cfg: VocabConfig) -> list[str]:
+    """The tokens training starts from: *cfg*'s special tokens, then the
+    sorted base symbols of *data* (each word's characters, the last one
+    marked). Raises VocabSizeTooSmall when they leave vocab_size no room
+    for a merge."""
+    words = {w for sentences in data.sentences.values()
+             for s in sentences for w in s.split()}
+    symbols = sorted({sym for w in words
+                      for sym in _mark_word(w, cfg.end_of_word_marker)})
+    n_special = len(cfg.special_tokens)
+    if cfg.vocab_size <= n_special + len(symbols):
+        raise VocabSizeTooSmall(
+            f"vocab_size {cfg.vocab_size} <= {n_special} special tokens + "
+            f"{len(symbols)} base symbols")
+    return list(cfg.special_tokens) + symbols
+
+
 def _word_frequencies(sentences: Sequence[str]) -> Counter:
     counts: Counter = Counter()
     for s in sentences:
@@ -218,9 +235,6 @@ class _MergeState:
         self.full_support: set[tuple[str, str]] = set()
         for idx in range(len(self.words)):
             self._shift(idx, +1)
-
-    def alphabet(self) -> list[str]:
-        return sorted({sym for word in self.words for sym in word})
 
     def _shift(self, idx: int, sign: int) -> set[tuple[str, str]]:
         """Add (+1) or remove (-1) one word's pair contributions."""
@@ -288,8 +302,10 @@ class _MergeState:
 def _obpe_best(state: _MergeState, p: float
                ) -> tuple[tuple[str, str], float] | None:
     """Highest-scoring candidate pair and its score, or None when training
-    must stop; ties go to the smaller pair, as in BPE. `_train` ranks by
-    pooled count at p = 1; here p = 1 takes the p > 0 loop."""
+    must stop; ties go to the smaller pair, as in BPE. Every p but 0 takes
+    one power-mean loop that skips zero counts: for p > 0 they add
+    nothing, and for p < 0 the candidates are the pairs every language
+    holds, so none is zero. (`_train` ranks by pooled count at p = 1.)"""
     totals = state.lang_totals
     grand = sum(totals)
     if grand == 0:
@@ -304,12 +320,7 @@ def _obpe_best(state: _MergeState, p: float
         if state.pair_pooled[pair] < 2:
             continue
         counts = state.pair_bylang[pair]
-        if p < 0:
-            acc = 0.0
-            for li, c in enumerate(counts):
-                acc += weights[li] * (c / totals[li]) ** p
-            score = acc ** (1.0 / p)
-        elif p == 0:
+        if p == 0:
             # geometric mean; zero anywhere sends the whole score to zero
             if any(c == 0 and w > 0 for c, w in zip(counts, weights)):
                 continue
@@ -339,13 +350,9 @@ def _train(data: LangCorpusSet, cfg: VocabConfig, mode: str) -> "Vocabulary":
         raise EmptyCorpus("no training sentences")
     cfg.check_covers(data.languages)
 
-    state = _MergeState(data, cfg.end_of_word_marker)
-    tokens: list[str] = list(cfg.special_tokens) + state.alphabet()
+    tokens = base_tokens(data, cfg)
     token_set = set(tokens)
-    if cfg.vocab_size <= len(tokens):
-        raise VocabSizeTooSmall(
-            f"vocab_size {cfg.vocab_size} <= {len(cfg.special_tokens)} special "
-            f"tokens + {len(tokens) - len(cfg.special_tokens)} base symbols")
+    state = _MergeState(data, cfg.end_of_word_marker)
 
     # BPE ranks by pooled count, as does OBPE at p = 1 (score = pooled count
     # / grand total): both pop a lazy max-heap of (-count, pair), whose

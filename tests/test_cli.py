@@ -712,13 +712,16 @@ def _plan_without_pairs(work):
     _split_takes_everything,
     _set("stage2", "plan", _plan_without_pairs,
          ".plan: entry xho-zul has n 0"),
+    _set("vocab", "vocab_size", 40,
+         ".vocab_size: vocab_size 40 <= 22 special tokens + "),
 ], ids=["corpus-checksum", "dev-checksum", "dev-line-count", "exec-empty",
         "exec-unclosed", "dev-line-break", "direction-without-corpus",
         "plan-without-direction", "plan-old-unserved", "vocab-langs-string",
         "vocab-langs-uncovered", "unknown-field", "corpus-listed-twice",
         "corpus-stored-reversed", "new-corpus-listed-twice",
         "bt-model-key-unstored", "bt-model-wrong-direction",
-        "corpus-without-pairs", "split-takes-everything", "plan-entry-without-pairs"])
+        "corpus-without-pairs", "split-takes-everything", "plan-entry-without-pairs",
+        "vocab-size-too-small"])
 def test_bad_input_file_exits_2_before_any_step(data, tmp_path, capsys,
                                                 breaks):
     """`pipeline validate` and `pipeline run` load the same inputs, so they

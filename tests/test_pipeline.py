@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mtkit import pipeline
@@ -384,7 +384,7 @@ _BT_LEXICON = {"eng-xho": "xho-eng", "xho-eng": "eng-xho"}
 _FAULTS = ("corpus repeated", "corpus reversed", "corpus dropped",
            "new corpus repeated", "any new direction", "plan entry reversed",
            "plan entry without pairs", "split takes everything",
-           "any model key")
+           "any model key", "vocab too small")
 
 
 @st.composite
@@ -409,6 +409,7 @@ def _variant(draw):
         [(d, draw(st.sampled_from([None, 3])))
          for d in directions or ["xho-zul"]]))
     split = draw(st.sampled_from([0, 10]))
+    vocab_size = 100
     models = {key: draw(st.sampled_from(["internal", "none"] + (
         [_BT_LEXICON[key]] if key in _BT_LEXICON else [])))
         for key in draw(st.sets(st.sampled_from(corpora), max_size=2))}
@@ -431,16 +432,23 @@ def _variant(draw):
                        else ("-".join(reversed(d.split("-"))), n))
         elif fault == "split takes everything":
             split = draw(st.sampled_from([60, 200]))
+        elif fault == "vocab too small":
+            # no more than the 22 special tokens plus the base symbols
+            vocab_size = draw(st.sampled_from([1, 22, 40]))
         else:
             models[draw(st.sampled_from(["eng-xho", "xho-eng", "eng-zul"]))] \
                 = draw(st.sampled_from(["internal", "eng-xho", "xho-eng"]))
     return {"corpora": corpora, "new_corpora": new_corpora,
             "new_directions": directions, "plan": plan,
-            "validation_split": split, "models": models}
+            "validation_split": split, "models": models,
+            "vocab_size": vocab_size}
 
 
 @settings(max_examples=50, deadline=None)
 @given(_variant())
+@example({"corpora": ["eng-xho", "eng-zul"], "new_corpora": ["xho-zul"],
+          "new_directions": None, "plan": None, "validation_split": 0,
+          "models": {}, "vocab_size": 40})
 def test_validate_and_run_agree(dataset, variant_inputs, tmp_path_factory,
                                 variant):
     """`validate_config` finds no problem exactly when `run_pipeline`
@@ -463,7 +471,7 @@ def test_validate_and_run_agree(dataset, variant_inputs, tmp_path_factory,
         corpora=[str(paths[name]) for name in variant["corpora"]],
         new_corpora=[str(paths[name]) for name in variant["new_corpora"]],
         validation_split=variant["validation_split"],
-        vocab={"vocab_size": 100},
+        vocab={"vocab_size": variant["vocab_size"]},
         stage1={"em_iterations": [2]},
         stage2=stage2,
         backtranslation={"models": {
