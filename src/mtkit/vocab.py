@@ -193,8 +193,9 @@ def base_tokens(data: LangCorpusSet, cfg: VocabConfig) -> list[str]:
     sorted base symbols of *data* (each word's characters, the last one
     marked). Raises VocabSizeTooSmall when they leave vocab_size no room
     for a merge."""
-    words = {w for sentences in data.sentences.values()
-             for s in sentences for w in s.split()}
+    words: set[str] = set()
+    for sentences in data.sentences.values():
+        words.update(" ".join(sentences).split())
     symbols = sorted({sym for w in words
                       for sym in _mark_word(w, cfg.end_of_word_marker)})
     n_special = len(cfg.special_tokens)
