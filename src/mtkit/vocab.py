@@ -206,13 +206,6 @@ def base_tokens(data: LangCorpusSet, cfg: VocabConfig) -> list[str]:
     return list(cfg.special_tokens) + symbols
 
 
-def _word_frequencies(sentences: Sequence[str]) -> Counter:
-    counts: Counter = Counter()
-    for s in sentences:
-        counts.update(s.split())
-    return counts
-
-
 class _MergeState:
     """Word types plus incrementally maintained adjacent-pair counts."""
 
@@ -223,7 +216,8 @@ class _MergeState:
         self.freqs: list[int] = []
         self.word_lang: list[int] = []
         for li, lang in enumerate(self.langs):
-            freq = _word_frequencies(data.sentences[lang])
+            # one split of the joined text: the same words, counted in C
+            freq = Counter(" ".join(data.sentences[lang]).split())
             for w in sorted(freq):
                 self.words.append(_mark_word(w, marker))
                 self.freqs.append(freq[w])
