@@ -117,7 +117,7 @@ def parse_direction(label: str) -> DirectionSpec:
     return DirectionSpec(*parts)
 
 
-def _checked_line(text: str, what: str = "line") -> str:
+def checked_line(text: str, what: str = "line") -> str:
     """*text* in NFC; ValueError naming it *what* if it is empty after
     trimming or holds a line break. Corpus sides and dev lines alike."""
     text = unicodedata.normalize("NFC", text)
@@ -136,16 +136,22 @@ class SentencePair:
     tgt: str
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "src", _checked_line(self.src, "src side"))
-        object.__setattr__(self, "tgt", _checked_line(self.tgt, "tgt side"))
+        object.__setattr__(self, "src", checked_line(self.src, "src side"))
+        object.__setattr__(self, "tgt", checked_line(self.tgt, "tgt side"))
+
+    @classmethod
+    def trusted(cls, src: str, tgt: str) -> "SentencePair":
+        """A pair of sides that are already checked (each a side of some
+        SentencePair, or `checked_line` output), kept as the same
+        objects without running the checks again."""
+        pair = object.__new__(cls)
+        pair.__dict__.update(src=src, tgt=tgt)
+        return pair
 
     def swapped(self) -> "SentencePair":
         """This pair with its sides exchanged. The checks treat both
         sides alike, so a swapped valid pair is valid and skips them."""
-        pair = object.__new__(SentencePair)
-        object.__setattr__(pair, "src", self.tgt)
-        object.__setattr__(pair, "tgt", self.src)
-        return pair
+        return SentencePair.trusted(self.tgt, self.src)
 
 
 @dataclass(frozen=True)
@@ -431,7 +437,7 @@ def load_multiparallel(dev_dir: str | Path) -> dict[str, list[str]]:
         out[lang] = []
         for i, line in enumerate(lines, start=1):
             try:
-                out[lang].append(_checked_line(line))
+                out[lang].append(checked_line(line))
             except ValueError as exc:
                 raise InvalidConfig(f"{path}:{i}: {exc}") from exc
     return out

@@ -15,6 +15,7 @@ per-direction example counts.
 
 from __future__ import annotations
 
+import functools
 import statistics
 from dataclasses import dataclass
 from pathlib import Path
@@ -254,6 +255,15 @@ class ExportResult:
     total: int
 
 
+def _rows(tags: list[str], surfaces: list[str], order: list[int]) -> str:
+    """Row i of the result is `f"{tags[j]} {surfaces[j]}\n"` for j =
+    order[i], joined from those pieces without building a row string."""
+    parts: list[str | None] = [None, " ", None, "\n"] * len(order)
+    parts[0::4] = map(tags.__getitem__, order)
+    parts[2::4] = map(surfaces.__getitem__, order)
+    return "".join(parts)
+
+
 def export_mixture(mixture: TrainingMixture, vocab: Vocabulary,
                    out_dir: str | Path, threads: int = 1) -> ExportResult:
     """Write the shuffled, tagged mixture as aligned token-surface files.
@@ -261,33 +271,39 @@ def export_mixture(mixture: TrainingMixture, vocab: Vocabulary,
     Lines are space-joined token surfaces with the direction tag first,
     so `grep -c '^<src:xho>'` style recounts can audit the sidecar. The
     global shuffle is seeded by the mixture seed; output bytes depend
-    only on (mixture, vocab). Rows are rendered serially from the
-    vocabulary's per-word surface cache (`Vocabulary.surface_line`):
-    rendering is pure Python, so worker threads would only contend for
-    the interpreter lock. *threads* is accepted and unused.
+    only on (mixture, vocab). Each distinct sentence is rendered once per
+    call (`Vocabulary.surface_line`, itself cached per word type), through
+    a memo local to the call: the balance rule reads most pool sentences
+    in both directions. Each file is then joined from tag and surface
+    pieces in shuffled order. Rendering is pure Python, so worker threads
+    would only contend for the interpreter lock; *threads* is accepted
+    and unused.
     """
     out_dir = Path(out_dir)
-    line = vocab.surface_line
-    src_rows: list[str] = []
-    tgt_rows: list[str] = []
+    surface = functools.cache(vocab.surface_line)
+    src_tags: list[str] = []
+    tgt_tags: list[str] = []
+    src_surfaces: list[str] = []
+    tgt_surfaces: list[str] = []
     for s in mixture.slices:
         d = s.direction
         src_tag, tgt_tag = f"<src:{d.src}>", f"<tgt:{d.tgt}>"
         for tag in (src_tag, tgt_tag):
             if vocab.token_id(tag) is None:
                 raise MissingTagToken(f"vocabulary lacks {tag}")
-        # A side always holds a word, so each row is the tag, a space
-        # and the side's surface line.
         pairs = s.read().pairs
-        src_rows += [f"{src_tag} {line(p.src)}\n" for p in pairs]
-        tgt_rows += [f"{tgt_tag} {line(p.tgt)}\n" for p in pairs]
+        src_tags += [src_tag] * len(pairs)
+        tgt_tags += [tgt_tag] * len(pairs)
+        src_surfaces += [surface(p.src) for p in pairs]
+        tgt_surfaces += [surface(p.tgt) for p in pairs]
+    del surface  # the memo: no longer needed once every row has its surface
 
     order = np.random.default_rng(mixture.seed).permutation(
-        len(src_rows)).tolist()
+        len(src_tags)).tolist()
     src_path = out_dir / f"{mixture.stage}.src"
     tgt_path = out_dir / f"{mixture.stage}.tgt"
-    write_artifact(src_path, "".join([src_rows[i] for i in order]))
-    write_artifact(tgt_path, "".join([tgt_rows[i] for i in order]))
+    write_artifact(src_path, _rows(src_tags, src_surfaces, order))
+    write_artifact(tgt_path, _rows(tgt_tags, tgt_surfaces, order))
 
     counts = mixture.direction_counts()
     sidecar = {

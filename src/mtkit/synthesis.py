@@ -2,7 +2,10 @@
 
 Both operations keep the genuine side byte-identical to its input and
 mark the generated side as synthetic with the producing model's id, so
-provenance stays auditable through any number of mixing steps.
+provenance stays auditable through any number of mixing steps. Only the
+generated side is checked (NFC, non-empty, single-line, as any
+`SentencePair` side): the genuine side is a checked side already and is
+kept as the same string.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from .corpus import (
     DirectionSpec,
     Provenance,
     SentencePair,
+    checked_line,
     orient,
 )
 from .errors import BadPivot, LanguageMismatch
@@ -32,6 +36,13 @@ def _batched_translate(model: TranslatorModel, sentences: list[str],
     return out
 
 
+def _synthetic_pairs(generated: list[str], genuine: list[str]
+                     ) -> tuple[SentencePair, ...]:
+    """Pairs (generated_i, genuine_i); only the generated side is checked."""
+    return tuple(SentencePair.trusted(checked_line(src, "src side"), tgt)
+                 for src, tgt in zip(generated, genuine))
+
+
 def backtranslate(corpus: BitextCorpus, model: TranslatorModel,
                   batch_size: int = DEFAULT_BATCH_SIZE,
                   name: str | None = None) -> BitextCorpus:
@@ -39,14 +50,15 @@ def backtranslate(corpus: BitextCorpus, model: TranslatorModel,
 
     For an input (A, B) corpus and a B->A model, output pair i is
     (model(B_i), B_i): a synthetic A side, the untouched real B side.
+    Only the generated side is checked, as a `SentencePair` side; the
+    B side is kept as the same string.
     """
     back = corpus.direction.reversed()
     check_direction(model, *back)
     tgt_side = corpus.tgt_sentences
     translated = _batched_translate(model, tgt_side, *back, batch_size)
-    pairs = tuple(SentencePair(src, tgt)
-                  for src, tgt in zip(translated, tgt_side))
-    return replace(corpus, name=name or f"{corpus.name}-bt", pairs=pairs,
+    return replace(corpus, name=name or f"{corpus.name}-bt",
+                   pairs=_synthetic_pairs(translated, tgt_side),
                    src_provenance=Provenance("synthetic", model.model_id))
 
 
@@ -56,7 +68,8 @@ def pivot_synthesize(corpus: BitextCorpus, model: TranslatorModel,
                      name: str | None = None) -> BitextCorpus:
     """Turn an English-L corpus into an X-L corpus by translating the
     English side to X. Output pair i is (model(eng_i), L_i); the L side
-    stays byte-identical and real-if-it-was-real."""
+    stays the same string and real-if-it-was-real. Only the generated
+    side is checked, as a `SentencePair` side."""
     langs = corpus.languages()
     if "eng" not in langs:
         raise LanguageMismatch(f"{corpus.name} has no English side to pivot")
@@ -67,13 +80,11 @@ def pivot_synthesize(corpus: BitextCorpus, model: TranslatorModel,
     kept = orient(corpus, "eng", other)
     translated = _batched_translate(model, kept.src_sentences, "eng",
                                     pivot_to, batch_size)
-    pairs = tuple(SentencePair(src, tgt)
-                  for src, tgt in zip(translated, kept.tgt_sentences))
     return BitextCorpus(
         name=name or f"{DirectionSpec(pivot_to, other).label}-pivot",
         src_lang=pivot_to,
         tgt_lang=other,
-        pairs=pairs,
+        pairs=_synthetic_pairs(translated, kept.tgt_sentences),
         src_provenance=Provenance("synthetic", model.model_id),
         tgt_provenance=kept.tgt_provenance,
     )

@@ -100,6 +100,27 @@ class IdentityTranslator:
         return list(sentences)
 
 
+class _BestTranslations(dict):
+    """word -> argmax_f t(f|word) over *table*, ties to the smaller f; a
+    word without a row (or with an empty one) maps to itself. Each word
+    is worked out on its first lookup and kept, so a hit is one dict
+    lookup in C."""
+
+    def __init__(self, table: dict[str, dict[str, float]]) -> None:
+        super().__init__()
+        self.table = table
+
+    def __missing__(self, word: str) -> str:
+        row = self.table.get(word)
+        if row:
+            top = max(row.values())
+            best = min(f for f, p in row.items() if p == top)
+        else:
+            best = word
+        self[word] = best
+        return best
+
+
 class Lexicon:
     """t(f|e): conditional probabilities of target words given source words.
 
@@ -115,7 +136,7 @@ class Lexicon:
         self.tgt_lang = tgt_lang
         self.table = table
         self.log_likelihoods = tuple(log_likelihoods)
-        self._best: dict[str, str] = {}
+        self._best = _BestTranslations(table)
         self._check_rows()
 
     def _check_rows(self) -> None:
@@ -133,17 +154,9 @@ class Lexicon:
 
     def best_translation(self, word: str) -> str:
         """argmax_f t(f|word); ties pick the lexicographically smaller f;
-        words without a table row copy through unchanged. A row's argmax
-        is computed on its first lookup and cached."""
-        best = self._best.get(word)
-        if best is None:
-            row = self.table.get(word)
-            if not row:
-                return word
-            top = max(row.values())
-            best = self._best[word] = min(f for f, p in row.items()
-                                          if p == top)
-        return best
+        words without a table row copy through unchanged. Each word's
+        answer is worked out on its first lookup and cached."""
+        return self._best[word]
 
     def save(self, path: str | Path) -> Path:
         """Write the lexicon as `indent=1` JSON, probabilities rounded to
@@ -306,7 +319,8 @@ def _flat_em(src: list[list[str]], tgt: list[list[str]],
 
 def lexicon_translate(lexicon: Lexicon, sentence: str) -> str:
     """Word-by-word argmax decode; order preserved, unknowns copied."""
-    return " ".join(lexicon.best_translation(w) for w in sentence.split())
+    best = lexicon._best  # `best_translation` as one dict lookup a word
+    return " ".join([best[w] for w in sentence.split()])
 
 
 class LexiconTranslator:
@@ -321,7 +335,8 @@ class LexiconTranslator:
     def translate_batch(self, sentences: Sequence[str], src: str,
                         tgt: str) -> list[str]:
         check_direction(self, src, tgt)
-        return [lexicon_translate(self.lexicon, s) for s in sentences]
+        best = self.lexicon._best  # `lexicon_translate`, bound once a batch
+        return [" ".join([best[w] for w in s.split()]) for s in sentences]
 
 
 class ExternalProcessTranslator:

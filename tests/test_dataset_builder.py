@@ -453,6 +453,32 @@ def test_export_equals_per_sentence_reference(tmp_path, seed):
                 again.tgt_path.read_bytes()) == want
 
 
+def test_export_renders_repeated_sentences_like_the_reference(tmp_path):
+    """One corpus read in both directions and twice in one slice, a
+    sentence repeated inside it, and sides with a tab or a double space:
+    the rows still equal the per-sentence reference, cold or warm."""
+    vocab = small_vocab(DATA, budget=6)
+    ez = make_corpus([("the cat sat", "aba kha lu"), ("a  dog", "kha\tlu"),
+                      ("the cat sat", "aba kha lu"), ("birds fly", "kha\tlu"),
+                      ("a  dog", "lulu aba")], name="ez")
+    xz = make_corpus([("molo  aba", "kha lu"), ("kha\tmolo", "aba kha lu")],
+                     name="xz", src="xho", tgt="zul")
+    mixture = TrainingMixture("stage2", (
+        MixtureSlice(ez, DirectionSpec("eng", "zul"), (0, 1, 2, 3, 4)),
+        MixtureSlice(ez, DirectionSpec("zul", "eng"), (4, 2, 1, 1)),
+        MixtureSlice(xz, DirectionSpec("xho", "zul"), (0, 1)),
+        MixtureSlice(xz, DirectionSpec("zul", "xho"), (1,)),
+    ), seed=7)
+    want = oracles.reference_export(mixture, vocab)
+    # a fresh vocabulary: its surface cache starts cold
+    fresh = Vocabulary(vocab.mode, vocab.tokens, vocab.merges, vocab.config)
+    for run in ("cold", "warm"):
+        result = export_mixture(mixture, fresh, tmp_path / run)
+        assert (result.src_path.read_bytes(),
+                result.tgt_path.read_bytes()) == want, run
+    assert want[0].count(b"\n") == mixture.total() == 12
+
+
 def test_export_shuffles_with_seed(tmp_path):
     vocab = small_vocab(DATA, budget=6)
     corpora = [pair_corpus(40, "ez", "eng", "zul")]

@@ -112,3 +112,46 @@ def test_pivot_rejections():
         pivot_synthesize(no_eng, reverser("eng", "tsn"), pivot_to="tsn")
     with pytest.raises(UnsupportedDirection):
         pivot_synthesize(corpus, reverser("eng", "tsn"), pivot_to="xho")
+
+
+# -- the generated side is checked, the genuine side kept ------------------
+
+def constant(src, tgt, output):
+    """A src->tgt model that turns every sentence into *output*."""
+    class _Constant:
+        model_id = f"const:{src}-{tgt}"
+
+        def supported_directions(self):
+            return frozenset({(src, tgt)})
+
+        def translate_batch(self, sentences, s, t):
+            return [output] * len(sentences)
+
+    return _Constant()
+
+
+@pytest.mark.parametrize("output,message", [
+    ("", "src side is empty after trimming"),
+    ("  ", "src side is empty after trimming"),
+    ("a\nb", "src side contains a line break"),
+    ("a\u2028b", "src side contains a line break"),
+])
+def test_synthesis_rejects_a_bad_generated_side(output, message):
+    corpus = make_corpus(PAIRS, name="ez", src="eng", tgt="zul")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        backtranslate(corpus, constant("zul", "eng", output))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        pivot_synthesize(corpus, constant("eng", "xho", output),
+                         pivot_to="xho")
+
+
+def test_synthesis_normalizes_the_generated_side_and_keeps_the_genuine_one():
+    corpus = make_corpus(PAIRS, name="ez", src="eng", tgt="zul")
+    decomposed = "cafe\u0301 noir"
+    for out in (backtranslate(corpus, constant("zul", "eng", decomposed)),
+                pivot_synthesize(corpus, constant("eng", "xho", decomposed),
+                                 pivot_to="xho")):
+        assert out.src_sentences == ["caf\u00e9 noir"] * len(PAIRS)
+        # the genuine side is the input's string object, not a copy
+        assert all(new.tgt is old.tgt
+                   for new, old in zip(out.pairs, corpus.pairs))
