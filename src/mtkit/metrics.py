@@ -200,41 +200,48 @@ def spbleu(hyps: Sequence[str], refs: Sequence[str], vocab: Vocabulary,
                         *_flat_ids([vocab.encode(r) for r in refs]), cfg)
 
 
-def _fbeta(matched: int, hyp_total: int, ref_total: int, beta2: float) -> float:
-    precision = matched / hyp_total if hyp_total else 0.0
-    recall = matched / ref_total if ref_total else 0.0
-    if precision + recall == 0.0:
-        return 0.0
-    return (1 + beta2) * precision * recall / (beta2 * precision + recall)
-
-
 def _order_fscores(streams: _Streams, max_n: int,
-                   beta2: float) -> list[list[float]]:
-    """Per segment, the F_beta of each order 1..max_n whose reference
-    has n-grams."""
-    matches = _clipped_matches(*streams, max_n).T.tolist()
-    hyp_lens, ref_lens = streams[1].tolist(), streams[3].tolist()
-    return [[_fbeta(m, max(h - n + 1, 0), r - n + 1, beta2)
-             for n, m in enumerate(seg_matches, 1) if r >= n]
-            for seg_matches, h, r in zip(matches, hyp_lens, ref_lens)]
+                   beta2: float) -> tuple[np.ndarray, np.ndarray]:
+    """(F, valid), both (max_n, segments): F_beta of each order 1..max_n
+    per segment, and whether the segment's reference has n-grams of that
+    order. Elementwise in float64, with the operations and order of
+    `(1 + beta2) * p * r / (beta2 * p + r)` on Python floats: p is 0 where
+    the hypothesis has no n-grams, F is 0 where p + r is 0. F is 0 where
+    not valid too: no reference n-grams, no matches."""
+    matched = _clipped_matches(*streams, max_n).astype(np.float64)
+    n = np.arange(1, max_n + 1)[:, None]
+    hyp_total = np.maximum(streams[1] - n + 1, 0)
+    ref_total = streams[3] - n + 1
+    valid = ref_total > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = np.where(hyp_total > 0, matched / hyp_total, 0.0)
+        r = np.where(valid, matched / ref_total, 0.0)
+        f = np.where(p + r == 0.0, 0.0,
+                     (1 + beta2) * p * r / (beta2 * p + r))
+    return f, valid
 
 
 def chrf(hyps: Sequence[str], refs: Sequence[str],
          config: ChrfConfig | None = None) -> float:
-    """Macro-averaged segment chrF (chrF2++ with default config)."""
+    """Macro-averaged segment chrF (chrF2++ with default config). A
+    segment scores the mean F_beta over its valid char orders 1..char_n
+    and word orders 1..word_n, summed left to right in that order, or 0
+    without any; the corpus score is the mean over segments."""
     cfg = config or ChrfConfig()
     _check_streams(hyps, refs)
     beta2 = cfg.beta * cfg.beta
     chars = (*_code_points(["".join(h.split()) for h in hyps]),
              *_code_points(["".join(r.split()) for r in refs]))
-    seg_scores = []
-    for char_f, word_f in zip(_order_fscores(chars, cfg.char_n, beta2),
-                              _order_fscores(_word_ids(hyps, refs),
-                                             cfg.word_n, beta2)):
-        scores = char_f + word_f
-        seg_scores.append(left_to_right_sum(scores) / len(scores)
-                          if scores else 0.0)
-    return 100.0 * left_to_right_sum(seg_scores) / len(hyps)
+    char_f, char_valid = _order_fscores(chars, cfg.char_n, beta2)
+    word_f, word_valid = _order_fscores(_word_ids(hyps, refs), cfg.word_n,
+                                        beta2)
+    total = np.zeros(len(hyps))
+    for row in (*char_f, *word_f):  # an invalid order adds 0.0: no change
+        total += row
+    orders = char_valid.sum(axis=0) + word_valid.sum(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        seg_scores = np.where(orders > 0, total / orders, 0.0)
+    return 100.0 * left_to_right_sum(seg_scores.tolist()) / len(hyps)
 
 
 @dataclass(frozen=True)
