@@ -15,6 +15,7 @@ recounting the whole corpus every step.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import json
 import math
@@ -163,7 +164,9 @@ def _merge_pair(symbols: list[str], left: str, right: str) -> list[str]:
 
 @dataclass(frozen=True)
 class LangCorpusSet:
-    """Per-language monolingual token streams, e.g. pooled bitext sides."""
+    """Per-language monolingual token streams, e.g. pooled bitext sides.
+    `word_counts` counts each language's words on first use and keeps
+    them, so validation and both trainers read one count per set."""
 
     sentences: Mapping[str, tuple[str, ...]]
 
@@ -187,15 +190,20 @@ class LangCorpusSet:
     def total_sentences(self) -> int:
         return sum(len(v) for v in self.sentences.values())
 
+    @functools.cached_property
+    def word_counts(self) -> dict[str, Counter[str]]:
+        """Per language, how often each whitespace-separated word occurs
+        in its sentences (one split of the joined text, counted in C)."""
+        return {lang: Counter(" ".join(sents).split())
+                for lang, sents in self.sentences.items()}
+
 
 def base_tokens(data: LangCorpusSet, cfg: VocabConfig) -> list[str]:
     """The tokens training starts from: *cfg*'s special tokens, then the
     sorted base symbols of *data* (each word's characters, the last one
     marked). Raises VocabSizeTooSmall when they leave vocab_size no room
     for a merge."""
-    words: set[str] = set()
-    for sentences in data.sentences.values():
-        words.update(" ".join(sentences).split())
+    words = set().union(*data.word_counts.values())
     symbols = sorted({sym for w in words
                       for sym in _mark_word(w, cfg.end_of_word_marker)})
     n_special = len(cfg.special_tokens)
@@ -216,8 +224,7 @@ class _MergeState:
         self.freqs: list[int] = []
         self.word_lang: list[int] = []
         for li, lang in enumerate(self.langs):
-            # one split of the joined text: the same words, counted in C
-            freq = Counter(" ".join(data.sentences[lang]).split())
+            freq = data.word_counts[lang]
             for w in sorted(freq):
                 self.words.append(_mark_word(w, marker))
                 self.freqs.append(freq[w])

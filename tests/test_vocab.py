@@ -110,6 +110,18 @@ def test_vocab_size_too_small():
         train_bpe(data_of(data), VocabConfig(vocab_size=N_SPECIAL + 2))
 
 
+def test_word_counts_are_counted_once_per_set():
+    data = data_of({"eng": ["ab cd ab", "cd\t ef"], "zul": ["ab"]})
+    counts = data.word_counts
+    assert counts == {"eng": {"ab": 2, "cd": 2, "ef": 1}, "zul": {"ab": 1}}
+    # both trainers read the one count, and leave it as it was
+    cfg = config_for({"eng": ["ab cd ef"]}, budget=3)
+    train_bpe(data, cfg)
+    train_obpe(data, cfg)
+    assert data.word_counts is counts
+    assert counts == {"eng": {"ab": 2, "cd": 2, "ef": 1}, "zul": {"ab": 1}}
+
+
 def test_empty_corpus_rejected():
     with pytest.raises(errors.EmptyCorpus):
         train_bpe(LangCorpusSet({}), VocabConfig())
