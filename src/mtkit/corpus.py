@@ -89,6 +89,11 @@ class DirectionSpec(namedtuple("DirectionSpec", "src tgt")):
     def __new__(cls, src: str, tgt: str) -> "DirectionSpec":
         if src == tgt:
             raise ValueError(f"direction {src}->{tgt}")
+        for side in (src, tgt):
+            # so that every label reads back through parse_direction
+            if not side or "-" in side:
+                raise ValueError(f"direction {src!r}->{tgt!r}: side {side!r}"
+                                 f" is empty or holds '-'")
         return super().__new__(cls, src, tgt)
 
     @property

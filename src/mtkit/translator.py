@@ -198,6 +198,10 @@ class Lexicon:
                 raise BadLexicon(f"lexicon {path}: {key} must be a string")
         if payload["src_lang"] == payload["tgt_lang"]:
             raise BadLexicon(f"lexicon {path}: src_lang equals tgt_lang")
+        try:
+            DirectionSpec(payload["src_lang"], payload["tgt_lang"])
+        except ValueError as exc:
+            raise BadLexicon(f"lexicon {path}: {exc}") from exc
         rows = payload.get("table")
         if not isinstance(rows, dict):
             raise BadLexicon(f"lexicon {path}: table must be an object")

@@ -692,6 +692,9 @@ def _plan_without_pairs(work):
     _dev_line_break,
     _set("stage2", "new_directions", ["xho-tsn"],
          ".new_directions: xho-tsn needs an English-centric corpus for tsn"),
+    _set("stage2", "new_directions", ["xho-"],
+         ".new_directions: direction 'xho'->'': side '' is empty or holds "
+         "'-'"),
     _set("stage2", "plan", _plan(("ssw-xho", ("ssw-eng", "eng-xho"))),
          ".plan: 0 entries for new direction xho-zul, want exactly 1"),
     _set("stage2", "plan", _plan(("xho-zul", ("xho-eng", "eng-tsn"))),
@@ -716,6 +719,7 @@ def _plan_without_pairs(work):
          ".vocab_size: vocab_size 40 <= 22 special tokens + "),
 ], ids=["corpus-checksum", "dev-checksum", "dev-line-count", "exec-empty",
         "exec-unclosed", "dev-line-break", "direction-without-corpus",
+        "direction-side-empty",
         "plan-without-direction", "plan-old-unserved", "vocab-langs-string",
         "vocab-langs-uncovered", "unknown-field", "corpus-listed-twice",
         "corpus-stored-reversed", "new-corpus-listed-twice",

@@ -72,9 +72,21 @@ def test_direction_spec_and_parse():
               "ssw-tsn"]
     assert [x.label for x in sorted(map(parse_direction, labels))] == \
         sorted(labels)
-    for bad in ("xho", "xho-xho", "a-b-c"):
+    for bad in ("xho", "xho-xho", "a-b-c", "xho-", "-zul", "-", "xho--zul"):
         with pytest.raises(ValueError):
             parse_direction(bad)
+    # a side is never empty and never holds '-', so every label reads back
+    for src, tgt in (("xho", ""), ("", "zul"), ("xho-zul", "eng"),
+                     ("eng", "-")):
+        with pytest.raises(ValueError, match="is empty or holds '-'"):
+            DirectionSpec(src, tgt)
+    for label in labels:
+        assert parse_direction(parse_direction(label).label).label == label
+    with pytest.raises(ValueError, match="is empty or holds '-'"):
+        make_balance_plan(["xho-"])
+    with pytest.raises(ValueError, match="is empty or holds '-'"):
+        BalancePlan.from_json({"entries": [
+            {"new": "xho-zul", "old": ["xho-eng", "eng-"]}]})
 
 
 # -- tagging -------------------------------------------------------------

@@ -166,6 +166,15 @@ def test_load_rejects_a_lexicon_into_its_own_language(tmp_path):
         Lexicon.load(path)
 
 
+@pytest.mark.parametrize("src,tgt", [("", "zul"), ("eng", "xho-zul")])
+def test_load_rejects_a_language_no_direction_can_name(tmp_path, src, tgt):
+    path = tmp_path / "lex.json"
+    path.write_text(json.dumps({"src_lang": src, "tgt_lang": tgt,
+                                "table": {"a": {"b": 1.0}}}))
+    with pytest.raises(BadLexicon, match="is empty or holds '-'"):
+        Lexicon.load(path)
+
+
 def test_load_renormalizes_rounded_rows(tmp_path):
     payload = {
         "src_lang": "eng", "tgt_lang": "zul", "null_word": NULL_WORD,
