@@ -12,9 +12,12 @@ precision and recall; orders whose reference has no n-grams are
 skipped. Defaults char_n=6, word_n=2, beta=2 make it chrF2++.
 
 All three metrics count n-grams with one corpus-level matcher
-(`_clipped_matches`): every (segment, n-gram) gets an exact dense id,
-built order by order with np.unique, and each segment's clipped matches
-are the bincount of min(hyp count, ref count) over its n-grams. These
+(`_clipped_matches`). A segment whose hypothesis ids equal its
+reference ids is counted arithmetically: its clipped matches at order n
+are its number of n-grams. Only the other segments go through
+np.unique: each of their (segment, n-gram) pairs gets an exact dense
+id, built order by order, and each segment's clipped matches are the
+bincount of min(hyp count, ref count) over its n-grams. These
 integers equal what per-segment Counters give, and the float steps
 (BLEU's logs, each chrF order's F_beta, the segment and corpus means
 summed left to right by `corpus.left_to_right_sum`) run in plain Python
@@ -78,23 +81,28 @@ def _check_streams(hyps: Sequence[str], refs: Sequence[str]) -> None:
         raise EmptyInput("no segments to score")
 
 
-def _clipped_matches(hyp_ids: np.ndarray, hyp_lens: np.ndarray,
-                     ref_ids: np.ndarray, ref_lens: np.ndarray,
-                     max_n: int) -> np.ndarray:
-    """Clipped n-gram matches of every segment for orders 1..max_n.
+def _identical(hyp_ids: np.ndarray, hyp_lens: np.ndarray,
+               ref_ids: np.ndarray, ref_lens: np.ndarray) -> np.ndarray:
+    """Per segment, whether its hypothesis ids equal its reference ids:
+    equal lengths and equal ids at equal offsets. The tokens of the
+    equal-length segments line up one to one on both sides, so one
+    elementwise comparison checks them all."""
+    same = hyp_lens == ref_lens
+    differ = (hyp_ids[np.repeat(same, hyp_lens)]
+              != ref_ids[np.repeat(same, ref_lens)])
+    if differ.any():
+        same[np.repeat(np.flatnonzero(same), hyp_lens[same])[differ]] = False
+    return same
 
-    hyp_ids and ref_ids hold the int64 token ids of all segments end to
-    end, in one id space; hyp_lens and ref_lens give each segment's token
-    count. Row n-1 of the (max_n, segments) int64 result holds, per
-    segment, the sum over its n-grams g of min(hyp count of g, ref count
-    of g).
 
-    Each n-gram gets a dense id per (segment, n-gram): order 1 densifies
-    (segment, token), order n densifies (id of the (n-1)-gram, next
-    token), both with np.unique. Ids are exact for any vocabulary size
-    (no hashing, and never more than two numbers packed into one key),
-    and an n-gram that would run past its segment's end is never formed.
-    """
+def _unique_matches(hyp_ids: np.ndarray, hyp_lens: np.ndarray,
+                    ref_ids: np.ndarray, ref_lens: np.ndarray,
+                    max_n: int) -> np.ndarray:
+    """`_clipped_matches` by dense ids: order 1 densifies (segment,
+    token), order n densifies (id of the (n-1)-gram, next token), both
+    with np.unique. Ids are exact for any vocabulary size (no hashing,
+    and never more than two numbers packed into one key), and an n-gram
+    that would run past its segment's end is never formed."""
     segments = len(hyp_lens)
     matches = np.zeros((max_n, segments), dtype=np.int64)
     lens = np.concatenate([hyp_lens, ref_lens])
@@ -121,6 +129,35 @@ def _clipped_matches(hyp_ids: np.ndarray, hyp_lens: np.ndarray,
         # float weights are exact here: counts stay far below 2**53
         matches[n - 1] = np.bincount(gram_seg, weights=clipped,
                                      minlength=segments)
+    return matches
+
+
+def _clipped_matches(hyp_ids: np.ndarray, hyp_lens: np.ndarray,
+                     ref_ids: np.ndarray, ref_lens: np.ndarray,
+                     max_n: int) -> np.ndarray:
+    """Clipped n-gram matches of every segment for orders 1..max_n.
+
+    hyp_ids and ref_ids hold the int64 token ids of all segments end to
+    end, in one id space; hyp_lens and ref_lens give each segment's token
+    count. Row n-1 of the (max_n, segments) int64 result holds, per
+    segment, the sum over its n-grams g of min(hyp count of g, ref count
+    of g).
+
+    A segment whose hypothesis equals its reference (`_identical`) has
+    the same count of every n-gram on both sides, so its matches are its
+    number of n-grams, max(len - n + 1, 0). Only the other segments are
+    counted by `_unique_matches`, and their rows scattered into place.
+    """
+    same = _identical(hyp_ids, hyp_lens, ref_ids, ref_lens)
+    if not same.any():
+        return _unique_matches(hyp_ids, hyp_lens, ref_ids, ref_lens, max_n)
+    n = np.arange(1, max_n + 1)[:, None]
+    matches = np.where(same, np.maximum(hyp_lens - n + 1, 0), 0)
+    rest = ~same
+    if rest.any():
+        matches[:, rest] = _unique_matches(
+            hyp_ids[np.repeat(rest, hyp_lens)], hyp_lens[rest],
+            ref_ids[np.repeat(rest, ref_lens)], ref_lens[rest], max_n)
     return matches
 
 

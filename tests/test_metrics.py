@@ -1,6 +1,7 @@
 import functools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from mtkit.errors import EmptyInput, LengthMismatch, UnsupportedDirection
 from mtkit.metrics import (
     BleuConfig,
     ChrfConfig,
+    _clipped_matches,
     bleu,
     chrf,
     evaluate_directions,
@@ -212,6 +214,15 @@ def test_chrf_counts_a_lone_surrogate_as_one_character():
     assert chrf(refs, refs) == 100.0
 
 
+def test_chrf_same_characters_other_words_matches_oracle():
+    # whitespace removed, the characters are identical; the words are not
+    hyps, refs = ["ab c"], ["a bc"]
+    got = chrf(hyps, refs)
+    assert got == oracles.reference_chrf(hyps, refs)
+    assert got < 100.0
+    assert chrf(hyps, refs, ChrfConfig(word_n=0)) == 100.0
+
+
 def test_chrf_completing_a_truncation_never_hurts():
     truncated = chrf(["the ca"], ["the cat sat"])
     completed = chrf(["the cat sat"], ["the cat sat"])
@@ -306,6 +317,52 @@ def test_chrf_equals_oracle_exactly(corpus, char_n, word_n, beta):
     got = chrf(hyps, refs, ChrfConfig(char_n=char_n, word_n=word_n, beta=beta))
     assert got == oracles.reference_chrf(hyps, refs, char_n=char_n,
                                          word_n=word_n, beta=beta)
+
+
+# Token id streams: ids 0-3 so n-grams repeat, 4 only where a hypothesis
+# is made to differ from its reference.
+ID_LISTS = st.lists(st.integers(0, 3), max_size=6)
+
+
+@st.composite
+def id_segments(draw):
+    """(hyps, refs) id lists. Each hypothesis is its reference, another
+    list of the same length, or any list, empty ones included; a corpus
+    is mixed, all identical, or has no identical segment at all."""
+    kind = draw(st.sampled_from(["mixed", "all identical", "none identical"]))
+    refs = draw(st.lists(ID_LISTS, min_size=1, max_size=6))
+    hyps = []
+    for ref in refs:
+        how = ("copy" if kind == "all identical"
+               else draw(st.sampled_from(["copy", "same length", "any"])))
+        if how == "copy":
+            hyp = list(ref)
+        elif how == "same length":
+            hyp = draw(st.lists(st.integers(0, 3), min_size=len(ref),
+                                max_size=len(ref)))
+        else:
+            hyp = draw(ID_LISTS)
+        if kind == "none identical" and hyp == ref:
+            hyp = [4] + hyp[1:] if hyp else [4]
+        hyps.append(hyp)
+    return hyps, refs
+
+
+def _flat(segments):
+    return (np.array([t for seg in segments for t in seg], dtype=np.int64),
+            np.array([len(seg) for seg in segments], dtype=np.int64))
+
+
+@given(id_segments(), st.integers(1, 6))
+@settings(max_examples=200, deadline=None)
+def test_clipped_matches_equal_per_segment_oracle(corpus, max_n):
+    hyps, refs = corpus
+    got = _clipped_matches(*_flat(hyps), *_flat(refs), max_n)
+    assert got.dtype == np.int64
+    assert got.tolist() == [
+        [oracles.clipped_matches(oracles.ngrams(h, n), oracles.ngrams(r, n))
+         for h, r in zip(hyps, refs)]
+        for n in range(1, max_n + 1)]
 
 
 # -- direction reports ----------------------------------------------------
