@@ -196,18 +196,24 @@ class BitextCorpus:
         return DirectionSpec(self.src_lang, self.tgt_lang)
 
 
+def stored_reversed(corpus: BitextCorpus, src: str, tgt: str) -> bool:
+    """Whether reading *corpus* as src->tgt swaps its sides: False when it
+    stores src->tgt, True when it stores tgt->src. Raises MissingCorpus
+    when the corpus holds neither orientation."""
+    if corpus.direction == (src, tgt):
+        return False
+    if corpus.direction == (tgt, src):
+        return True
+    raise MissingCorpus(f"{corpus.name} cannot serve {src}->{tgt}")
+
+
 def orient(corpus: BitextCorpus, src: str, tgt: str,
            indices: Sequence[int] | None = None) -> BitextCorpus:
     """*corpus* read as src->tgt: the pairs at *indices* (all of them by
     default), with pairs and provenance swapped side for side when the
-    corpus stores tgt->src. Only the pairs read are flipped. Raises
-    MissingCorpus when the corpus holds neither orientation."""
-    if corpus.direction == (src, tgt):
-        flip = False
-    elif corpus.direction == (tgt, src):
-        flip = True
-    else:
-        raise MissingCorpus(f"{corpus.name} cannot serve {src}->{tgt}")
+    corpus stores tgt->src (`stored_reversed`). Only the pairs read are
+    flipped."""
+    flip = stored_reversed(corpus, src, tgt)
     pairs = corpus.pairs if indices is None else tuple(
         corpus.pairs[i] for i in indices)
     if not flip:

@@ -8,9 +8,10 @@ by seeded uniform sampling; old directions no plan entry matches are
 capped at a default (the median new-direction size). A slice holds
 indices into its corpus; readers take just those pairs through
 `corpus.orient`, which flips them when the corpus stores the other
-orientation. Exports are globally shuffled with the mixture seed and
-byte-stable for a given seed, with a sidecar manifest recording
-per-direction example counts.
+orientation; export takes their two strings by index under the same
+rule (`corpus.stored_reversed`). Exports are globally shuffled with the
+mixture seed and byte-stable for a given seed, with a sidecar manifest
+recording per-direction example counts.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .corpus import (
     parse_direction,
     read_json,
     seeded_rng,
+    stored_reversed,
     write_artifact,
     write_json,
 )
@@ -271,7 +273,10 @@ def export_mixture(mixture: TrainingMixture, vocab: Vocabulary,
     Lines are space-joined token surfaces with the direction tag first,
     so `grep -c '^<src:xho>'` style recounts can audit the sidecar. The
     global shuffle is seeded by the mixture seed; output bytes depend
-    only on (mixture, vocab). Each distinct sentence is rendered once per
+    only on (mixture, vocab). Each slice's strings are taken by index
+    from its corpus's pairs, sides swapped when the corpus stores the
+    other orientation (`corpus.stored_reversed`); no oriented corpus or
+    swapped pair is built. Each distinct sentence is rendered once per
     call (`Vocabulary.surface_line`, itself cached per word type), through
     a memo local to the call: the balance rule reads most pool sentences
     in both directions. Each file is then joined from tag and surface
@@ -291,11 +296,14 @@ def export_mixture(mixture: TrainingMixture, vocab: Vocabulary,
         for tag in (src_tag, tgt_tag):
             if vocab.token_id(tag) is None:
                 raise MissingTagToken(f"vocabulary lacks {tag}")
-        pairs = s.read().pairs
+        pairs = [s.corpus.pairs[i] for i in s.indices]
+        srcs, tgts = [p.src for p in pairs], [p.tgt for p in pairs]
+        if stored_reversed(s.corpus, *d):
+            srcs, tgts = tgts, srcs
         src_tags += [src_tag] * len(pairs)
         tgt_tags += [tgt_tag] * len(pairs)
-        src_surfaces += [surface(p.src) for p in pairs]
-        tgt_surfaces += [surface(p.tgt) for p in pairs]
+        src_surfaces += map(surface, srcs)
+        tgt_surfaces += map(surface, tgts)
     del surface  # the memo: no longer needed once every row has its surface
 
     order = np.random.default_rng(mixture.seed).permutation(

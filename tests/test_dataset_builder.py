@@ -112,6 +112,17 @@ def test_tag_direction_missing_tag_token(tmp_path):
         export_mixture(mixture, vocab, tmp_path)
 
 
+def test_export_rejects_a_slice_its_corpus_cannot_serve(tmp_path):
+    vocab = small_vocab(DATA, budget=2)
+    corpus = make_corpus([("the cat", "aba kha")], name="ez")
+    for direction in (DirectionSpec("eng", "xho"), DirectionSpec("xho", "zul")):
+        mixture = TrainingMixture("stage2", (MixtureSlice(
+            corpus, direction, (0,)),), seed=0)
+        with pytest.raises(MissingCorpus, match="ez cannot serve"):
+            export_mixture(mixture, vocab, tmp_path)
+    assert not list(tmp_path.iterdir())
+
+
 # -- stage 1 -------------------------------------------------------------
 
 def test_stage1_uses_both_directions_of_everything():
