@@ -133,9 +133,10 @@ def checked_line(text: str, what: str = "line") -> str:
     return text
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SentencePair:
-    """One aligned sentence pair; both sides NFC, non-empty, single-line."""
+    """One aligned sentence pair; both sides NFC, non-empty, single-line.
+    Slotted: a corpus holds one per line, and slots keep each one small."""
 
     src: str
     tgt: str
@@ -150,7 +151,8 @@ class SentencePair:
         SentencePair, or `checked_line` output), kept as the same
         objects without running the checks again."""
         pair = object.__new__(cls)
-        pair.__dict__.update(src=src, tgt=tgt)
+        object.__setattr__(pair, "src", src)
+        object.__setattr__(pair, "tgt", tgt)
         return pair
 
     def swapped(self) -> "SentencePair":
@@ -287,17 +289,25 @@ def read_json(path: str | Path, error: Callable[[str], MTKitError]) -> dict:
     return doc
 
 
-def write_artifact(path: str | Path, data: str | bytes) -> Path:
-    """Write *data* (str as UTF-8, bytes as given) to *path*, creating
-    parent directories, via ``.<name>.<pid>.tmp`` and `os.replace`: *path*
-    holds its old bytes or all the new ones, never a part (no fsync, so a
-    machine crash may still lose the write). Returns *path*."""
+def write_artifact(path: str | Path,
+                   data: str | bytes | Iterable[bytes]) -> Path:
+    """Write *data* (str as UTF-8, bytes as given, or an iterable of bytes
+    chunks written in order) to *path*, creating parent directories, via
+    ``.<name>.<pid>.tmp`` and `os.replace`: *path* holds its old bytes or
+    all the new ones, never a part, also when the chunks' iterator raises
+    (no fsync, so a machine crash may still lose the write). Returns
+    *path*."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    if isinstance(data, bytes):
+        data = (data,)
     try:
-        tmp.write_bytes(data.encode("utf-8") if isinstance(data, str)
-                        else data)
+        with open(tmp, "wb") as out:
+            for chunk in data:
+                out.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -20,7 +20,7 @@ import functools
 import statistics
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -257,13 +257,22 @@ class ExportResult:
     total: int
 
 
-def _rows(tags: list[str], surfaces: list[str], order: list[int]) -> str:
-    """Row i of the result is `f"{tags[j]} {surfaces[j]}\n"` for j =
-    order[i], joined from those pieces without building a row string."""
-    parts: list[str | None] = [None, " ", None, "\n"] * len(order)
-    parts[0::4] = map(tags.__getitem__, order)
-    parts[2::4] = map(surfaces.__getitem__, order)
-    return "".join(parts)
+# Rows rendered per chunk of an export file: each file is written in
+# pieces of this many rows, so memory stays flat as the file grows.
+EXPORT_CHUNK_ROWS = 1024
+
+
+def _chunks(tags: list[str], surfaces: list[str], order: np.ndarray
+            ) -> Iterator[bytes]:
+    """The UTF-8 rows `f"{tags[j]} {surfaces[j]}\n"` for j in *order*,
+    `EXPORT_CHUNK_ROWS` rows a chunk, each chunk joined from tag and
+    surface pieces without building a row string."""
+    for start in range(0, len(order), EXPORT_CHUNK_ROWS):
+        rows = order[start:start + EXPORT_CHUNK_ROWS].tolist()
+        parts: list[str | None] = [None, " ", None, "\n"] * len(rows)
+        parts[0::4] = map(tags.__getitem__, rows)
+        parts[2::4] = map(surfaces.__getitem__, rows)
+        yield "".join(parts).encode("utf-8")
 
 
 def export_mixture(mixture: TrainingMixture, vocab: Vocabulary,
@@ -279,10 +288,11 @@ def export_mixture(mixture: TrainingMixture, vocab: Vocabulary,
     swapped pair is built. Each distinct sentence is rendered once per
     call (`Vocabulary.surface_line`, itself cached per word type), through
     a memo local to the call: the balance rule reads most pool sentences
-    in both directions. Each file is then joined from tag and surface
-    pieces in shuffled order. Rendering is pure Python, so worker threads
-    would only contend for the interpreter lock; *threads* is accepted
-    and unused.
+    in both directions. Each file is then written in chunks of
+    `EXPORT_CHUNK_ROWS` rows in shuffled order (`_chunks`), so no
+    whole-file string or bytes object is built. Rendering is pure Python,
+    so worker threads would only contend for the interpreter lock;
+    *threads* is accepted and unused.
     """
     out_dir = Path(out_dir)
     surface = functools.cache(vocab.surface_line)
@@ -306,12 +316,11 @@ def export_mixture(mixture: TrainingMixture, vocab: Vocabulary,
         tgt_surfaces += map(surface, tgts)
     del surface  # the memo: no longer needed once every row has its surface
 
-    order = np.random.default_rng(mixture.seed).permutation(
-        len(src_tags)).tolist()
+    order = np.random.default_rng(mixture.seed).permutation(len(src_tags))
     src_path = out_dir / f"{mixture.stage}.src"
     tgt_path = out_dir / f"{mixture.stage}.tgt"
-    write_artifact(src_path, _rows(src_tags, src_surfaces, order))
-    write_artifact(tgt_path, _rows(tgt_tags, tgt_surfaces, order))
+    write_artifact(src_path, _chunks(src_tags, src_surfaces, order))
+    write_artifact(tgt_path, _chunks(tgt_tags, tgt_surfaces, order))
 
     counts = mixture.direction_counts()
     sidecar = {

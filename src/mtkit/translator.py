@@ -48,6 +48,10 @@ from .errors import (
 
 NULL_WORD = "<null>"
 
+# Seconds one `ExternalProcessTranslator` batch may run before its process
+# is killed and the batch fails, so a hung command cannot hang a run.
+EXTERNAL_BATCH_TIMEOUT_S = 600.0
+
 _json_key = json.encoder.encode_basestring  # as json.dumps(ensure_ascii=False)
 
 
@@ -292,15 +296,29 @@ def _flat_em(src: list[list[str]], tgt: list[list[str]],
     src_start = np.repeat(np.cumsum(src_len) - src_len, tgt_len)
     src_word = np.arange(width.sum()) - np.repeat(entry_start - src_start,
                                                   width)
-    keys, first, pair = np.unique(src_ids[src_word] * len(f_vocab)
-                                  + np.repeat(tgt_ids, width),
-                                  return_index=True, return_inverse=True)
-    del src_word
-    by_first = np.argsort(first)
-    rank = np.empty_like(by_first)  # sorted index -> first-occurrence id
-    rank[by_first] = np.arange(len(rank))
-    pair = rank[pair]
-    keys = keys[by_first]
+    del entry_start, src_start
+    entry_key = src_ids[src_word] * len(f_vocab) + np.repeat(tgt_ids, width)
+    del src_word, src_ids, tgt_ids
+    # one sort groups the entries by key; a group's pair id is the rank of
+    # its first entry among all groups' first entries
+    order = np.argsort(entry_key)
+    sorted_key = entry_key[order]
+    del entry_key
+    new_group = np.empty(len(order), bool)
+    new_group[0] = True
+    np.not_equal(sorted_key[1:], sorted_key[:-1], out=new_group[1:])
+    starts = np.flatnonzero(new_group)
+    first = np.minimum.reduceat(order, starts)  # each group's first entry
+    is_first = np.zeros(len(order), bool)
+    is_first[first] = True
+    group_id = (np.cumsum(is_first) - 1)[first]
+    del is_first, first
+    keys = np.empty_like(sorted_key, shape=len(starts))
+    keys[group_id] = sorted_key[starts]
+    del sorted_key, starts
+    pair = np.empty_like(order)
+    pair[order] = group_id[np.cumsum(new_group) - 1]
+    del order, new_group, group_id
     tok = np.repeat(np.arange(len(width)), width)
     pair_e = keys // len(f_vocab)
 
@@ -311,9 +329,8 @@ def _flat_em(src: list[list[str]], tgt: list[list[str]],
     for _ in range(iterations):
         p = t[pair]
         total = np.bincount(tok, p)
-        logs = np.fromiter(map(math.log, (prior * total).tolist()), float,
-                           len(total))
-        log_likelihoods.append(float(np.cumsum(logs)[-1]))
+        log_likelihoods.append(
+            left_to_right_sum(map(math.log, (prior * total).tolist())))
         p /= total[tok]  # each entry's posterior
         counts = np.bincount(pair, p)
         kept = t != 0
@@ -345,7 +362,9 @@ class LexiconTranslator:
 
 class ExternalProcessTranslator:
     """One subprocess invocation per batch: sentences in on stdin, one per
-    line, translations out on stdout, same count, same order."""
+    line, translations out on stdout, same count, same order. A batch
+    that runs longer than `EXTERNAL_BATCH_TIMEOUT_S` seconds is killed
+    and raises ExternalProcessError."""
 
     def __init__(self, command: str) -> None:
         self.command = command
@@ -368,9 +387,15 @@ class ExternalProcessTranslator:
         payload = "".join(s + "\n" for s in sentences).encode("utf-8")
         try:
             proc = subprocess.run(self.argv, input=payload,
-                                  capture_output=True, check=False)
+                                  capture_output=True, check=False,
+                                  timeout=EXTERNAL_BATCH_TIMEOUT_S)
         except OSError as exc:
             raise ExternalProcessError(f"cannot run {self.command!r}: {exc}")
+        except subprocess.TimeoutExpired as exc:
+            raise ExternalProcessError(
+                f"{self.command!r} ran longer than the "
+                f"{EXTERNAL_BATCH_TIMEOUT_S:g} s limit for one batch; "
+                f"killed") from exc
         if proc.returncode != 0:
             stderr = proc.stderr.decode("utf-8", "replace")
             raise ExternalProcessError(

@@ -310,8 +310,13 @@ def test_concat_corpora_merges_provenance():
 # -- artifact writes -----------------------------------------------------
 
 
+def _chunks_failing_mid_way():
+    yield b"first new chunk\n"
+    raise RuntimeError("simulated failure mid-way")
+
+
 @pytest.mark.parametrize("old", [None, b"old bytes\n"], ids=["absent", "old"])
-@pytest.mark.parametrize("failure", ["replace", "encode"])
+@pytest.mark.parametrize("failure", ["replace", "encode", "chunks"])
 def test_write_artifact_failure_keeps_target(tmp_path, monkeypatch, old,
                                              failure):
     target = tmp_path / "a.json"
@@ -322,9 +327,13 @@ def test_write_artifact_failure_keeps_target(tmp_path, monkeypatch, old,
         def refuse(src, dst):
             raise OSError("simulated rename failure")
         monkeypatch.setattr(os, "replace", refuse)
-    else:
+    elif failure == "encode":
         data = "lone \udc80 surrogate"
-    with pytest.raises(OSError if failure == "replace" else UnicodeError):
+    else:
+        data = _chunks_failing_mid_way()
+    raised = {"replace": OSError, "encode": UnicodeError,
+              "chunks": RuntimeError}[failure]
+    with pytest.raises(raised):
         write_artifact(target, data)
     monkeypatch.undo()
     assert (target.read_bytes() if target.exists() else None) == old
@@ -339,6 +348,16 @@ def test_write_artifact_replaces_whole_file(tmp_path):
     write_artifact(target, b"\x00\xff")
     assert target.read_bytes() == b"\x00\xff"
     assert [p.name for p in target.parent.iterdir()] == ["a.txt"]
+
+
+def test_write_artifact_writes_chunks_in_order(tmp_path):
+    target = tmp_path / "a.txt"
+    chunks = [b"one\n", b"", "café\n".encode("utf-8"), b"three\n"]
+    assert write_artifact(target, iter(chunks)) == target
+    assert target.read_bytes() == b"".join(chunks)
+    write_artifact(target, iter(()))
+    assert target.read_bytes() == b""
+    assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import make_corpus, small_vocab
+from mtkit import dataset_builder
 from mtkit.corpus import Provenance, SentencePair, orient
 from mtkit.dataset_builder import (
     BalancePlan,
@@ -181,7 +183,8 @@ def test_orient_flip_equals_constructed_pairs(rows, data):
         for got, pair in zip(flipped, source):
             want = SentencePair(pair.tgt, pair.src)
             assert type(got) is SentencePair
-            assert vars(got) == vars(want)
+            assert dataclasses.astuple(got) == dataclasses.astuple(want)
+            assert not hasattr(got, "__dict__")
             assert got == want
 
 
@@ -500,6 +503,41 @@ def test_export_renders_repeated_sentences_like_the_reference(tmp_path):
         assert (result.src_path.read_bytes(),
                 result.tgt_path.read_bytes()) == want, run
     assert want[0].count(b"\n") == mixture.total() == 12
+
+
+_CHUNK_VOCAB = small_vocab(DATA, budget=6)
+_CHUNK_WORDS = [w for sents in DATA.values() for s in sents
+                for w in s.split()] + ["Qé", "漢", "😀x"]
+_CHUNK_SENTENCE = st.lists(st.sampled_from(_CHUNK_WORDS), min_size=1,
+                           max_size=5).map(" ".join)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 6), multiple=st.integers(1, 3),
+       delta=st.sampled_from([-1, 0, 1]), data=st.data())
+def test_chunked_export_equals_whole_file_reference(k, multiple, delta,
+                                                    data):
+    """Files written `EXPORT_CHUNK_ROWS` rows at a time equal the whole
+    texts of `oracles.reference_export_text`, for row counts one below, at
+    and one above multiples of the chunk size, down to a single row."""
+    import tempfile
+    n = max(multiple * k + delta, 1)
+    rows = data.draw(st.lists(st.tuples(_CHUNK_SENTENCE, _CHUNK_SENTENCE),
+                              min_size=n, max_size=n))
+    corpus = make_corpus(rows, name="ez")
+    direction = data.draw(st.sampled_from([DirectionSpec("eng", "zul"),
+                                           DirectionSpec("zul", "eng")]))
+    mixture = TrainingMixture("stage2", (
+        MixtureSlice(corpus, direction, tuple(range(n))),),
+        seed=data.draw(st.integers(0, 2**32 - 1)))
+    want = oracles.reference_export_text(mixture, _CHUNK_VOCAB)
+    with pytest.MonkeyPatch.context() as patch, \
+            tempfile.TemporaryDirectory() as out:
+        patch.setattr(dataset_builder, "EXPORT_CHUNK_ROWS", k)
+        result = export_mixture(mixture, _CHUNK_VOCAB, out)
+        got = (result.src_path.read_bytes(), result.tgt_path.read_bytes())
+    assert got == tuple(text.encode("utf-8") for text in want)
+    assert want[0].count("\n") == n
 
 
 def test_export_shuffles_with_seed(tmp_path):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mtkit import pipeline
+from mtkit import pipeline, translator
 from mtkit.cli import main
 from mtkit.corpus import (
     BitextCorpus,
@@ -675,6 +675,20 @@ def test_step_failure_keeps_partial_outputs(dataset, tmp_path):
     # everything before the failing step is still on disk
     assert (run_dir / "vocab" / "obpe.json").is_file()
     assert (run_dir / "stage1" / "mixture" / "stage1.src").is_file()
+
+
+def test_hung_exec_model_fails_its_step(dataset, tmp_path, monkeypatch):
+    # a batch that outlives the per-batch limit is killed and fails the
+    # step that ran it, as any other ExternalProcessError does
+    monkeypatch.setattr(translator, "EXTERNAL_BATCH_TIMEOUT_S", 0.2)
+    root, manifests = dataset
+    hung = f"exec:{shlex.quote(sys.executable)} -c 'import time; time.sleep(30)'"
+    cfg = make_config(root, manifests,
+                      backtranslation={"models": {"eng-xho": hung}})
+    with pytest.raises(StepFailure) as excinfo:
+        run_pipeline(cfg, run_dir=tmp_path / "hung")
+    assert excinfo.value.step == "back-translation"
+    assert "0.2 s limit for one batch" in str(excinfo.value)
 
 
 # -- dev-set helpers ------------------------------------------------------

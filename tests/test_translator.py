@@ -1,5 +1,7 @@
 import json
+import shlex
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import make_corpus
+from mtkit import translator
 from mtkit.errors import (
     BadLexicon,
     EmptyCorpus,
@@ -295,6 +298,17 @@ def test_external_process_failures():
     with pytest.raises(ExternalProcessError):
         ExternalProcessTranslator("/no/such/binary").translate_batch(
             ["a"], "eng", "zul")
+
+
+def test_external_process_timeout(monkeypatch):
+    monkeypatch.setattr(translator, "EXTERNAL_BATCH_TIMEOUT_S", 0.2)
+    command = f"{shlex.quote(sys.executable)} -c 'import time; time.sleep(30)'"
+    started = time.monotonic()
+    with pytest.raises(ExternalProcessError) as excinfo:
+        ExternalProcessTranslator(command).translate_batch(["a"], "eng", "zul")
+    assert time.monotonic() - started < 10
+    assert str(excinfo.value) == (
+        f"{command!r} ran longer than the 0.2 s limit for one batch; killed")
 
 
 def test_routing_translator_dispatch_and_copy():
