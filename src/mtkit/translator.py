@@ -49,8 +49,13 @@ from .errors import (
 NULL_WORD = "<null>"
 
 # Seconds one `ExternalProcessTranslator` batch may run before its process
-# is killed and the batch fails, so a hung command cannot hang a run.
-EXTERNAL_BATCH_TIMEOUT_S = 600.0
+# is killed and the batch fails, so a hung command cannot hang a run: a
+# start-up allowance (the command loads its model) plus an allowance per
+# sentence, so the limit grows with the batch. Both are assumptions, not
+# measurements: 5 s a sentence is several times what a slow CPU model
+# takes.
+EXTERNAL_START_TIMEOUT_S = 600.0
+EXTERNAL_SENTENCE_TIMEOUT_S = 5.0
 
 _json_key = json.encoder.encode_basestring  # as json.dumps(ensure_ascii=False)
 
@@ -363,8 +368,9 @@ class LexiconTranslator:
 class ExternalProcessTranslator:
     """One subprocess invocation per batch: sentences in on stdin, one per
     line, translations out on stdout, same count, same order. A batch
-    that runs longer than `EXTERNAL_BATCH_TIMEOUT_S` seconds is killed
-    and raises ExternalProcessError."""
+    of n sentences that runs longer than `EXTERNAL_START_TIMEOUT_S` +
+    n * `EXTERNAL_SENTENCE_TIMEOUT_S` seconds is killed and raises
+    ExternalProcessError."""
 
     def __init__(self, command: str) -> None:
         self.command = command
@@ -385,17 +391,18 @@ class ExternalProcessTranslator:
         if not sentences:
             return []
         payload = "".join(s + "\n" for s in sentences).encode("utf-8")
+        limit = (EXTERNAL_START_TIMEOUT_S
+                 + EXTERNAL_SENTENCE_TIMEOUT_S * len(sentences))
         try:
             proc = subprocess.run(self.argv, input=payload,
                                   capture_output=True, check=False,
-                                  timeout=EXTERNAL_BATCH_TIMEOUT_S)
+                                  timeout=limit)
         except OSError as exc:
             raise ExternalProcessError(f"cannot run {self.command!r}: {exc}")
         except subprocess.TimeoutExpired as exc:
             raise ExternalProcessError(
-                f"{self.command!r} ran longer than the "
-                f"{EXTERNAL_BATCH_TIMEOUT_S:g} s limit for one batch; "
-                f"killed") from exc
+                f"{self.command!r} ran longer than the {limit:g} s limit "
+                f"for a batch of {len(sentences)} sentences; killed") from exc
         if proc.returncode != 0:
             stderr = proc.stderr.decode("utf-8", "replace")
             raise ExternalProcessError(

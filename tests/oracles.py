@@ -304,24 +304,6 @@ def reference_export(mixture, vocab) -> tuple[bytes, bytes]:
             "".join(r[1] + "\n" for r in rows).encode("utf-8"))
 
 
-def reference_export_text(mixture, vocab) -> tuple[str, str]:
-    """The .src and .tgt texts of an exported mixture, each rendered
-    whole: `f"{tag} {vocab.surface_line(side)}\n"` per row, in the order
-    of the mixture seed's permutation."""
-    rows = []
-    for s in mixture.slices:
-        d = s.direction
-        flip = (s.corpus.src_lang, s.corpus.tgt_lang) != (d.src, d.tgt)
-        for i in s.indices:
-            pair = s.corpus.pairs[i]
-            src, tgt = (pair.tgt, pair.src) if flip else (pair.src, pair.tgt)
-            rows.append((f"<src:{d.src}> {vocab.surface_line(src)}\n",
-                         f"<tgt:{d.tgt}> {vocab.surface_line(tgt)}\n"))
-    order = np.random.default_rng(mixture.seed).permutation(len(rows))
-    return ("".join(rows[i][0] for i in order),
-            "".join(rows[i][1] for i in order))
-
-
 # -- cipher corpora for lexicon tests ----------------------------------
 
 def make_cipher(vocab: list[str], seed: int) -> dict[str, str]:

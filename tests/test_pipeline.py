@@ -678,9 +678,10 @@ def test_step_failure_keeps_partial_outputs(dataset, tmp_path):
 
 
 def test_hung_exec_model_fails_its_step(dataset, tmp_path, monkeypatch):
-    # a batch that outlives the per-batch limit is killed and fails the
-    # step that ran it, as any other ExternalProcessError does
-    monkeypatch.setattr(translator, "EXTERNAL_BATCH_TIMEOUT_S", 0.2)
+    # a batch that outlives its time limit is killed and fails the step
+    # that ran it, as any other ExternalProcessError does
+    monkeypatch.setattr(translator, "EXTERNAL_START_TIMEOUT_S", 0.2)
+    monkeypatch.setattr(translator, "EXTERNAL_SENTENCE_TIMEOUT_S", 0.0)
     root, manifests = dataset
     hung = f"exec:{shlex.quote(sys.executable)} -c 'import time; time.sleep(30)'"
     cfg = make_config(root, manifests,
@@ -688,7 +689,8 @@ def test_hung_exec_model_fails_its_step(dataset, tmp_path, monkeypatch):
     with pytest.raises(StepFailure) as excinfo:
         run_pipeline(cfg, run_dir=tmp_path / "hung")
     assert excinfo.value.step == "back-translation"
-    assert "0.2 s limit for one batch" in str(excinfo.value)
+    assert "ran longer than the 0.2 s limit for a batch of" in str(
+        excinfo.value)
 
 
 # -- dev-set helpers ------------------------------------------------------

@@ -301,14 +301,34 @@ def test_external_process_failures():
 
 
 def test_external_process_timeout(monkeypatch):
-    monkeypatch.setattr(translator, "EXTERNAL_BATCH_TIMEOUT_S", 0.2)
+    monkeypatch.setattr(translator, "EXTERNAL_START_TIMEOUT_S", 0.1)
+    monkeypatch.setattr(translator, "EXTERNAL_SENTENCE_TIMEOUT_S", 0.05)
     command = f"{shlex.quote(sys.executable)} -c 'import time; time.sleep(30)'"
     started = time.monotonic()
     with pytest.raises(ExternalProcessError) as excinfo:
-        ExternalProcessTranslator(command).translate_batch(["a"], "eng", "zul")
+        ExternalProcessTranslator(command).translate_batch(["a", "b"], "eng",
+                                                           "zul")
     assert time.monotonic() - started < 10
     assert str(excinfo.value) == (
-        f"{command!r} ran longer than the 0.2 s limit for one batch; killed")
+        f"{command!r} ran longer than the 0.2 s limit for a batch of 2 "
+        f"sentences; killed")
+
+
+def test_external_process_slow_batch_within_limit(monkeypatch):
+    # 40 lines at 0.03 s each outlast the start-up allowance alone; the
+    # per-sentence allowance lets the batch finish
+    monkeypatch.setattr(translator, "EXTERNAL_START_TIMEOUT_S", 0.5)
+    monkeypatch.setattr(translator, "EXTERNAL_SENTENCE_TIMEOUT_S", 0.1)
+    slow_echo = ("import sys, time\n"
+                 "for line in sys.stdin:\n"
+                 "    time.sleep(0.03); sys.stdout.write(line)")
+    command = f"{shlex.quote(sys.executable)} -c {shlex.quote(slow_echo)}"
+    sentences = [f"s{i}" for i in range(40)]
+    started = time.monotonic()
+    got = ExternalProcessTranslator(command).translate_batch(sentences,
+                                                             "eng", "zul")
+    assert time.monotonic() - started > 0.5
+    assert got == sentences
 
 
 def test_routing_translator_dispatch_and_copy():
