@@ -26,11 +26,11 @@ from .corpus import (
 from .vocab import (
     DEFAULT_HRL,
     DEFAULT_LRL,
+    DEFAULT_SPECIAL_TOKENS,
     END_OF_WORD,
     LangCorpusSet,
     VocabConfig,
     Vocabulary,
-    default_special_tokens,
     load_vocabulary,
     pretokenize,
     train_bpe,
@@ -88,14 +88,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BalancePlan", "BitextCorpus", "BleuConfig", "ChrfConfig", "CorpusStats",
-    "DEFAULT_HRL", "DEFAULT_LANGUAGES", "DEFAULT_LRL", "DirectionSpec",
+    "DEFAULT_HRL", "DEFAULT_LANGUAGES", "DEFAULT_LRL",
+    "DEFAULT_SPECIAL_TOKENS", "DirectionSpec",
     "END_OF_WORD", "EvalReport", "EvalRow", "ExternalProcessTranslator",
     "IdentityTranslator", "LangCorpusSet", "Lexicon", "LexiconTranslator",
     "NULL_WORD", "PlanEntry", "Provenance", "RoutingTranslator", "RunResult",
     "STEPS", "SentencePair", "TrainingMixture", "TranslatorModel",
     "VocabConfig", "Vocabulary", "avg_tokens_per_pair", "backtranslate",
     "bleu", "build_stage1_mixture", "build_stage2_mixture", "chrf",
-    "concat_corpora", "corpus_stats", "default_special_tokens", "errors",
+    "concat_corpora", "corpus_stats", "errors",
     "evaluate_directions", "export_mixture", "generate_toy_data",
     "load_bitext", "load_multiparallel", "load_translator",
     "load_vocabulary", "make_balance_plan", "new_direction_labels",

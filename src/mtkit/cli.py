@@ -53,6 +53,20 @@ def _langs(arg: str) -> frozenset[str]:
     return frozenset(x for x in arg.split(",") if x)
 
 
+def _int_at_least(low: int):
+    """An argparse `type=`: an integer >= *low*, else a usage error."""
+    def parse(arg: str) -> int:
+        value = int(arg)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # a non-integer reads "invalid int value: ..."
+    return parse
+
+
+_non_negative_int, _positive_int = _int_at_least(0), _int_at_least(1)
+
+
 def _read_lines(path: str | None) -> list[str]:
     """Lines of a UTF-8 text file, or of stdin when *path* is None."""
     data = Path(path).read_bytes() if path else sys.stdin.buffer.read()
@@ -305,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("manifests", nargs="+")
     v.set_defaults(fn=cmd_corpus_stats)
     v = csub.add_parser("split", help="reserve leading pairs for validation")
-    v.add_argument("--n", type=int, default=3000)
+    v.add_argument("--n", type=_non_negative_int, default=3000)
     v.add_argument("--out", required=True)
     v.add_argument("manifest")
     v.set_defaults(fn=cmd_corpus_split)
@@ -348,8 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("stage", choices=("stage1", "stage2"))
     p.add_argument("--plan", default=None,
                    help="balance plan JSON (stage2; default derives one)")
-    p.add_argument("--seed", type=int, default=17)
-    p.add_argument("--cap", type=int, default=None,
+    p.add_argument("--seed", type=_non_negative_int, default=17)
+    p.add_argument("--cap", type=_non_negative_int, default=None,
                    help="stage2 cap for directions the plan does not match")
     p.add_argument("--vocab", required=True)
     p.add_argument("--out", required=True)
@@ -360,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     tsub = p.add_subparsers(dest="verb", required=True)
     v = tsub.add_parser("train-lexicon", help="EM-train a lexicon")
     v.add_argument("--in", dest="infile", required=True)
-    v.add_argument("--iters", type=int, default=20)
+    v.add_argument("--iters", type=_positive_int, default=20)
     v.add_argument("--out", required=True)
     v.set_defaults(fn=cmd_translator_train)
     v = tsub.add_parser("run", help="translate stdin lines")
@@ -377,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="rebuild the source side with a reverse model")
     v.add_argument("--model", required=True)
     v.add_argument("--in", dest="infile", required=True)
-    v.add_argument("--batch-size", type=int, default=64)
+    v.add_argument("--batch-size", type=_positive_int, default=64)
     v.add_argument("--out", required=True)
     v.set_defaults(fn=cmd_synth_backtranslate)
     v = ssub.add_parser("pivot",
@@ -385,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--model", required=True)
     v.add_argument("--pivot-to", required=True)
     v.add_argument("--in", dest="infile", required=True)
-    v.add_argument("--batch-size", type=int, default=64)
+    v.add_argument("--batch-size", type=_positive_int, default=64)
     v.add_argument("--out", required=True)
     v.set_defaults(fn=cmd_synth_pivot)
 
@@ -421,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
         "repro-toy",
         help="generate toy data, run the pipeline, report the improvement")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=17)
+    p.add_argument("--seed", type=_non_negative_int, default=17)
     p.set_defaults(fn=cmd_repro_toy)
 
     return parser

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import operator
 import os
 import re
 import unicodedata
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Literal, Sequence
 
@@ -315,6 +316,25 @@ def write_artifact(path: str | Path,
     return path
 
 
+WRITE_CHUNK_LINES = 1024  # lines `write_lines` encodes and hashes at a time
+
+
+def write_lines(path: str | Path, lines: Iterable[str]) -> str:
+    """`write_artifact` of *lines*, each ended by LF, in UTF-8 (none: an
+    empty file), `WRITE_CHUNK_LINES` at a time; returns their hex SHA-256."""
+    digest = hashlib.sha256()
+
+    def chunks():
+        lines_left = iter(lines)
+        while batch := list(itertools.islice(lines_left, WRITE_CHUNK_LINES)):
+            chunk = ("\n".join(batch) + "\n").encode("utf-8")
+            digest.update(chunk)
+            yield chunk
+
+    write_artifact(path, chunks())
+    return digest.hexdigest()
+
+
 def write_json(path: str | Path, doc: object, sort_keys: bool = False) -> Path:
     """`write_artifact` of *doc* as ASCII-escaped, indent-2 JSON + LF."""
     return write_artifact(
@@ -395,15 +415,8 @@ def write_bitext(corpus: BitextCorpus, out_dir: str | Path) -> Path:
     out_dir = Path(out_dir)
     src_name = f"{corpus.name}.{corpus.src_lang}"
     tgt_name = f"{corpus.name}.{corpus.tgt_lang}"
-
-    def render(lines: list[str]) -> bytes:
-        return ("\n".join(lines) + "\n" if lines else "").encode("utf-8")
-
-    src_bytes = render(corpus.src_sentences)
-    tgt_bytes = render(corpus.tgt_sentences)
-    write_artifact(out_dir / src_name, src_bytes)
-    write_artifact(out_dir / tgt_name, tgt_bytes)
-
+    src_sha256 = write_lines(out_dir / src_name, (p.src for p in corpus.pairs))
+    tgt_sha256 = write_lines(out_dir / tgt_name, (p.tgt for p in corpus.pairs))
     manifest = {
         "name": corpus.name,
         "src_lang": corpus.src_lang,
@@ -413,8 +426,8 @@ def write_bitext(corpus: BitextCorpus, out_dir: str | Path) -> Path:
         "src_provenance": corpus.src_provenance.to_json(),
         "tgt_provenance": corpus.tgt_provenance.to_json(),
         "pair_count": len(corpus),
-        "src_sha256": sha256_hex(src_bytes),
-        "tgt_sha256": sha256_hex(tgt_bytes),
+        "src_sha256": src_sha256,
+        "tgt_sha256": tgt_sha256,
     }
     return write_artifact(
         out_dir / f"{corpus.name}.json",
@@ -464,6 +477,21 @@ def load_multiparallel(dev_dir: str | Path) -> dict[str, list[str]]:
     return out
 
 
+def write_multiparallel(dev_dir: str | Path,
+                        sentences_by_lang: dict[str, list[str]]) -> Path:
+    """Write the dev set `load_multiparallel` reads, languages in the given
+    order: a `dev.<lang>` file per language, then `dev.json` (returned).
+    Every language must hold the same number of lines."""
+    dev_dir = Path(dev_dir)
+    return write_json(dev_dir / "dev.json", {
+        "languages": list(sentences_by_lang),
+        "pair_count": len(next(iter(sentences_by_lang.values()), [])),
+        "files": {lang: f"dev.{lang}" for lang in sentences_by_lang},
+        "sha256": {lang: write_lines(dev_dir / f"dev.{lang}", lines)
+                   for lang, lines in sentences_by_lang.items()},
+    })
+
+
 def dev_bitext(dev: dict[str, list[str]], src: str, tgt: str) -> BitextCorpus:
     return BitextCorpus(
         f"dev-{DirectionSpec(src, tgt).label}", src, tgt,
@@ -494,14 +522,7 @@ class CorpusStats:
     tgt_chars: int
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "pair_count": self.pair_count,
-            "src_tokens": self.src_tokens,
-            "tgt_tokens": self.tgt_tokens,
-            "src_chars": self.src_chars,
-            "tgt_chars": self.tgt_chars,
-        }
+        return asdict(self)
 
 
 def corpus_stats(corpus: BitextCorpus) -> CorpusStats:

@@ -290,9 +290,7 @@ def export_mixture(mixture: TrainingMixture, vocab: Vocabulary,
     a memo local to the call: the balance rule reads most pool sentences
     in both directions. Each file is then written in chunks of
     `EXPORT_CHUNK_ROWS` rows in shuffled order (`_chunks`), so no
-    whole-file string or bytes object is built. Rendering is pure Python,
-    so worker threads would only contend for the interpreter lock;
-    *threads* is accepted and unused.
+    whole-file string or bytes object is built. *threads* is unused.
     """
     out_dir = Path(out_dir)
     surface = functools.cache(vocab.surface_line)

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -290,8 +290,7 @@ class EvalRow:
     chrf: float
 
     def to_json(self) -> dict:
-        return {"direction": self.direction, "pair_count": self.pair_count,
-                "bleu": self.bleu, "spbleu": self.spbleu, "chrf": self.chrf}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -310,20 +309,18 @@ class EvalReport:
                          f"{r.spbleu:>8.2f} {r.chrf:>8.2f}")
         return "\n".join(lines)
 
-    def average(self, directions: Sequence[str] | None = None,
-                metric: str = "bleu") -> float:
+    def average(self, directions: Sequence[str] | None = None) -> float:
+        """Mean BLEU over the rows of *directions* (all rows by default)."""
         rows = [r for r in self.rows
                 if directions is None or r.direction in directions]
         if not rows:
             raise EmptyInput("no rows to average")
-        return left_to_right_sum(getattr(r, metric) for r in rows) / len(rows)
+        return left_to_right_sum(r.bleu for r in rows) / len(rows)
 
 
 def evaluate_directions(model: TranslatorModel,
                         testsets: Sequence[BitextCorpus],
-                        vocab: Vocabulary,
-                        bleu_config: BleuConfig | None = None,
-                        chrf_config: ChrfConfig | None = None) -> EvalReport:
+                        vocab: Vocabulary) -> EvalReport:
     """Translate each testset's source side and score against its target
     side; one report row per corpus, in the given order."""
     rows = []
@@ -335,9 +332,9 @@ def evaluate_directions(model: TranslatorModel,
         rows.append(EvalRow(
             direction=corpus.direction.label,
             pair_count=len(corpus),
-            bleu=bleu(hyps, refs, bleu_config),
-            spbleu=spbleu(hyps, refs, vocab, bleu_config),
-            chrf=chrf(hyps, refs, chrf_config),
+            bleu=bleu(hyps, refs),
+            spbleu=spbleu(hyps, refs, vocab),
+            chrf=chrf(hyps, refs),
         ))
     return EvalReport(getattr(model, "model_id", "model"), tuple(rows))
 

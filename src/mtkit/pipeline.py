@@ -57,6 +57,7 @@ from .errors import (
 from .metrics import EvalReport, evaluate_directions, score_candidates
 from .synthesis import backtranslate, pivot_synthesize
 from .translator import (
+    IdentityTranslator,
     LexiconTranslator,
     RoutingTranslator,
     TranslatorModel,
@@ -134,7 +135,7 @@ _DEFAULTS = {
     "backtranslation": {"default": "internal", "models": {}, "batch_size": 64},
     "stage2": {"plan": None, "em_iterations": 20, "default_cap": None,
                "new_directions": None, "seed": None},
-    "eval": {"metric": "bleu", "dev_dir": None},
+    "eval": {"dev_dir": None},
 }
 
 
@@ -215,9 +216,12 @@ def _load_inputs(cfg: dict) -> tuple[_Inputs, list[str]]:
     name = cfg.get("name")
     if not isinstance(name, str) or not name:
         problems.append("name: required non-empty string")
-    seed_ok = is_json_int(cfg.get("seed"))
-    if not seed_ok:
+    seed = cfg.get("seed")
+    seed_ok = is_json_int(seed) and seed >= 0  # numpy takes no negative seed
+    if not is_json_int(seed):
         problems.append("seed: required integer (seeds must be explicit)")
+    elif not seed_ok:
+        problems.append("seed: must be a non-negative integer")
     if not isinstance(cfg.get("output_root"), str):
         problems.append("output_root: required path string")
     for key, default in (("", _DEFAULTS), *_DEFAULTS.items()):
@@ -291,9 +295,12 @@ def _load_inputs(cfg: dict) -> tuple[_Inputs, list[str]]:
     for key, stage in (("stage1", stage1), ("stage2", stage2)):
         # a stage seed that only repeats a bad top-level seed (its default)
         # is not reported again
-        if (stage is not None and not is_json_int(stage["seed"])
-                and (seed_ok or stage["seed"] != cfg.get("seed"))):
+        if stage is None or (not seed_ok and stage["seed"] == seed):
+            continue
+        if not is_json_int(stage["seed"]):
             problems.append(f"{key}.seed: must be an integer")
+        elif stage["seed"] < 0:
+            problems.append(f"{key}.seed: must be a non-negative integer")
 
     if stage1 is not None:
         iters = stage1["em_iterations"]
@@ -406,8 +413,6 @@ def _load_inputs(cfg: dict) -> tuple[_Inputs, list[str]]:
                 if missing:
                     problems.append(
                         f"eval.dev_dir: dev set lacks languages {missing}")
-        if ev["metric"] != "bleu":
-            problems.append("eval.metric: only 'bleu' is available")
 
     return inputs, problems
 
@@ -671,11 +676,13 @@ class _Runner:
         state = self.state
         dev = state.inputs.dev
         out = state.run_dir / "eval"
+        new = state.inputs.new
+        # stage 1 has no model for a new direction: it copies the source
         stage1_system = RoutingTranslator(
-            state.selected, copy_unsupported=True, model_id="stage1")
+            {**state.selected, **{d: IdentityTranslator() for d in new}},
+            model_id="stage1")
         stage2_system = RoutingTranslator(state.stage2_models,
                                           model_id="stage2")
-        new = state.inputs.new
         directions = sorted(set(state.candidates) | set(new))
         testsets = {d: dev_bitext(dev, d.src, d.tgt) for d in directions}
         stage1 = evaluate_directions(stage1_system, list(testsets.values()),

@@ -44,8 +44,7 @@ def _synthetic_pairs(generated: list[str], genuine: list[str]
 
 
 def backtranslate(corpus: BitextCorpus, model: TranslatorModel,
-                  batch_size: int = DEFAULT_BATCH_SIZE,
-                  name: str | None = None) -> BitextCorpus:
+                  batch_size: int = DEFAULT_BATCH_SIZE) -> BitextCorpus:
     """Rebuild the source side by translating the target side backwards.
 
     For an input (A, B) corpus and a B->A model, output pair i is
@@ -57,15 +56,14 @@ def backtranslate(corpus: BitextCorpus, model: TranslatorModel,
     check_direction(model, *back)
     tgt_side = corpus.tgt_sentences
     translated = _batched_translate(model, tgt_side, *back, batch_size)
-    return replace(corpus, name=name or f"{corpus.name}-bt",
+    return replace(corpus, name=f"{corpus.name}-bt",
                    pairs=_synthetic_pairs(translated, tgt_side),
                    src_provenance=Provenance("synthetic", model.model_id))
 
 
 def pivot_synthesize(corpus: BitextCorpus, model: TranslatorModel,
                      pivot_to: str,
-                     batch_size: int = DEFAULT_BATCH_SIZE,
-                     name: str | None = None) -> BitextCorpus:
+                     batch_size: int = DEFAULT_BATCH_SIZE) -> BitextCorpus:
     """Turn an English-L corpus into an X-L corpus by translating the
     English side to X. Output pair i is (model(eng_i), L_i); the L side
     stays the same string and real-if-it-was-real. Only the generated
@@ -81,7 +79,7 @@ def pivot_synthesize(corpus: BitextCorpus, model: TranslatorModel,
     translated = _batched_translate(model, kept.src_sentences, "eng",
                                     pivot_to, batch_size)
     return BitextCorpus(
-        name=name or f"{DirectionSpec(pivot_to, other).label}-pivot",
+        name=f"{DirectionSpec(pivot_to, other).label}-pivot",
         src_lang=pivot_to,
         tgt_lang=other,
         pairs=_synthetic_pairs(translated, kept.tgt_sentences),

@@ -25,10 +25,9 @@ from .corpus import (
     DirectionSpec,
     SentencePair,
     seeded_rng,
-    sha256_hex,
-    write_artifact,
     write_bitext,
     write_json,
+    write_multiparallel,
 )
 
 FAMILIES: dict[str, tuple[str, ...]] = {
@@ -178,7 +177,6 @@ def generate_toy_data(root: str | Path, seed: int = 0) -> ToyData:
     base = _base_sentences(total, np.random.default_rng(seed))
 
     cursor = DEV_SIZE
-    dev_base = base[:DEV_SIZE]
     manifests: dict[str, Path] = {}
 
     # eng-X corpora first, then the new pairs; eng renders as itself
@@ -194,18 +192,9 @@ def generate_toy_data(root: str | Path, seed: int = 0) -> ToyData:
                         for s in chunk))
         manifests[corpus.name] = write_bitext(corpus, train_dir)
 
-    checksums = {}
-    for lang in LANGUAGES:
-        lines = [render(s, transforms[lang]) for s in dev_base]
-        payload = "".join(line + "\n" for line in lines).encode("utf-8")
-        write_artifact(dev_dir / f"dev.{lang}", payload)
-        checksums[lang] = sha256_hex(payload)
-    write_json(dev_dir / "dev.json", {
-        "languages": list(LANGUAGES),
-        "pair_count": DEV_SIZE,
-        "files": {lang: f"dev.{lang}" for lang in LANGUAGES},
-        "sha256": checksums,
-    })
+    write_multiparallel(dev_dir, {
+        lang: [render(s, transforms[lang]) for s in base[:DEV_SIZE]]
+        for lang in LANGUAGES})
 
     summary_path = write_json(root / "toy.json", {
         "seed": seed,

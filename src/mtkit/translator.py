@@ -8,13 +8,10 @@ batch translation. Provided implementations:
 * Lexicon / LexiconTranslator: an IBM-Model-1-style translation table
   trained with EM (uniform alignment prior, a null source word), decoded
   word-by-word via argmax with copy-through for unseen words;
-* IdentityTranslator: copies input through, for plumbing tests;
+* IdentityTranslator: copies input through;
 * ExternalProcessTranslator: wraps any command that maps stdin sentences
   to stdout sentences one per line, so real models can be plugged in;
-* RoutingTranslator: dispatches per direction over other models, with
-  optional copy-through for untrained directions (an untrained lexicon
-  and copy-through are the same thing, which is exactly how a stage-1
-  system limps through directions it never saw).
+* RoutingTranslator: dispatches per direction over other models.
 """
 
 from __future__ import annotations
@@ -156,10 +153,6 @@ class Lexicon:
             if not abs(total - 1.0) <= 1e-9:
                 raise AssertionError(
                     f"row {e!r} sums to {total!r}, expected 1 within 1e-9")
-
-    @property
-    def src_vocab(self) -> set[str]:
-        return set(self.table) - {NULL_WORD}
 
     def best_translation(self, word: str) -> str:
         """argmax_f t(f|word); ties pick the lexicographically smaller f;
@@ -343,16 +336,10 @@ def _flat_em(src: list[list[str]], tgt: list[list[str]],
     return keys, t, kept, log_likelihoods
 
 
-def lexicon_translate(lexicon: Lexicon, sentence: str) -> str:
-    """Word-by-word argmax decode; order preserved, unknowns copied."""
-    best = lexicon._best  # `best_translation` as one dict lookup a word
-    return " ".join([best[w] for w in sentence.split()])
-
-
 class LexiconTranslator:
-    def __init__(self, lexicon: Lexicon, model_id: str | None = None) -> None:
+    def __init__(self, lexicon: Lexicon) -> None:
         self.lexicon = lexicon
-        self.model_id = model_id or "lexicon:" + DirectionSpec(
+        self.model_id = "lexicon:" + DirectionSpec(
             lexicon.src_lang, lexicon.tgt_lang).label
 
     def supported_directions(self) -> frozenset[tuple[str, str]]:
@@ -361,7 +348,7 @@ class LexiconTranslator:
     def translate_batch(self, sentences: Sequence[str], src: str,
                         tgt: str) -> list[str]:
         check_direction(self, src, tgt)
-        best = self.lexicon._best  # `lexicon_translate`, bound once a batch
+        best = self.lexicon._best  # `best_translation`, bound once a batch
         return [" ".join([best[w] for w in s.split()]) for s in sentences]
 
 
@@ -421,23 +408,17 @@ class RoutingTranslator:
     """Per-direction dispatch over other TranslatorModels."""
 
     def __init__(self, routes: dict[tuple[str, str], TranslatorModel],
-                 copy_unsupported: bool = False,
                  model_id: str = "router") -> None:
         self.routes = dict(routes)
-        self.copy_unsupported = copy_unsupported
         self.model_id = model_id
 
-    def supported_directions(self) -> frozenset[tuple[str, str]] | None:
-        if self.copy_unsupported:
-            return None
+    def supported_directions(self) -> frozenset[tuple[str, str]]:
         return frozenset(self.routes)
 
     def translate_batch(self, sentences: Sequence[str], src: str,
                         tgt: str) -> list[str]:
         model = self.routes.get((src, tgt))
         if model is None:
-            if self.copy_unsupported:
-                return list(sentences)
             raise UnsupportedDirection(src, tgt)
         return model.translate_batch(sentences, src, tgt)
 

@@ -20,7 +20,7 @@ import heapq
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -39,16 +39,10 @@ UNK = "<unk>"
 
 DEFAULT_HRL = frozenset({"eng", "xho", "tsn", "sna"})
 DEFAULT_LRL = frozenset({"afr", "zul", "ssw", "nso", "tso"})
-
-
-def default_special_tokens(
-        languages: Iterable[str] = DEFAULT_LANGUAGES) -> tuple[str, ...]:
-    """pad/unk/bos/eos plus one source and one target tag per language."""
-    specials = ["<pad>", UNK, "<bos>", "<eos>"]
-    for lang in sorted(languages):
-        specials.append(f"<src:{lang}>")
-        specials.append(f"<tgt:{lang}>")
-    return tuple(specials)
+# pad/unk/bos/eos plus one source and one target tag per default language
+DEFAULT_SPECIAL_TOKENS: tuple[str, ...] = ("<pad>", UNK, "<bos>", "<eos>", *(
+    tag for lang in sorted(DEFAULT_LANGUAGES)
+    for tag in (f"<src:{lang}>", f"<tgt:{lang}>")))
 
 
 @dataclass(frozen=True)
@@ -63,7 +57,7 @@ class VocabConfig:
     hrl_langs: frozenset[str] = DEFAULT_HRL
     lrl_langs: frozenset[str] = DEFAULT_LRL
     mean_exponent_p: float = -2.0
-    special_tokens: tuple[str, ...] = field(default_factory=default_special_tokens)
+    special_tokens: tuple[str, ...] = DEFAULT_SPECIAL_TOKENS
     end_of_word_marker: str = END_OF_WORD
 
     def __post_init__(self) -> None:

@@ -17,7 +17,7 @@ Reports serialize to JSON and render as aligned plain-text tables.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 from .corpus import BitextCorpus, orient
@@ -50,9 +50,7 @@ class RepresentationReport:
         return {
             "vocab_a": self.label_a,
             "vocab_b": self.label_b,
-            "rows": [{"language": r.language, "tokens_a": r.tokens_a,
-                      "tokens_b": r.tokens_b, "change_pct": r.change_pct}
-                     for r in self.rows],
+            "rows": [asdict(r) for r in self.rows],
         }
 
     def render_table(self) -> str:

@@ -4,7 +4,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import shlex
+import subprocess
 import sys
 
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mtkit
 from mtkit.cli import main
 from mtkit.corpus import (
     BitextCorpus,
@@ -680,6 +683,13 @@ def _split_takes_everything(root, work, cfg):
     return "validation_split: 60 takes all 60 pairs of eng-zul"
 
 
+def _seed(value, message):
+    def configure(root, work, cfg):
+        cfg["seed"] = value
+        return message
+    return configure
+
+
 def _plan_without_pairs(work):
     return str(write_json(work / "plan.json", {"entries": [
         {"new": "xho-zul", "old": ["xho-eng", "eng-zul"], "n": 0}]}))
@@ -717,6 +727,10 @@ def _plan_without_pairs(work):
          ".plan: entry xho-zul has n 0"),
     _set("vocab", "vocab_size", 40,
          ".vocab_size: vocab_size 40 <= 22 special tokens + "),
+    # a stage seed defaults to the top-level one and is not reported again
+    _seed(-1, "problem: seed: must be a non-negative integer"),
+    _set("stage1", "seed", -3, ".seed: must be a non-negative integer"),
+    _set("stage2", "seed", -5, ".seed: must be a non-negative integer"),
 ], ids=["corpus-checksum", "dev-checksum", "dev-line-count", "exec-empty",
         "exec-unclosed", "dev-line-break", "direction-without-corpus",
         "direction-side-empty",
@@ -725,7 +739,8 @@ def _plan_without_pairs(work):
         "corpus-stored-reversed", "new-corpus-listed-twice",
         "bt-model-key-unstored", "bt-model-wrong-direction",
         "corpus-without-pairs", "split-takes-everything", "plan-entry-without-pairs",
-        "vocab-size-too-small"])
+        "vocab-size-too-small", "seed-negative", "stage1-seed-negative",
+        "stage2-seed-negative"])
 def test_bad_input_file_exits_2_before_any_step(data, tmp_path, capsys,
                                                 breaks):
     """`pipeline validate` and `pipeline run` load the same inputs, so they
@@ -850,3 +865,39 @@ def test_unknown_subcommand_exits_via_argparse(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["no-such-command"])
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["corpus", "split", "--n", "-1", "--out", "{out}", "{eng-xho}"],
+    ["synth", "backtranslate", "--model", "exec:cat", "--in", "{eng-xho}",
+     "--batch-size", "0", "--out", "{out}"],
+    ["synth", "pivot", "--model", "exec:cat", "--pivot-to", "zul",
+     "--in", "{eng-xho}", "--batch-size", "0", "--out", "{out}"],
+    ["mixture", "stage2", "--cap", "-1", "--vocab", "{vocab}",
+     "--out", "{out}", "{eng-xho}", "{eng-zul}", "{xho-zul}"],
+    ["mixture", "stage1", "--seed", "-3", "--vocab", "{vocab}",
+     "--out", "{out}", "{eng-xho}", "{eng-zul}"],
+    ["repro-toy", "--seed", "-1", "--out", "{out}"],
+    ["translator", "train-lexicon", "--in", "{eng-xho}", "--iters", "0",
+     "--out", "{out}/lex.json"],
+], ids=["split-n", "backtranslate-batch-size", "pivot-batch-size",
+        "stage2-cap", "stage1-seed", "repro-toy-seed", "train-lexicon-iters"])
+def test_out_of_range_integer_option_exits_2(data, vocab_file, tmp_path,
+                                             argv):
+    """An integer option out of its range is a usage error: argparse exits
+    2 naming the option, before the command runs, with no traceback."""
+    root, manifests = data
+    paths = {name: str(path) for name, path in manifests.items()}
+    paths.update(out=str(tmp_path / "out"), vocab=str(vocab_file))
+    src = os.path.dirname(os.path.dirname(mtkit.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "mtkit.cli",
+         *(arg.format(**paths) for arg in argv)],
+        capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "error: argument --" in proc.stderr
+    assert "must be >= " in proc.stderr
+    assert not (tmp_path / "out").exists()

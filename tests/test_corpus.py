@@ -3,6 +3,7 @@ import json
 import os
 import re
 import stat
+import tracemalloc
 import unicodedata
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mtkit import corpus as corpus_module
 from mtkit import errors
 from mtkit.corpus import (
     _LINE_BREAKS,
@@ -24,6 +26,8 @@ from mtkit.corpus import (
     split_validation,
     write_artifact,
     write_bitext,
+    write_lines,
+    write_multiparallel,
 )
 
 
@@ -44,6 +48,41 @@ def test_round_trip_is_bit_identical(tmp_path):
     first = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     write_bitext(loaded, tmp_path)
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == first
+
+
+@pytest.mark.parametrize("count", [0, 1, 5])
+def test_write_lines_writes_lf_ended_lines_and_returns_their_hash(
+        tmp_path, monkeypatch, count):
+    monkeypatch.setattr(corpus_module, "WRITE_CHUNK_LINES", 2)
+    lines = [f"línea {i}" for i in range(count)]
+    path = tmp_path / "out.txt"
+    digest = write_lines(path, iter(lines))
+    data = path.read_bytes()
+    assert data == "".join(line + "\n" for line in lines).encode("utf-8")
+    assert digest == hashlib.sha256(data).hexdigest()
+
+
+def _write_bitext_peak(n_pairs, out_dir):
+    """Traced peak bytes of `write_bitext` over a corpus of *n_pairs*
+    distinct pairs, the corpus itself built before tracing starts."""
+    corpus = make_corpus([(f"source sentence number {i} here",
+                           f"target sentence number {i} there")
+                          for i in range(n_pairs)])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        write_bitext(corpus, out_dir)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_bitext_memory_stays_flat_as_the_corpus_grows(tmp_path):
+    """Each side is streamed a chunk of lines at a time and hashed as it
+    goes, so ten times the rows costs no whole file in memory."""
+    small = _write_bitext_peak(2_000, tmp_path / "small")
+    large = _write_bitext_peak(20_000, tmp_path / "large")
+    assert large < 2 * small, (small, large)
 
 
 def test_load_normalizes_to_nfc(tmp_path):
@@ -178,6 +217,25 @@ def _dev_set(root, lines_by_lang):
         "languages": sorted(lines_by_lang), "files": files, "sha256": sums,
         "pair_count": len(next(iter(lines_by_lang.values())))}))
     return root
+
+
+def test_write_multiparallel_round_trips_in_the_dev_format(tmp_path):
+    """The dev-set writer gives the files `load_multiparallel` reads: one
+    LF-ended line file per language and dev.json with its fields in
+    order, languages in the given order."""
+    dev = {"zul": ["x y", "café"], "eng": ["a b", "c"]}
+    manifest = write_multiparallel(tmp_path / "dev", dev)
+    assert manifest == tmp_path / "dev" / "dev.json"
+    assert load_multiparallel(manifest.parent) == dev
+    for lang, lines in dev.items():
+        assert (tmp_path / "dev" / f"dev.{lang}").read_bytes() == \
+            "".join(line + "\n" for line in lines).encode("utf-8")
+    assert manifest.read_text(encoding="utf-8") == json.dumps({
+        "languages": ["zul", "eng"], "pair_count": 2,
+        "files": {"zul": "dev.zul", "eng": "dev.eng"},
+        "sha256": {lang: hashlib.sha256(
+            (tmp_path / "dev" / f"dev.{lang}").read_bytes()).hexdigest()
+            for lang in dev}}, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("line,message", [

@@ -197,6 +197,10 @@ def test_validate_config_flags_problems(dataset, overrides, needle):
     ({"seed": "x", "stage2": {"seed": "y"}},
      ["seed: required integer (seeds must be explicit)",
       "stage2.seed: must be an integer"]),
+    ({"seed": -1}, ["seed: must be a non-negative integer"]),
+    ({"seed": -1, "stage1": {"seed": -2}},
+     ["seed: must be a non-negative integer",
+      "stage1.seed: must be a non-negative integer"]),
     ({"vocab": "obpe"}, ["vocab: must be an object"]),
     ({"stage1": []}, ["stage1: must be an object"]),
     ({"backtranslation": None}, ["backtranslation: must be an object"]),

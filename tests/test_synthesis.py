@@ -65,12 +65,6 @@ def test_backtranslate_batching_preserves_order():
         backtranslate(corpus, model, batch_size=0)
 
 
-def test_backtranslate_custom_name():
-    corpus = make_corpus(PAIRS, name="ez", src="eng", tgt="zul")
-    out = backtranslate(corpus, IdentityTranslator(), name="ez-extra")
-    assert out.name == "ez-extra"
-
-
 # -- pivot synthesis -----------------------------------------------------
 
 def test_pivot_translates_english_side_keeps_other():

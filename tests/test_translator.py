@@ -23,7 +23,6 @@ from mtkit.translator import (
     Lexicon,
     LexiconTranslator,
     RoutingTranslator,
-    lexicon_translate,
     load_translator,
     train_lexicon,
 )
@@ -70,7 +69,8 @@ def test_null_word_gets_a_row_but_stays_internal():
     corpus, _ = cipher_bitext(n_pairs=50, vocab_words=10, seed=5)
     lex = train_lexicon(corpus, iterations=3)
     assert NULL_WORD in lex.table
-    assert NULL_WORD not in lex.src_vocab
+    assert lex.table.keys() - {NULL_WORD} == {
+        w for pair in corpus.pairs for w in pair.src.split()}
 
 
 def assert_same_as_reference_em(corpus, iterations):
@@ -114,15 +114,17 @@ def test_argmax_prefers_lexicographically_smaller_on_tie():
 
 def test_unknown_words_copy_through():
     lex = Lexicon("eng", "zul", {"a": {"x": 1.0}})
-    assert lexicon_translate(lex, "a mystery a") == "x mystery x"
+    assert LexiconTranslator(lex).translate_batch(
+        ["a mystery a"], "eng", "zul") == ["x mystery x"]
 
 
 def test_decode_recovers_cipher_sentences():
     corpus, cipher = cipher_bitext(n_pairs=400, vocab_words=25, seed=2)
     lex = train_lexicon(corpus, iterations=15)
+    model = LexiconTranslator(lex)
     total = correct = 0
     for pair in corpus.pairs[:30]:
-        out = lexicon_translate(lex, pair.src).split()
+        out = model.translate_batch([pair.src], "eng", "zul")[0].split()
         want = pair.tgt.split()
         total += len(want)
         correct += sum(o == w for o, w in zip(out, want))
@@ -157,7 +159,7 @@ def test_save_load_round_trip(tmp_path):
     for e, row in lex.table.items():
         for f, p in row.items():
             assert loaded.table[e][f] == pytest.approx(p, rel=1e-9)
-    for w in sorted(lex.src_vocab)[:20]:
+    for w in sorted(lex.table.keys() - {NULL_WORD})[:20]:
         assert loaded.best_translation(w) == lex.best_translation(w)
 
 
@@ -339,10 +341,12 @@ def test_routing_translator_dispatch_and_copy():
     with pytest.raises(UnsupportedDirection):
         strict.translate_batch(["a"], "zul", "eng")
 
-    lenient = RoutingTranslator({("eng", "zul"): LexiconTranslator(lex)},
-                                copy_unsupported=True)
-    assert lenient.translate_batch(["a b"], "xho", "tsn") == ["a b"]
-    assert lenient.supported_directions() is None
+    # copy-through is an explicit identity route
+    copying = RoutingTranslator({("eng", "zul"): LexiconTranslator(lex),
+                                 ("xho", "tsn"): IdentityTranslator()})
+    assert copying.translate_batch(["a b"], "xho", "tsn") == ["a b"]
+    assert copying.supported_directions() == frozenset(
+        {("eng", "zul"), ("xho", "tsn")})
 
 
 def test_load_translator_specs(tmp_path):
