@@ -32,7 +32,6 @@ from .vocab import (
     VocabConfig,
     Vocabulary,
     load_vocabulary,
-    pretokenize,
     train_bpe,
     train_obpe,
 )
@@ -64,8 +63,6 @@ from .dataset_builder import (
     make_balance_plan,
 )
 from .metrics import (
-    BleuConfig,
-    ChrfConfig,
     EvalReport,
     EvalRow,
     bleu,
@@ -87,7 +84,7 @@ from . import errors
 __version__ = "0.1.0"
 
 __all__ = [
-    "BalancePlan", "BitextCorpus", "BleuConfig", "ChrfConfig", "CorpusStats",
+    "BalancePlan", "BitextCorpus", "CorpusStats",
     "DEFAULT_HRL", "DEFAULT_LANGUAGES", "DEFAULT_LRL",
     "DEFAULT_SPECIAL_TOKENS", "DirectionSpec",
     "END_OF_WORD", "EvalReport", "EvalRow", "ExternalProcessTranslator",
@@ -100,7 +97,7 @@ __all__ = [
     "evaluate_directions", "export_mixture", "generate_toy_data",
     "load_bitext", "load_multiparallel", "load_translator",
     "load_vocabulary", "make_balance_plan", "new_direction_labels",
-    "parse_direction", "pivot_synthesize", "pretokenize",
+    "parse_direction", "pivot_synthesize",
     "representation_change", "run_pipeline", "score_candidates",
     "select_best", "speed_report", "spbleu", "split_validation", "train_bpe",
     "train_lexicon", "train_obpe", "validate_config", "vocabulary_report",

@@ -32,7 +32,7 @@ from .dataset_builder import (
     make_balance_plan,
 )
 from .errors import ConfigValidationError, MTKitError, StepFailure, UnknownId
-from .metrics import BleuConfig, ChrfConfig, bleu, chrf, evaluate_directions, spbleu
+from .metrics import bleu, chrf, evaluate_directions, spbleu
 from .pipeline import run_pipeline, validate_config
 from .synthesis import backtranslate, pivot_synthesize
 from .toy import generate_toy_data, new_direction_labels
@@ -220,9 +220,9 @@ def cmd_eval_score(args) -> int:
     hyps = _read_lines(args.hyp)
     refs = _read_lines(args.ref)
     if args.metric == "bleu":
-        score = bleu(hyps, refs, BleuConfig())
+        score = bleu(hyps, refs)
     elif args.metric == "chrf":
-        score = chrf(hyps, refs, ChrfConfig())
+        score = chrf(hyps, refs)
     else:
         if not args.vocab:
             raise ConfigValidationError(["--vocab is required for spbleu"])

@@ -19,7 +19,7 @@ import unicodedata
 from collections import namedtuple
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable, Literal, Sequence
+from typing import Callable, Iterable, Literal, NoReturn, Sequence
 
 import numpy as np
 
@@ -274,10 +274,15 @@ def split_lines(data: bytes, source: object,
 
 def read_json(path: str | Path, error: Callable[[str], MTKitError]) -> dict:
     """The JSON object in the file at *path*. A file that cannot be read,
-    is not strict UTF-8, is not JSON or holds anything but an object
+    is not strict UTF-8, is not JSON (NaN and Infinity are not, though
+    Python's json module reads them) or holds anything but an object
     raises *error* with a message naming *path*."""
+    def not_json(token: str) -> NoReturn:
+        raise error(f"{path}: {token} is not a JSON value")
+
     try:
-        doc = json.loads(Path(path).read_bytes().decode("utf-8"))
+        doc = json.loads(Path(path).read_bytes().decode("utf-8"),
+                         parse_constant=not_json)
     except OSError as exc:
         raise error(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
@@ -285,6 +290,8 @@ def read_json(path: str | Path, error: Callable[[str], MTKitError]) -> dict:
     except json.JSONDecodeError as exc:
         raise error(f"{path}: line {exc.lineno} column {exc.colno}: "
                     f"{exc.msg}") from exc
+    except ValueError as exc:  # an integer too long to convert
+        raise error(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise error(f"{path}: not a JSON object")
     return doc

@@ -1,15 +1,15 @@
 """Corpus evaluation: BLEU, spBLEU, and chrF, plus model selection.
 
-BLEU is the classic corpus statistic: geometric mean of modified n-gram
-precisions (orders 1..max_ngram, hypothesis orders with no n-grams skipped)
-times the brevity penalty exp(min(0, 1 - r/c)). No smoothing by default:
-any zero precision zeroes the score; an epsilon floor is available
-behind the config. spBLEU is the same computation over subword token
-ids from a vocabulary instead of whitespace tokens. chrF is
-segment-level and macro-averaged: per order (character orders computed
-with whitespace removed, plus word orders), an F_beta of n-gram
-precision and recall; orders whose reference has no n-grams are
-skipped. Defaults char_n=6, word_n=2, beta=2 make it chrF2++.
+The settings are fixed, so a score means one thing. BLEU is the classic
+corpus statistic: geometric mean of modified n-gram precisions of
+orders 1-4 (hypothesis orders with no n-grams skipped) times the
+brevity penalty exp(min(0, 1 - r/c)), without smoothing: any zero
+precision zeroes the score. spBLEU is the same computation over subword
+token ids from a vocabulary instead of whitespace tokens. chrF is
+chrF++ (character orders 1-6, word orders 1-2, beta 2), segment-level
+and macro-averaged: per order (character orders computed with
+whitespace removed, plus word orders), an F_beta of n-gram precision
+and recall; orders whose reference has no n-grams are skipped.
 
 All three metrics count n-grams with one corpus-level matcher
 (`_clipped_matches`). A segment whose hypothesis ids equal its
@@ -44,34 +44,11 @@ from .translator import TranslatorModel, check_direction
 from .vocab import Vocabulary
 
 
-@dataclass(frozen=True)
-class BleuConfig:
-    max_ngram: int = 4
-    smoothing: str = "none"  # "none" | "floor"
-    floor_eps: float = 0.1
-
-    def __post_init__(self) -> None:
-        if self.max_ngram < 1:
-            raise ValueError(f"max_ngram must be >= 1, got {self.max_ngram}")
-        if self.smoothing not in ("none", "floor"):
-            raise ValueError(f"smoothing {self.smoothing!r}")
-        if self.smoothing == "floor" and not 0 < self.floor_eps < 1:
-            raise ValueError(f"floor_eps {self.floor_eps!r}")
-
-
-@dataclass(frozen=True)
-class ChrfConfig:
-    char_n: int = 6
-    word_n: int = 2  # 0 turns off word n-grams (plain chrF2)
-    beta: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.char_n < 1:
-            raise ValueError(f"char_n must be >= 1, got {self.char_n}")
-        if self.word_n < 0:
-            raise ValueError(f"word_n must be >= 0, got {self.word_n}")
-        if self.beta <= 0:
-            raise ValueError(f"beta must be > 0, got {self.beta}")
+# The fixed settings of the module docstring.
+BLEU_MAX_N = 4
+CHRF_CHAR_N = 6
+CHRF_WORD_N = 2
+CHRF_BETA = 2.0
 
 
 def _check_streams(hyps: Sequence[str], refs: Sequence[str]) -> None:
@@ -185,29 +162,24 @@ def _code_points(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _corpus_bleu(hyp_ids: np.ndarray, hyp_lens: np.ndarray,
-                 ref_ids: np.ndarray, ref_lens: np.ndarray,
-                 cfg: BleuConfig) -> float:
+                 ref_ids: np.ndarray, ref_lens: np.ndarray) -> float:
     correct = _clipped_matches(hyp_ids, hyp_lens, ref_ids, ref_lens,
-                               cfg.max_ngram).sum(axis=1).tolist()
+                               BLEU_MAX_N).sum(axis=1).tolist()
     total = [int(np.maximum(hyp_lens - n + 1, 0).sum())
-             for n in range(1, cfg.max_ngram + 1)]
+             for n in range(1, BLEU_MAX_N + 1)]
     hyp_len, ref_len = int(hyp_lens.sum()), int(ref_lens.sum())
     if hyp_len == 0:
         return 0.0
     log_sum = 0.0
     orders = 0
-    for n in range(cfg.max_ngram):
+    for n in range(BLEU_MAX_N):
         if total[n] == 0:
             continue  # no hypothesis n-grams of this order exist at all
-        orders += 1
         if correct[n] == 0:
-            if cfg.smoothing == "none":
-                return 0.0
-            log_sum += math.log(cfg.floor_eps / total[n])
-        else:
-            log_sum += math.log(correct[n] / total[n])
-    if orders == 0:
-        return 0.0
+            return 0.0
+        orders += 1
+        log_sum += math.log(correct[n] / total[n])
+    # hyp_len > 0, so order 1 has n-grams: orders >= 1
     brevity = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
     return 100.0 * brevity * math.exp(log_sum / orders)
 
@@ -219,22 +191,19 @@ def _flat_ids(encoded: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
                         dtype=np.int64, count=int(lens.sum())), lens)
 
 
-def bleu(hyps: Sequence[str], refs: Sequence[str],
-         config: BleuConfig | None = None) -> float:
+def bleu(hyps: Sequence[str], refs: Sequence[str]) -> float:
     """Corpus BLEU over whitespace tokens."""
-    cfg = config or BleuConfig()
     _check_streams(hyps, refs)
-    return _corpus_bleu(*_word_ids(hyps, refs), cfg)
+    return _corpus_bleu(*_word_ids(hyps, refs))
 
 
-def spbleu(hyps: Sequence[str], refs: Sequence[str], vocab: Vocabulary,
-           config: BleuConfig | None = None) -> float:
+def spbleu(hyps: Sequence[str], refs: Sequence[str],
+           vocab: Vocabulary) -> float:
     """BLEU over subword token ids; rewards the segmentation the model
     actually trains on rather than whitespace luck."""
-    cfg = config or BleuConfig()
     _check_streams(hyps, refs)
     return _corpus_bleu(*_flat_ids([vocab.encode(h) for h in hyps]),
-                        *_flat_ids([vocab.encode(r) for r in refs]), cfg)
+                        *_flat_ids([vocab.encode(r) for r in refs]))
 
 
 def _order_fscores(streams: _Streams, max_n: int,
@@ -258,19 +227,17 @@ def _order_fscores(streams: _Streams, max_n: int,
     return f, valid
 
 
-def chrf(hyps: Sequence[str], refs: Sequence[str],
-         config: ChrfConfig | None = None) -> float:
-    """Macro-averaged segment chrF (chrF2++ with default config). A
-    segment scores the mean F_beta over its valid char orders 1..char_n
-    and word orders 1..word_n, summed left to right in that order, or 0
-    without any; the corpus score is the mean over segments."""
-    cfg = config or ChrfConfig()
+def chrf(hyps: Sequence[str], refs: Sequence[str]) -> float:
+    """Macro-averaged segment chrF++. A segment scores the mean F_beta
+    over its valid char orders 1-6 and word orders 1-2, summed left to
+    right in that order, or 0 without any; the corpus score is the mean
+    over segments."""
     _check_streams(hyps, refs)
-    beta2 = cfg.beta * cfg.beta
+    beta2 = CHRF_BETA * CHRF_BETA
     chars = (*_code_points(["".join(h.split()) for h in hyps]),
              *_code_points(["".join(r.split()) for r in refs]))
-    char_f, char_valid = _order_fscores(chars, cfg.char_n, beta2)
-    word_f, word_valid = _order_fscores(_word_ids(hyps, refs), cfg.word_n,
+    char_f, char_valid = _order_fscores(chars, CHRF_CHAR_N, beta2)
+    word_f, word_valid = _order_fscores(_word_ids(hyps, refs), CHRF_WORD_N,
                                         beta2)
     total = np.zeros(len(hyps))
     for row in (*char_f, *word_f):  # an invalid order adds 0.0: no change

@@ -8,7 +8,7 @@ batch translation. Provided implementations:
 * Lexicon / LexiconTranslator: an IBM-Model-1-style translation table
   trained with EM (uniform alignment prior, a null source word), decoded
   word-by-word via argmax with copy-through for unseen words;
-* IdentityTranslator: copies input through;
+* IdentityTranslator: copies input through, in any direction;
 * ExternalProcessTranslator: wraps any command that maps stdin sentences
   to stdout sentences one per line, so real models can be plugged in;
 * RoutingTranslator: dispatches per direction over other models.
@@ -21,7 +21,6 @@ import math
 import shlex
 import subprocess
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol, Sequence, runtime_checkable
 
@@ -92,17 +91,14 @@ def check_direction(model: TranslatorModel, src: str, tgt: str) -> None:
         raise UnsupportedDirection(src, tgt)
 
 
-@dataclass(frozen=True)
 class IdentityTranslator:
-    directions: frozenset[tuple[str, str]] | None = None
-    model_id: str = "identity"
+    model_id = "identity"
 
-    def supported_directions(self) -> frozenset[tuple[str, str]] | None:
-        return self.directions
+    def supported_directions(self) -> None:
+        return None
 
     def translate_batch(self, sentences: Sequence[str], src: str,
                         tgt: str) -> list[str]:
-        check_direction(self, src, tgt)
         return list(sentences)
 
 

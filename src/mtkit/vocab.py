@@ -19,6 +19,7 @@ import functools
 import heapq
 import json
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -74,9 +75,11 @@ class VocabConfig:
         if not is_json_int(self.vocab_size) or self.vocab_size < 1:
             raise InvalidConfig(
                 f"vocab_size must be a positive int, got {self.vocab_size!r}")
-        if not is_json_number(self.mean_exponent_p):
-            raise InvalidConfig(f"mean_exponent_p must be a number, got "
-                                f"{self.mean_exponent_p!r}")
+        # NaN fails the comparison; an int too large for a float fails too
+        if not (is_json_number(self.mean_exponent_p)
+                and abs(self.mean_exponent_p) <= sys.float_info.max):
+            raise InvalidConfig(f"mean_exponent_p must be a finite number, "
+                                f"got {self.mean_exponent_p!r}")
         overlap = self.hrl_langs & self.lrl_langs
         if overlap:
             raise InvalidConfig(f"languages in both hrl and lrl: {sorted(overlap)}")
@@ -128,15 +131,6 @@ def _mark_word(word: str, marker: str) -> list[str]:
     """A word's characters, *marker* appended to the last one: the
     symbols merging starts from."""
     return list(word[:-1]) + [word[-1] + marker]
-
-
-def pretokenize(text: str, marker: str = END_OF_WORD) -> list[list[str]]:
-    """Split on Unicode whitespace and mark each word (`_mark_word`).
-
-    Joining all symbols and turning the marker back into a space restores
-    the whitespace-normalized sentence.
-    """
-    return [_mark_word(w, marker) for w in text.split()]
 
 
 def _merge_pair(symbols: list[str], left: str, right: str) -> list[str]:

@@ -42,7 +42,7 @@ from mtkit.vocab import (
     train_obpe,
 )
 from mtkit.vocab_metrics import avg_tokens_per_pair, representation_change
-from mtkit.metrics import BleuConfig, ChrfConfig, bleu, chrf
+from mtkit.metrics import bleu, chrf
 
 from test_pipeline import _write_dataset, make_config
 
@@ -232,16 +232,12 @@ def test_criterion_05_representation_reports_match_oracle(toy):
 def test_criterion_06_metric_hand_cases():
     cases = 0
 
-    def check_bleu(hyps, refs, want, config=None):
+    def check_bleu(hyps, refs, want):
         nonlocal cases
-        got = bleu(hyps, refs, config)
+        got = bleu(hyps, refs)
         assert got == pytest.approx(want, abs=1e-4), (hyps, refs)
-        kw = {}
-        if config is not None:
-            kw = {"max_n": config.max_ngram, "smoothing": config.smoothing,
-                  "eps": config.floor_eps}
         assert got == pytest.approx(
-            oracles.reference_bleu(list(hyps), list(refs), **kw), rel=1e-9)
+            oracles.reference_bleu(list(hyps), list(refs)), rel=1e-9)
         cases += 1
 
     check_bleu(["the cat sat on the mat"], ["the cat sat on the mat"], 100.0)
@@ -254,39 +250,36 @@ def test_criterion_06_metric_hand_cases():
     # long hypothesis: precisions 4/5, 3/4, 2/3, 1/2 and no penalty
     check_bleu(["the cat sat on it"], ["the cat sat on"],
                100.0 * (1.0 / 5.0) ** 0.25)
-    # clipping: "the" matches at most once
-    check_bleu(["the the the the"], ["the cat"], 25.0,
-               BleuConfig(max_ngram=1))
+    # clipping at every order: the reference holds "the" 4 times, so of
+    # 6, 5, 4, 3 hypothesis n-grams only 4, 3, 2, 1 match (unclipped: 100)
+    check_bleu(["the the the the the the"], ["the the the the cat"],
+               100.0 * (4.0 / 6.0 * 3.0 / 5.0 * 2.0 / 4.0 * 1.0 / 3.0) ** 0.25)
     # three-sentence corpus, enumerated by hand with the oracle
     check_bleu(
         ["the cat sat on the mat", "a quick brown fox", "hello world"],
         ["the cat sat on a mat", "the quick brown fox jumps",
          "hello there world"],
         41.51754373367223)
-    # floor smoothing: zero 3- and 4-gram matches get eps/total
-    check_bleu(["the cat sat on"], ["the cat ran on"],
-               100.0 * (0.75 * (1.0 / 3.0) * (0.1 / 2.0) * 0.1) ** 0.25,
-               BleuConfig(smoothing="floor"))
+    # a 2-token hypothesis has no 3- or 4-grams: those orders are skipped,
+    # precisions 2/2 and 1/1, brevity penalty exp(1 - 4/2)
+    check_bleu(["the cat"], ["the cat sat on"], 100.0 * np.exp(-1.0))
 
-    def check_chrf(hyps, refs, want, config=None):
+    def check_chrf(hyps, refs, want):
         nonlocal cases
-        got = chrf(hyps, refs, config)
+        got = chrf(hyps, refs)
         assert got == pytest.approx(want, abs=1e-4), (hyps, refs)
-        kw = {}
-        if config is not None:
-            kw = {"char_n": config.char_n, "word_n": config.word_n,
-                  "beta": config.beta}
         assert got == pytest.approx(
-            oracles.reference_chrf(list(hyps), list(refs), **kw), rel=1e-9)
+            oracles.reference_chrf(list(hyps), list(refs)), rel=1e-9)
         cases += 1
 
     check_chrf(["the cat"], ["the cat"], 100.0)
     assert chrf(["the cat"], ["the cat"]) == 100.0
     check_chrf(["aaaa"], ["bbbb"], 0.0)
-    # two segments, char_n=2 word_n=1: per-segment scores 7/18 and
-    # 115/198, macro average 16/33
-    check_chrf(["abc", "aab"], ["abd", "ab"], 100.0 * 16.0 / 33.0,
-               ChrfConfig(char_n=2, word_n=1))
+    # two segments; only orders whose reference has n-grams count.
+    # "ab c" | "ab d": char1 F=2/3, char2 F=1/2, char3 F=0, word1 F=1/2,
+    # word2 F=0 -> 1/3. "aab" | "ab": char1 F=10/11, char2 F=5/6,
+    # word1 F=0 -> 115/198. Macro average 181/396.
+    check_chrf(["ab c", "aab"], ["ab d", "ab"], 100.0 * 181.0 / 396.0)
     assert cases >= 10
     _report(6, f"{cases} hand-enumerated BLEU/chrF cases matched at 1e-4 "
                "with exact 100/0 edges")

@@ -8,6 +8,7 @@ import os
 import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mtkit
-from mtkit.cli import main
+from mtkit.cli import build_parser, main
 from mtkit.corpus import (
     BitextCorpus,
     SentencePair,
@@ -257,11 +258,16 @@ _LEXICON = {"src_lang": "eng", "tgt_lang": "zul", "log_likelihoods": [],
     json.dumps({**_LEXICON, "log_likelihoods": 5}),
     json.dumps([_LEXICON]),
     '{"src_lang": "eng",',
+    json.dumps({**_LEXICON, "log_likelihoods": [float("nan")]}),
+    json.dumps({**_LEXICON, "log_likelihoods": [float("inf")]}),
+    json.dumps({**_LEXICON, "log_likelihoods": [float("-inf")]}),
+    json.dumps(_LEXICON).replace("1.0", "1" * 5000),
 ], ids=["all-zero-row", "no-src_lang", "no-tgt_lang", "no-table",
         "string-probability", "bool-probability", "null-probability",
         "out-of-range-probability", "empty-row", "row-not-object",
         "src_lang-not-string", "log_likelihoods-not-list", "not-object",
-        "not-json"])
+        "not-json", "nan-token", "infinity-token", "minus-infinity-token",
+        "integer-too-long"])
 def test_translator_run_rejects_malformed_lexicon(tmp_path, capsys, text):
     lex = tmp_path / "bad.json"
     lex.write_text(text, encoding="utf-8")
@@ -287,6 +293,14 @@ _PLAN = {"entries": [{"new": "xho-zul", "old": ["xho-eng", "eng-zul"]}]}
      "end_of_word_marker must"),
     ("vocabulary", ["config", "mean_exponent_p"], "x",
      "mean_exponent_p must"),
+    ("vocabulary", ["config", "mean_exponent_p"], float("nan"),
+     "NaN is not a JSON value"),
+    ("vocabulary", ["config", "mean_exponent_p"], float("inf"),
+     "Infinity is not a JSON value"),
+    ("vocabulary", ["config", "mean_exponent_p"], float("-inf"),
+     "-Infinity is not a JSON value"),
+    ("vocabulary", ["config", "mean_exponent_p"], 10 ** 400,
+     "mean_exponent_p must be a finite number"),
     ("plan", ["entries"], {}, "entries must"),
     ("plan", ["entries", 0], 5, "entries[0] must"),
     ("plan", ["entries", 0, "n"], "5", "n must"),
@@ -294,7 +308,8 @@ _PLAN = {"entries": [{"new": "xho-zul", "old": ["xho-eng", "eng-zul"]}]}
     ("plan", ["entries", 0, "n"], True, "n must"),
 ], ids=["manifest-name-int", "manifest-src_lang-int", "manifest-src_file-list",
         "manifest-pair_count-str", "manifest-pair_count-bool",
-        "vocab-token-int", "vocab-marker-int", "vocab-p-str",
+        "vocab-token-int", "vocab-marker-int", "vocab-p-str", "vocab-p-nan",
+        "vocab-p-inf", "vocab-p-minus-inf", "vocab-p-huge",
         "plan-entries-object", "plan-entry-int", "plan-n-str",
         "plan-n-negative", "plan-n-bool"])
 def test_wrong_typed_field_exits_2(data, vocab_file, tmp_path, capsys, kind,
@@ -322,6 +337,20 @@ def test_wrong_typed_field_exits_2(data, vocab_file, tmp_path, capsys, kind,
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "bad.json" in err and needle in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_vocab_train_non_finite_exponent_exits_2(data, tmp_path, capsys,
+                                                 value):
+    """argparse's float() reads nan and inf; the vocabulary config refuses
+    them before any training."""
+    out = tmp_path / "v.json"
+    assert main(["vocab", "train", "--mode", "obpe", f"--p={value}",
+                 "--out", str(out)]
+                + [str(p) for p in data[1].values()]) == 2
+    assert "mean_exponent_p must be a finite number" in \
+        capsys.readouterr().err
+    assert not out.exists()
 
 
 _RUN = ["translator", "run", "--src", "eng", "--tgt", "zul", "--model"]
@@ -690,6 +719,14 @@ def _seed(value, message):
     return configure
 
 
+def _not_json(value, token):
+    """mean_exponent_p set to a float json.dumps writes as *token*."""
+    def configure(root, work, cfg):
+        cfg["vocab"]["mean_exponent_p"] = value
+        return f"cfg.json: {token} is not a JSON value"
+    return configure
+
+
 def _plan_without_pairs(work):
     return str(write_json(work / "plan.json", {"entries": [
         {"new": "xho-zul", "old": ["xho-eng", "eng-zul"], "n": 0}]}))
@@ -731,6 +768,11 @@ def _plan_without_pairs(work):
     _seed(-1, "problem: seed: must be a non-negative integer"),
     _set("stage1", "seed", -3, ".seed: must be a non-negative integer"),
     _set("stage2", "seed", -5, ".seed: must be a non-negative integer"),
+    _not_json(float("nan"), "NaN"),
+    _not_json(float("inf"), "Infinity"),
+    _not_json(float("-inf"), "-Infinity"),
+    _set("vocab", "mean_exponent_p", 10 ** 400,
+         ": mean_exponent_p must be a finite number"),
 ], ids=["corpus-checksum", "dev-checksum", "dev-line-count", "exec-empty",
         "exec-unclosed", "dev-line-break", "direction-without-corpus",
         "direction-side-empty",
@@ -740,7 +782,8 @@ def _plan_without_pairs(work):
         "bt-model-key-unstored", "bt-model-wrong-direction",
         "corpus-without-pairs", "split-takes-everything", "plan-entry-without-pairs",
         "vocab-size-too-small", "seed-negative", "stage1-seed-negative",
-        "stage2-seed-negative"])
+        "stage2-seed-negative", "nan-token", "infinity-token",
+        "minus-infinity-token", "exponent-too-large"])
 def test_bad_input_file_exits_2_before_any_step(data, tmp_path, capsys,
                                                 breaks):
     """`pipeline validate` and `pipeline run` load the same inputs, so they
@@ -859,6 +902,25 @@ def test_fuzzed_input_file_exits_2(fuzz_targets, fmt, data):
     assert code == 2, (code, err.getvalue())
     assert any(line.startswith(("error: ", "problem: "))
                for line in err.getvalue().splitlines()), err.getvalue()
+
+
+def test_readme_command_lines_parse():
+    """Every `mtkit ...` line of the README's command-line block is a
+    command line the parser accepts."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    commands = [argv[1:] for argv in (
+        shlex.split(line, comments=True)
+        for line in block.split("```", 1)[0].splitlines())
+        if argv[:1] == ["mtkit"]]
+    assert len(commands) == 19
+    for argv in commands:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: mtkit "
+                        f"{shlex.join(argv)}")
 
 
 def test_unknown_subcommand_exits_via_argparse(capsys):

@@ -1,7 +1,7 @@
 """The package's export list."""
 
 import mtkit
-from mtkit import translator
+from mtkit import metrics, translator, vocab
 
 
 def test_every_exported_name_resolves_once():
@@ -16,3 +16,10 @@ def test_deleted_names_are_gone():
     assert not hasattr(mtkit, "default_special_tokens")
     assert not hasattr(translator, "lexicon_translate")
     assert not hasattr(translator.Lexicon, "src_vocab")
+    for name in ("BleuConfig", "ChrfConfig", "pretokenize"):
+        assert name not in mtkit.__all__, name
+        assert not hasattr(mtkit, name), name
+    assert not hasattr(metrics, "BleuConfig")
+    assert not hasattr(metrics, "ChrfConfig")
+    assert not hasattr(vocab, "pretokenize")
+

@@ -11,8 +11,6 @@ from conftest import make_corpus, small_vocab
 from mtkit.corpus import orient
 from mtkit.errors import EmptyInput, LengthMismatch, UnsupportedDirection
 from mtkit.metrics import (
-    BleuConfig,
-    ChrfConfig,
     _clipped_matches,
     bleu,
     chrf,
@@ -36,7 +34,7 @@ REFS = [r for _, r in CORPUS]
 
 def test_bleu_perfect_match_is_exactly_100():
     assert bleu(REFS, REFS) == 100.0
-    assert bleu(["hi"], ["hi"]) == 100.0  # shorter than max_ngram
+    assert bleu(["hi"], ["hi"]) == 100.0  # shorter than 4 tokens
 
 
 def test_bleu_disjoint_is_exactly_zero():
@@ -62,10 +60,13 @@ def test_bleu_no_penalty_for_long_hypothesis():
 
 
 def test_bleu_counts_are_clipped():
-    # "the" appears once in the reference, so only one of four hits counts
-    score = bleu(["the the the the"], ["the cat"],
-                 BleuConfig(max_ngram=1))
-    assert score == pytest.approx(25.0, abs=1e-4)
+    # the reference holds 4 "the", so of 6, 5, 4, 3 hypothesis n-grams only
+    # 4, 3, 2, 1 count; unclipped, every precision would be 1 (score 100)
+    hyp, ref = ["the the the the the the"], ["the the the the cat"]
+    score = bleu(hyp, ref)
+    assert score == oracles.reference_bleu(hyp, ref)
+    assert score == pytest.approx(
+        100.0 * (4 / 6 * 3 / 5 * 2 / 4 * 1 / 3) ** 0.25, abs=1e-4)
 
 
 def test_bleu_three_sentence_corpus_matches_enumeration():
@@ -73,23 +74,11 @@ def test_bleu_three_sentence_corpus_matches_enumeration():
     assert bleu(HYPS, REFS) == pytest.approx(41.5175, abs=1e-4)
 
 
-def test_bleu_floor_smoothing():
-    score = bleu(["a b c d"], ["a b x d"], BleuConfig(smoothing="floor"))
-    hand = 100.0 * (0.75 * (1 / 3) * (0.1 / 2) * (0.1 / 1)) ** 0.25
-    assert score == pytest.approx(hand, abs=1e-4)
-    assert score == oracles.reference_bleu(["a b c d"], ["a b x d"],
-                                           smoothing="floor")
-
-
 def test_bleu_input_validation():
     with pytest.raises(LengthMismatch):
         bleu(["a"], ["a", "b"])
     with pytest.raises(EmptyInput):
         bleu([], [])
-    with pytest.raises(ValueError):
-        BleuConfig(max_ngram=0)
-    with pytest.raises(ValueError):
-        BleuConfig(smoothing="add-k")
 
 
 def test_bleu_permutation_invariance():
@@ -111,11 +100,9 @@ def test_bleu_matches_oracle_on_random_inputs(seed):
             for _ in range(n)]
     refs = [" ".join(rng.choice(words) for _ in range(rng.randint(1, 8)))
             for _ in range(n)]
-    for smoothing in ("none", "floor"):
-        got = bleu(hyps, refs, BleuConfig(smoothing=smoothing))
-        want = oracles.reference_bleu(hyps, refs, smoothing=smoothing)
-        assert got == want
-        assert 0.0 <= got <= 100.0
+    got = bleu(hyps, refs)
+    assert got == oracles.reference_bleu(hyps, refs)
+    assert 0.0 <= got <= 100.0
 
 
 # -- spBLEU --------------------------------------------------------------
@@ -135,9 +122,10 @@ def test_spbleu_equals_bleu_on_pre_segmented_strings():
 def test_spbleu_with_merge_free_vocab_is_character_bleu():
     # zero merges segment every word into marked characters, so spBLEU
     # collapses to BLEU over (word-final-marked) character tokens
-    from mtkit.vocab import VocabConfig, Vocabulary, pretokenize
+    from mtkit.vocab import VocabConfig, Vocabulary
     hyps, refs = ["abc de", "fgh"], ["abd de", "fgh i"]
-    syms = sorted({s for t in hyps + refs for w in pretokenize(t) for s in w})
+    syms = sorted({s for t in hyps + refs for w in t.split()
+                   for s in oracles.mark(w)})
     cfg = VocabConfig(vocab_size=len(VocabConfig().special_tokens)
                       + len(syms) + 1)
     vocab = Vocabulary("bpe", tuple(cfg.special_tokens) + tuple(syms),
@@ -146,11 +134,8 @@ def test_spbleu_with_merge_free_vocab_is_character_bleu():
                  for h in hyps]
     char_refs = [" ".join(s for w in r.split() for s in oracles.mark(w))
                  for r in refs]
-    for bleu_cfg in (BleuConfig(), BleuConfig(smoothing="floor"),
-                     BleuConfig(max_ngram=2)):
-        assert spbleu(hyps, refs, vocab, bleu_cfg) == oracles.reference_bleu(
-            char_hyps, char_refs, max_n=bleu_cfg.max_ngram,
-            smoothing=bleu_cfg.smoothing)
+    assert spbleu(hyps, refs, vocab) == oracles.reference_bleu(char_hyps,
+                                                               char_refs)
 
 
 # -- chrF ----------------------------------------------------------------
@@ -165,40 +150,23 @@ def test_chrf_disjoint_is_exactly_zero():
 
 
 def test_chrf_two_segment_hand_computation():
-    # segment 1: char1 F=2/3, char2 F=1/2, word1 F=0  -> 7/18
+    # only orders whose reference has n-grams count:
+    # segment 1: char1 F=2/3, char2 F=1/2, char3 F=0, word1 F=0 -> 7/24
     # segment 2: char1 F=10/11, char2 F=5/6, word1 F=0 -> 115/198
-    # macro average = 16/33
-    cfg = ChrfConfig(char_n=2, word_n=1)
-    score = chrf(["abc", "aab"], ["abd", "ab"], cfg)
-    assert score == pytest.approx(100.0 * 16.0 / 33.0, abs=1e-4)
-    assert score == oracles.reference_chrf(["abc", "aab"], ["abd", "ab"],
-                                           char_n=2, word_n=1)
+    # macro average = 691/1584
+    score = chrf(["abc", "aab"], ["abd", "ab"])
+    assert score == pytest.approx(100.0 * 691.0 / 1584.0, abs=1e-4)
+    assert score == oracles.reference_chrf(["abc", "aab"], ["abd", "ab"])
 
 
 def test_chrf_beta_weighs_recall():
-    # identical precision/recall trade-offs flip rank as beta grows
-    precise, lossy = ["ab"], ["abcdef"]
-    f_precision_heavy = chrf(precise, lossy, ChrfConfig(char_n=1, word_n=0,
-                                                        beta=0.25))
-    f_recall_heavy = chrf(precise, lossy, ChrfConfig(char_n=1, word_n=0,
-                                                     beta=4.0))
-    assert f_precision_heavy > f_recall_heavy
-
-
-def test_chrf_word_n_zero_is_pure_character_f():
-    cfg = ChrfConfig(char_n=2, word_n=0)
-    got = chrf(["ab cd"], ["ab ce"], cfg)
-    assert got == oracles.reference_chrf(["ab cd"], ["ab ce"],
-                                         char_n=2, word_n=0)
-
-
-def test_chrf_config_validation():
-    with pytest.raises(ValueError):
-        ChrfConfig(char_n=0)
-    with pytest.raises(ValueError):
-        ChrfConfig(word_n=-1)
-    with pytest.raises(ValueError):
-        ChrfConfig(beta=0.0)
+    # mirrored cases: every order has precision 1 and recall x in one and
+    # precision x and recall 1 in the other; beta 1 would tie them
+    precise = chrf(["abc def"], ["abc def ghi"])
+    complete = chrf(["abc def ghi"], ["abc def"])
+    assert oracles.reference_chrf(["abc def"], ["abc def ghi"], beta=1.0) \
+        == oracles.reference_chrf(["abc def ghi"], ["abc def"], beta=1.0)
+    assert complete > precise
 
 
 def test_chrf_input_validation():
@@ -219,8 +187,8 @@ def test_chrf_same_characters_other_words_matches_oracle():
     hyps, refs = ["ab c"], ["a bc"]
     got = chrf(hyps, refs)
     assert got == oracles.reference_chrf(hyps, refs)
-    assert got < 100.0
-    assert chrf(hyps, refs, ChrfConfig(word_n=0)) == 100.0
+    # char orders 1-3 have F=1, word orders 1-2 have F=0: 3/5
+    assert got == pytest.approx(60.0, abs=1e-9)
 
 
 def test_chrf_completing_a_truncation_never_hurts():
@@ -284,39 +252,31 @@ def oracle_vocab():
                        budget=6)
 
 
-@given(scored_corpora(), st.integers(1, 6), st.sampled_from(["none", "floor"]))
+@given(scored_corpora())
 @settings(max_examples=150, deadline=None)
-def test_bleu_equals_oracle_exactly(corpus, max_ngram, smoothing):
+def test_bleu_equals_oracle_exactly(corpus):
     hyps, refs = corpus
-    got = bleu(hyps, refs, BleuConfig(max_ngram=max_ngram, smoothing=smoothing))
-    assert got == oracles.reference_bleu(hyps, refs, max_n=max_ngram,
-                                         smoothing=smoothing)
+    assert bleu(hyps, refs) == oracles.reference_bleu(hyps, refs)
 
 
-@given(scored_corpora(), st.integers(1, 6), st.sampled_from(["none", "floor"]))
+@given(scored_corpora())
 @settings(max_examples=100, deadline=None)
-def test_spbleu_equals_oracle_over_token_ids_exactly(corpus, max_ngram,
-                                                     smoothing):
+def test_spbleu_equals_oracle_over_token_ids_exactly(corpus):
     hyps, refs = corpus
     vocab = oracle_vocab()
 
     def ids(texts):
         return [" ".join(map(str, vocab.encode(t))) for t in texts]
 
-    got = spbleu(hyps, refs, vocab,
-                 BleuConfig(max_ngram=max_ngram, smoothing=smoothing))
-    assert got == oracles.reference_bleu(ids(hyps), ids(refs), max_n=max_ngram,
-                                         smoothing=smoothing)
+    assert spbleu(hyps, refs, vocab) == oracles.reference_bleu(ids(hyps),
+                                                               ids(refs))
 
 
-@given(scored_corpora(), st.integers(1, 6), st.integers(0, 3),
-       st.sampled_from([0.25, 1.0, 2.0, 3.5]))
+@given(scored_corpora())
 @settings(max_examples=150, deadline=None)
-def test_chrf_equals_oracle_exactly(corpus, char_n, word_n, beta):
+def test_chrf_equals_oracle_exactly(corpus):
     hyps, refs = corpus
-    got = chrf(hyps, refs, ChrfConfig(char_n=char_n, word_n=word_n, beta=beta))
-    assert got == oracles.reference_chrf(hyps, refs, char_n=char_n,
-                                         word_n=word_n, beta=beta)
+    assert chrf(hyps, refs) == oracles.reference_chrf(hyps, refs)
 
 
 # Token id streams: ids 0-3 so n-grams repeat, 4 only where a hypothesis
@@ -394,7 +354,7 @@ def test_evaluate_directions_rows_match_direct_metric_calls():
 def test_evaluate_directions_checks_support():
     vocab = small_vocab({"eng": HYPS}, budget=2)
     testset = make_corpus(CORPUS, name="dev", src="eng", tgt="zul")
-    model = IdentityTranslator(directions=frozenset({("zul", "eng")}))
+    model = LexiconTranslator(Lexicon("zul", "eng", {"a": {"b": 1.0}}))
     with pytest.raises(UnsupportedDirection):
         evaluate_directions(model, [testset], vocab)
 

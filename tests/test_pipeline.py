@@ -185,6 +185,13 @@ def test_valid_config_has_no_problems(dataset):
      "stage2: unknown fields ['new_direction']"),
     ({"eval": {"dev_dir": "/nowhere", "metrics": "bleu"}},
      "eval: unknown fields"),
+    # the OBPE exponent must be a finite number
+    ({"vocab": {"vocab_size": 160, "mean_exponent_p": float("nan")}},
+     "vocab: mean_exponent_p must be a finite number"),
+    ({"vocab": {"vocab_size": 160, "mean_exponent_p": float("inf")}},
+     "vocab: mean_exponent_p must be a finite number"),
+    ({"vocab": {"vocab_size": 160, "mean_exponent_p": float("-inf")}},
+     "vocab: mean_exponent_p must be a finite number"),
 ])
 def test_validate_config_flags_problems(dataset, overrides, needle):
     root, manifests = dataset

@@ -12,8 +12,8 @@ from mtkit.vocab import (
     LangCorpusSet,
     VocabConfig,
     Vocabulary,
+    _mark_word,
     load_vocabulary,
-    pretokenize,
     train_bpe,
     train_obpe,
 )
@@ -39,19 +39,18 @@ def config_for(sentences_by_lang, budget, **kw):
     return VocabConfig(vocab_size=size, **kw)
 
 
-# -- pretokenize --------------------------------------------------------
+# -- end-of-word marking ------------------------------------------------
 
-def test_pretokenize_appends_marker_to_last_char():
-    assert pretokenize("go now") == [["g", "o" + END_OF_WORD],
-                                     ["n", "o", "w" + END_OF_WORD]]
-    assert pretokenize("a") == [["a" + END_OF_WORD]]
-    assert pretokenize("") == []
+def test_mark_word_appends_marker_to_last_char():
+    assert _mark_word("go", END_OF_WORD) == ["g", "o" + END_OF_WORD]
+    assert _mark_word("now", "_") == ["n", "o", "w_"]
+    assert _mark_word("a", END_OF_WORD) == ["a" + END_OF_WORD]
 
 
 @given(st.text(alphabet="abc xyz", max_size=30))
-def test_pretokenize_join_restores_normalized_text(text):
-    words = pretokenize(text)
-    joined = "".join(sym for w in words for sym in w)
+def test_marked_words_join_restores_normalized_text(text):
+    joined = "".join(sym for w in text.split()
+                     for sym in _mark_word(w, END_OF_WORD))
     assert joined.replace(END_OF_WORD, " ").split() == text.split()
 
 
@@ -317,7 +316,7 @@ def test_decode_rejects_out_of_range_ids():
 def test_encode_never_longer_than_character_segmentation(text):
     data = {"eng": ["abab cdcd efef ghgh abcd"]}
     vocab = train_bpe(data_of(data), config_for(data, 10))
-    n_symbols = sum(len(w) for w in pretokenize(text))
+    n_symbols = sum(len(w) for w in text.split())
     assert len(vocab.encode(text)) <= n_symbols
 
 
