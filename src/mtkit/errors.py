@@ -106,6 +106,10 @@ class ExternalProcessError(MTKitError):
     """An external translator process failed or broke the line protocol."""
 
 
+class BadSyntheticSide(MTKitError):
+    """A model generated a side that cannot be a sentence of a corpus."""
+
+
 class BadPivot(MTKitError):
     """Pivot target coincides with a language already in the corpus."""
 

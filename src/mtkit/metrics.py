@@ -11,18 +11,25 @@ and macro-averaged: per order (character orders computed with
 whitespace removed, plus word orders), an F_beta of n-gram precision
 and recall; orders whose reference has no n-grams are skipped.
 
-All three metrics count n-grams with one corpus-level matcher
-(`_clipped_matches`). A segment whose hypothesis ids equal its
-reference ids is counted arithmetically: its clipped matches at order n
-are its number of n-grams. Only the other segments go through
-np.unique: each of their (segment, n-gram) pairs gets an exact dense
-id, built order by order, and each segment's clipped matches are the
-bincount of min(hyp count, ref count) over its n-grams. These
-integers equal what per-segment Counters give, and the float steps
-(BLEU's logs, each chrF order's F_beta, the segment and corpus means
-summed left to right by `corpus.left_to_right_sum`) run in plain Python
-in per-segment order, so every score equals, bit for bit, the one plain
-per-segment Counter loops give (the oracles in tests/oracles.py).
+A segment whose hypothesis is the same string as its reference (a
+copy) is settled by that one comparison, before any tokenizing: each of
+its n-grams matches, so BLEU and spBLEU add its number of n-grams,
+max(len - n + 1, 0), to both the matches and the n-grams of order n,
+from its token count alone; chrF gives it 1.0, the F_beta of every
+order it has, or 0.0 when its reference has no non-whitespace character
+and so no order at all. Only the other segments are tokenized and go
+through the one corpus-level n-gram matcher (`_clipped_matches`): each
+of their (segment, n-gram) pairs gets an exact dense id from np.unique,
+built order by order, and each segment's clipped matches are the
+bincount of min(hyp count, ref count) over its n-grams. A segment that
+differs from its reference only as a string ("a  b" against "a b", two
+unknown characters that encode to the same unk id) goes through the
+matcher, which is exact for it too. These integers equal what
+per-segment Counters give, and the float steps (BLEU's logs, each chrF
+order's F_beta, the segment and corpus means summed left to right by
+`corpus.left_to_right_sum`) run in plain Python in per-segment order, so
+every score equals, bit for bit, the one plain per-segment Counter loops
+give (the oracles in tests/oracles.py).
 
 Identical hypothesis and reference streams score exactly 100.0; fully
 disjoint ones score exactly 0.0. Model selection scores each candidate
@@ -33,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -58,28 +66,22 @@ def _check_streams(hyps: Sequence[str], refs: Sequence[str]) -> None:
         raise EmptyInput("no segments to score")
 
 
-def _identical(hyp_ids: np.ndarray, hyp_lens: np.ndarray,
-               ref_ids: np.ndarray, ref_lens: np.ndarray) -> np.ndarray:
-    """Per segment, whether its hypothesis ids equal its reference ids:
-    equal lengths and equal ids at equal offsets. The tokens of the
-    equal-length segments line up one to one on both sides, so one
-    elementwise comparison checks them all."""
-    same = hyp_lens == ref_lens
-    differ = (hyp_ids[np.repeat(same, hyp_lens)]
-              != ref_ids[np.repeat(same, ref_lens)])
-    if differ.any():
-        same[np.repeat(np.flatnonzero(same), hyp_lens[same])[differ]] = False
-    return same
+def _clipped_matches(hyp_ids: np.ndarray, hyp_lens: np.ndarray,
+                     ref_ids: np.ndarray, ref_lens: np.ndarray,
+                     max_n: int) -> np.ndarray:
+    """Clipped n-gram matches of every segment for orders 1..max_n.
 
+    hyp_ids and ref_ids hold the int64 token ids of all segments end to
+    end, in one id space (only equal tokens need equal ids); hyp_lens and
+    ref_lens give each segment's token count. Row n-1 of the (max_n,
+    segments) int64 result holds, per segment, the sum over its n-grams
+    g of min(hyp count of g, ref count of g).
 
-def _unique_matches(hyp_ids: np.ndarray, hyp_lens: np.ndarray,
-                    ref_ids: np.ndarray, ref_lens: np.ndarray,
-                    max_n: int) -> np.ndarray:
-    """`_clipped_matches` by dense ids: order 1 densifies (segment,
-    token), order n densifies (id of the (n-1)-gram, next token), both
-    with np.unique. Ids are exact for any vocabulary size (no hashing,
-    and never more than two numbers packed into one key), and an n-gram
-    that would run past its segment's end is never formed."""
+    Order 1 densifies (segment, token), order n densifies (id of the
+    (n-1)-gram, next token), both with np.unique. Ids are exact for any
+    vocabulary size (no hashing, and never more than two numbers packed
+    into one key), and an n-gram that would run past its segment's end
+    is never formed."""
     segments = len(hyp_lens)
     matches = np.zeros((max_n, segments), dtype=np.int64)
     lens = np.concatenate([hyp_lens, ref_lens])
@@ -109,48 +111,38 @@ def _unique_matches(hyp_ids: np.ndarray, hyp_lens: np.ndarray,
     return matches
 
 
-def _clipped_matches(hyp_ids: np.ndarray, hyp_lens: np.ndarray,
-                     ref_ids: np.ndarray, ref_lens: np.ndarray,
-                     max_n: int) -> np.ndarray:
-    """Clipped n-gram matches of every segment for orders 1..max_n.
-
-    hyp_ids and ref_ids hold the int64 token ids of all segments end to
-    end, in one id space; hyp_lens and ref_lens give each segment's token
-    count. Row n-1 of the (max_n, segments) int64 result holds, per
-    segment, the sum over its n-grams g of min(hyp count of g, ref count
-    of g).
-
-    A segment whose hypothesis equals its reference (`_identical`) has
-    the same count of every n-gram on both sides, so its matches are its
-    number of n-grams, max(len - n + 1, 0). Only the other segments are
-    counted by `_unique_matches`, and their rows scattered into place.
-    """
-    same = _identical(hyp_ids, hyp_lens, ref_ids, ref_lens)
-    if not same.any():
-        return _unique_matches(hyp_ids, hyp_lens, ref_ids, ref_lens, max_n)
-    n = np.arange(1, max_n + 1)[:, None]
-    matches = np.where(same, np.maximum(hyp_lens - n + 1, 0), 0)
-    rest = ~same
-    if rest.any():
-        matches[:, rest] = _unique_matches(
-            hyp_ids[np.repeat(rest, hyp_lens)], hyp_lens[rest],
-            ref_ids[np.repeat(rest, ref_lens)], ref_lens[rest], max_n)
-    return matches
-
-
 _Streams = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _ints(values) -> np.ndarray:
+    return np.fromiter(values, dtype=np.int64)
+
+
+def _copies(hyps: Sequence[str], refs: Sequence[str]
+            ) -> tuple[list[bool], list[str], list[str], list[str]]:
+    """(copy, copies, hyps, refs): per segment, whether its hypothesis is
+    the same string as its reference; the hypotheses of those copies; and
+    the hypotheses and references of the other segments. Each list keeps
+    segment order. One string comparison a segment, in C."""
+    copy = list(map(operator.eq, hyps, refs))
+    differ = list(map(operator.not_, copy))
+    return (copy, list(itertools.compress(hyps, copy)),
+            list(itertools.compress(hyps, differ)),
+            list(itertools.compress(refs, differ)))
 
 
 def _word_ids(hyps: Sequence[str], refs: Sequence[str]) -> _Streams:
     """Whitespace words of both streams as ids in one shared space:
-    (hyp ids, hyp lengths, ref ids, ref lengths)."""
+    (hyp ids, hyp lengths, ref ids, ref lengths). Equal words get equal
+    ids, and different words different ones; the ids are not dense."""
     index: dict[str, int] = {}
+    fresh = itertools.count()
     out = []
     for texts in (hyps, refs):
-        words = [t.split() for t in texts]
-        out.append(np.array([index.setdefault(w, len(index))
-                             for ws in words for w in ws], dtype=np.int64))
-        out.append(np.array([len(ws) for ws in words], dtype=np.int64))
+        words = " ".join(texts).split()
+        out.append(np.fromiter(map(index.setdefault, words, fresh),
+                               dtype=np.int64, count=len(words)))
+        out.append(_ints(map(len, map(str.split, texts))))
     return tuple(out)
 
 
@@ -158,16 +150,33 @@ def _code_points(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """Code points of *texts* end to end, and each text's length."""
     buf = "".join(texts).encode("utf-32-le", "surrogatepass")
     return (np.frombuffer(buf, dtype="<u4").astype(np.int64),
-            np.array([len(t) for t in texts], dtype=np.int64))
+            _ints(map(len, texts)))
 
 
-def _corpus_bleu(hyp_ids: np.ndarray, hyp_lens: np.ndarray,
-                 ref_ids: np.ndarray, ref_lens: np.ndarray) -> float:
-    correct = _clipped_matches(hyp_ids, hyp_lens, ref_ids, ref_lens,
-                               BLEU_MAX_N).sum(axis=1).tolist()
-    total = [int(np.maximum(hyp_lens - n + 1, 0).sum())
-             for n in range(1, BLEU_MAX_N + 1)]
-    hyp_len, ref_len = int(hyp_lens.sum()), int(ref_lens.sum())
+_BLEU_ORDERS = np.arange(1, BLEU_MAX_N + 1)[:, None]
+
+
+def _ngram_counts(lens: np.ndarray) -> np.ndarray:
+    """Number of n-grams of each order 1..BLEU_MAX_N over segments of
+    *lens* tokens."""
+    return np.maximum(lens - _BLEU_ORDERS + 1, 0).sum(axis=1)
+
+
+def _corpus_bleu(copy_lens: np.ndarray, hyp_ids: np.ndarray,
+                 hyp_lens: np.ndarray, ref_ids: np.ndarray,
+                 ref_lens: np.ndarray) -> float:
+    """BLEU over copies of *copy_lens* tokens, each of whose n-grams
+    matches, and the other segments' id streams."""
+    copied = _ngram_counts(copy_lens)
+    correct = copied
+    if len(hyp_lens):
+        correct = correct + _clipped_matches(
+            hyp_ids, hyp_lens, ref_ids, ref_lens, BLEU_MAX_N).sum(axis=1)
+    correct = correct.tolist()
+    total = (copied + _ngram_counts(hyp_lens)).tolist()
+    copy_len = int(copy_lens.sum())
+    hyp_len = copy_len + int(hyp_lens.sum())
+    ref_len = copy_len + int(ref_lens.sum())
     if hyp_len == 0:
         return 0.0
     log_sum = 0.0
@@ -186,7 +195,7 @@ def _corpus_bleu(hyp_ids: np.ndarray, hyp_lens: np.ndarray,
 
 def _flat_ids(encoded: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
     """Token id lists end to end, and each list's length."""
-    lens = np.array([len(ids) for ids in encoded], dtype=np.int64)
+    lens = _ints(map(len, encoded))
     return (np.fromiter(itertools.chain.from_iterable(encoded),
                         dtype=np.int64, count=int(lens.sum())), lens)
 
@@ -194,7 +203,9 @@ def _flat_ids(encoded: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
 def bleu(hyps: Sequence[str], refs: Sequence[str]) -> float:
     """Corpus BLEU over whitespace tokens."""
     _check_streams(hyps, refs)
-    return _corpus_bleu(*_word_ids(hyps, refs))
+    _, copies, hyps, refs = _copies(hyps, refs)
+    return _corpus_bleu(_ints(map(len, map(str.split, copies))),
+                        *_word_ids(hyps, refs))
 
 
 def spbleu(hyps: Sequence[str], refs: Sequence[str],
@@ -202,8 +213,11 @@ def spbleu(hyps: Sequence[str], refs: Sequence[str],
     """BLEU over subword token ids; rewards the segmentation the model
     actually trains on rather than whitespace luck."""
     _check_streams(hyps, refs)
-    return _corpus_bleu(*_flat_ids([vocab.encode(h) for h in hyps]),
-                        *_flat_ids([vocab.encode(r) for r in refs]))
+    _, copies, hyps, refs = _copies(hyps, refs)
+    encode = vocab.encode
+    return _corpus_bleu(_ints(map(len, map(encode, copies))),
+                        *_flat_ids(list(map(encode, hyps))),
+                        *_flat_ids(list(map(encode, refs))))
 
 
 def _order_fscores(streams: _Streams, max_n: int,
@@ -227,12 +241,10 @@ def _order_fscores(streams: _Streams, max_n: int,
     return f, valid
 
 
-def chrf(hyps: Sequence[str], refs: Sequence[str]) -> float:
-    """Macro-averaged segment chrF++. A segment scores the mean F_beta
-    over its valid char orders 1-6 and word orders 1-2, summed left to
-    right in that order, or 0 without any; the corpus score is the mean
-    over segments."""
-    _check_streams(hyps, refs)
+def _segment_chrf(hyps: list[str], refs: list[str]) -> np.ndarray:
+    """Each segment's chrF++: the mean F_beta over its valid char orders
+    1-6 and word orders 1-2, summed left to right in that order, or 0
+    without any."""
     beta2 = CHRF_BETA * CHRF_BETA
     chars = (*_code_points(["".join(h.split()) for h in hyps]),
              *_code_points(["".join(r.split()) for r in refs]))
@@ -244,8 +256,23 @@ def chrf(hyps: Sequence[str], refs: Sequence[str]) -> float:
         total += row
     orders = char_valid.sum(axis=0) + word_valid.sum(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        seg_scores = np.where(orders > 0, total / orders, 0.0)
-    return 100.0 * left_to_right_sum(seg_scores.tolist()) / len(hyps)
+        return np.where(orders > 0, total / orders, 0.0)
+
+
+def chrf(hyps: Sequence[str], refs: Sequence[str]) -> float:
+    """Macro-averaged segment chrF++ (`_segment_chrf`); the corpus score
+    is the mean over segments. A copy's valid orders each have F = 1.0,
+    so it scores 1.0, or 0.0 when its reference has no non-whitespace
+    character and so no valid order."""
+    _check_streams(hyps, refs)
+    copy, copies, hyps, refs = _copies(hyps, refs)
+    is_copy = np.array(copy)
+    scores = np.empty(len(is_copy))
+    scores[is_copy] = np.fromiter(map(bool, map(str.strip, copies)),
+                                  dtype=np.float64, count=len(copies))
+    if hyps:
+        scores[~is_copy] = _segment_chrf(hyps, refs)
+    return 100.0 * left_to_right_sum(scores.tolist()) / len(scores)
 
 
 @dataclass(frozen=True)

@@ -434,6 +434,12 @@ def _now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%S%z")
 
 
+def _ms_since(clock: float) -> float:
+    """Milliseconds since the `time.perf_counter` reading *clock*, to the
+    microsecond."""
+    return round((time.perf_counter() - clock) * 1000, 3)
+
+
 @dataclass
 class RunResult:
     run_dir: Path
@@ -485,18 +491,20 @@ class _Runner:
     def run(self) -> RunResult:
         for name in STEPS:
             step = getattr(self, "step_" + name.replace("-", "_"))
-            started = _now()
+            started, clock = _now(), time.perf_counter()
             try:
                 inputs, outputs = step()
             except Exception as exc:
                 self.entries.append({
                     "step": name, "status": "failed", "error": str(exc),
-                    "started_at": started, "finished_at": _now()})
+                    "started_at": started, "finished_at": _now(),
+                    "duration_ms": _ms_since(clock)})
                 self._write_log("failed")
                 raise StepFailure(name, exc) from exc
             self.entries.append({
                 "step": name, "status": "ok",
                 "started_at": started, "finished_at": _now(),
+                "duration_ms": _ms_since(clock),
                 "inputs": {self._rel(p): sha256_hex(p.read_bytes())
                            for p in inputs},
                 "outputs": {self._rel(p): sha256_hex(p.read_bytes())

@@ -20,7 +20,7 @@ from .corpus import (
     checked_line,
     orient,
 )
-from .errors import BadPivot, LanguageMismatch
+from .errors import BadPivot, BadSyntheticSide, LanguageMismatch
 from .translator import TranslatorModel, check_direction
 
 DEFAULT_BATCH_SIZE = 64
@@ -36,11 +36,19 @@ def _batched_translate(model: TranslatorModel, sentences: list[str],
     return out
 
 
-def _synthetic_pairs(generated: list[str], genuine: list[str]
-                     ) -> tuple[SentencePair, ...]:
-    """Pairs (generated_i, genuine_i); only the generated side is checked."""
-    return tuple(SentencePair.trusted(checked_line(src, "src side"), tgt)
-                 for src, tgt in zip(generated, genuine))
+def _synthetic_pairs(generated: list[str], genuine: list[str],
+                     model_id: str) -> tuple[SentencePair, ...]:
+    """Pairs (generated_i, genuine_i); only the generated side is checked.
+    A bad one raises BadSyntheticSide naming the model and the pair."""
+    pairs = []
+    for number, (src, tgt) in enumerate(zip(generated, genuine), 1):
+        try:
+            src = checked_line(src, "src side")
+        except ValueError as exc:
+            raise BadSyntheticSide(
+                f"model {model_id!r}, pair {number}: {exc}") from exc
+        pairs.append(SentencePair.trusted(src, tgt))
+    return tuple(pairs)
 
 
 def backtranslate(corpus: BitextCorpus, model: TranslatorModel,
@@ -57,7 +65,8 @@ def backtranslate(corpus: BitextCorpus, model: TranslatorModel,
     tgt_side = corpus.tgt_sentences
     translated = _batched_translate(model, tgt_side, *back, batch_size)
     return replace(corpus, name=f"{corpus.name}-bt",
-                   pairs=_synthetic_pairs(translated, tgt_side),
+                   pairs=_synthetic_pairs(translated, tgt_side,
+                                          model.model_id),
                    src_provenance=Provenance("synthetic", model.model_id))
 
 
@@ -82,7 +91,8 @@ def pivot_synthesize(corpus: BitextCorpus, model: TranslatorModel,
         name=f"{DirectionSpec(pivot_to, other).label}-pivot",
         src_lang=pivot_to,
         tgt_lang=other,
-        pairs=_synthetic_pairs(translated, kept.tgt_sentences),
+        pairs=_synthetic_pairs(translated, kept.tgt_sentences,
+                               model.model_id),
         src_provenance=Provenance("synthetic", model.model_id),
         tgt_provenance=kept.tgt_provenance,
     )

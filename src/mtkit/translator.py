@@ -344,8 +344,10 @@ class LexiconTranslator:
     def translate_batch(self, sentences: Sequence[str], src: str,
                         tgt: str) -> list[str]:
         check_direction(self, src, tgt)
-        best = self.lexicon._best  # `best_translation`, bound once a batch
-        return [" ".join([best[w] for w in s.split()]) for s in sentences]
+        # `best_translation` in C: dict.__getitem__ still calls
+        # `_BestTranslations.__missing__` for a word not looked up yet
+        best = self.lexicon._best.__getitem__
+        return [" ".join(map(best, s.split())) for s in sentences]
 
 
 class ExternalProcessTranslator:

@@ -502,12 +502,12 @@ class Vocabulary:
         cache = self._surfaces
         words = text.split()
         try:
-            return " ".join([cache[w] for w in words])
+            return " ".join(map(cache.__getitem__, words))
         except KeyError:  # a word not seen yet: fill the cache, then join
             for w in words:
                 if w not in cache:
                     cache[w] = " ".join(self.segment(w))
-            return " ".join([cache[w] for w in words])
+            return " ".join(map(cache.__getitem__, words))
 
     @property
     def trainer_segmentations(self) -> dict[tuple[str, str], list[str]] | None:

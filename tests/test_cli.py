@@ -433,6 +433,41 @@ def test_synth_backtranslate_and_pivot(data, tmp_path, capsys):
     assert pv.languages() == frozenset({"xho", "zul"})
 
 
+# exec: models whose output breaks the generated side: every line ends in
+# CRLF, or every line after the first is blank
+_CRLF_MODEL = ("import sys; sys.stdout.buffer.write(b''.join("
+               "l.rstrip(b'\\n') + b'\\r\\n' for l in sys.stdin.buffer))")
+_BLANK_MODEL = ("import sys; n = len(sys.stdin.readlines()); "
+                "sys.stdout.write('ok\\n' + '\\n' * (n - 1))")
+
+
+@pytest.mark.parametrize("command", ["backtranslate", "pivot"])
+@pytest.mark.parametrize("code,pair,reason", [
+    (_CRLF_MODEL, 1, "src side contains a line break"),
+    (_BLANK_MODEL, 2, "src side is empty after trimming"),
+], ids=["crlf", "blank"])
+def test_synth_bad_generated_side_exits_2(data, tmp_path, command, code,
+                                          pair, reason):
+    """A model that generates a side no corpus may hold exits 2 with an
+    error line naming the model and the pair, and writes nothing."""
+    root, manifests = data
+    model = f"exec:{shlex.quote(sys.executable)} -c {shlex.quote(code)}"
+    argv = ["synth", command, "--model", model, "--in",
+            str(manifests["eng-xho"]), "--out", str(tmp_path / "out")]
+    if command == "pivot":
+        argv[4:4] = ["--pivot-to", "zul"]
+    src = os.path.dirname(os.path.dirname(mtkit.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "mtkit.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          check=False)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"error: model {model!r}, pair {pair}: {reason}\n" in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_eval_score_matches_library(tmp_path, capsys):
     hyp = tmp_path / "hyp.txt"
     ref = tmp_path / "ref.txt"

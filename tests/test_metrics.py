@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import make_corpus, small_vocab
+from mtkit import metrics
 from mtkit.corpus import orient
 from mtkit.errors import EmptyInput, LengthMismatch, UnsupportedDirection
 from mtkit.metrics import (
@@ -323,6 +324,77 @@ def test_clipped_matches_equal_per_segment_oracle(corpus, max_n):
         [oracles.clipped_matches(oracles.ngrams(h, n), oracles.ngrams(r, n))
          for h, r in zip(hyps, refs)]
         for n in range(1, max_n + 1)]
+
+
+# -- copies: a hypothesis that is the same string as its reference ---------
+
+def test_whitespace_variant_copies_equal_oracle():
+    # the same words, other whitespace: not copies as strings, so they go
+    # through the matcher, and score as the oracle says
+    hyps = ["a  b", "x\ty z", " c d ", "a b"]
+    refs = ["a b", "x y z", "c d", "a b"]
+    assert bleu(hyps, refs) == oracles.reference_bleu(hyps, refs) == 100.0
+    assert chrf(hyps, refs) == oracles.reference_chrf(hyps, refs) == 100.0
+
+
+def id_strings(vocab, texts):
+    """Each text's token ids as a whitespace-separated string."""
+    return [" ".join(map(str, vocab.encode(t))) for t in texts]
+
+
+def test_spbleu_different_strings_with_the_same_unk_ids_equal_oracle():
+    vocab = oracle_vocab()
+    hyps, refs = ["a q", "ab"], ["a w", "ab"]
+    assert vocab.encode("q") == vocab.encode("w") == [vocab.unk_id]
+    assert spbleu(hyps, refs, vocab) == oracles.reference_bleu(
+        id_strings(vocab, hyps), id_strings(vocab, refs)) == 100.0
+
+
+def test_chrf_identical_empty_and_blank_segments_score_zero():
+    blank = ["", " ", "\t \u3000"]
+    assert chrf(blank, blank) == oracles.reference_chrf(blank, blank) == 0.0
+    hyps = refs = ["", "a b", " "]
+    got = chrf(hyps, refs)
+    assert got == oracles.reference_chrf(hyps, refs)
+    assert got == 100.0 / 3
+
+
+@st.composite
+def copy_corpora(draw):
+    """(hyps, refs) in which every hypothesis is its reference, or none
+    is."""
+    refs = draw(st.lists(segments(), min_size=1, max_size=5))
+    if draw(st.booleans()):
+        return list(refs), refs
+    hyps = [hyp if hyp != ref else hyp + " a"
+            for hyp, ref in zip(draw(st.lists(segments(), min_size=len(refs),
+                                              max_size=len(refs))), refs)]
+    return hyps, refs
+
+
+@given(copy_corpora())
+@settings(max_examples=100, deadline=None)
+def test_all_copy_and_no_copy_corpora_equal_oracles(corpus):
+    hyps, refs = corpus
+    vocab = oracle_vocab()
+    assert bleu(hyps, refs) == oracles.reference_bleu(hyps, refs)
+    assert spbleu(hyps, refs, vocab) == oracles.reference_bleu(
+        id_strings(vocab, hyps), id_strings(vocab, refs))
+    assert chrf(hyps, refs) == oracles.reference_chrf(hyps, refs)
+
+
+def test_an_all_copy_corpus_never_reaches_the_matcher(monkeypatch):
+    """Copies are settled by string comparison: scoring a copy task must
+    not tokenize and match it."""
+    def matcher(*args):
+        raise AssertionError("the n-gram matcher ran on a copy")
+
+    monkeypatch.setattr(metrics, "_clipped_matches", matcher)
+    vocab = small_vocab({"eng": HYPS, "zul": REFS}, budget=4)
+    copy_set = make_corpus([(h, h) for h in HYPS + REFS], name="copy",
+                           src="eng", tgt="zul")
+    row = evaluate_directions(IdentityTranslator(), [copy_set], vocab).rows[0]
+    assert row.bleu == row.spbleu == row.chrf == 100.0
 
 
 # -- direction reports ----------------------------------------------------

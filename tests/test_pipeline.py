@@ -526,6 +526,26 @@ def test_run_completes_every_step(finished_run):
     assert all(s["status"] == "ok" for s in log["steps"])
 
 
+def test_every_step_carries_its_duration(finished_run):
+    log = json.loads((finished_run.run_dir / "run_log.json").read_text())
+    durations = [s["duration_ms"] for s in log["steps"]]
+    assert len(durations) == len(STEPS) == 11
+    assert all(isinstance(d, float) and d >= 0 for d in durations)
+
+
+def test_a_failed_step_carries_its_duration(dataset, tmp_path, monkeypatch):
+    def fail(self):
+        raise RuntimeError("split broke")
+
+    monkeypatch.setattr(pipeline._Runner, "step_split_validation", fail)
+    root, manifests = dataset
+    with pytest.raises(StepFailure):
+        run_pipeline(make_config(root, manifests), run_dir=tmp_path / "run")
+    log = json.loads((tmp_path / "run" / "run_log.json").read_text())
+    assert [s["status"] for s in log["steps"]] == ["ok", "failed"]
+    assert all(s["duration_ms"] >= 0 for s in log["steps"])
+
+
 def test_run_summary_reports_improvement(finished_run):
     summary = finished_run.summary
     assert summary["new_directions"] == ["xho-zul"]
@@ -606,6 +626,7 @@ def test_rerun_log_identical_modulo_timestamps(dataset, finished_run,
         for step in log["steps"]:
             step.pop("started_at")
             step.pop("finished_at")
+            step.pop("duration_ms")
         return log
 
     assert stripped(finished_run.run_dir) == stripped(second.run_dir)

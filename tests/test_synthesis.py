@@ -2,7 +2,12 @@ import pytest
 
 from conftest import make_corpus
 from mtkit.corpus import Provenance
-from mtkit.errors import BadPivot, LanguageMismatch, UnsupportedDirection
+from mtkit.errors import (
+    BadPivot,
+    BadSyntheticSide,
+    LanguageMismatch,
+    UnsupportedDirection,
+)
 from mtkit.synthesis import backtranslate, pivot_synthesize
 from mtkit.translator import IdentityTranslator
 
@@ -132,11 +137,30 @@ def constant(src, tgt, output):
 ])
 def test_synthesis_rejects_a_bad_generated_side(output, message):
     corpus = make_corpus(PAIRS, name="ez", src="eng", tgt="zul")
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    with pytest.raises(BadSyntheticSide,
+                       match=f"^model 'const:zul-eng', pair 1: {message}$"):
         backtranslate(corpus, constant("zul", "eng", output))
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    with pytest.raises(BadSyntheticSide,
+                       match=f"^model 'const:eng-xho', pair 1: {message}$"):
         pivot_synthesize(corpus, constant("eng", "xho", output),
                          pivot_to="xho")
+
+
+def test_synthesis_names_the_first_bad_pair_counting_from_one():
+    corpus = make_corpus(PAIRS, name="ez", src="eng", tgt="zul")
+
+    class _BadThird:
+        model_id = "bad-third"
+
+        def supported_directions(self):
+            return None
+
+        def translate_batch(self, sentences, s, t):
+            return ["ok"] * 2 + [" "] * (len(sentences) - 2)
+
+    with pytest.raises(BadSyntheticSide, match="^model 'bad-third', pair 3: "
+                       "src side is empty after trimming$"):
+        backtranslate(corpus, _BadThird(), batch_size=1 + len(PAIRS))
 
 
 def test_synthesis_normalizes_the_generated_side_and_keeps_the_genuine_one():

@@ -118,6 +118,16 @@ def test_unknown_words_copy_through():
         ["a mystery a"], "eng", "zul") == ["x mystery x"]
 
 
+def test_translate_batch_caches_each_word_it_looked_up():
+    lex = Lexicon("eng", "zul", {"a": {"x": 1.0}})
+    model = LexiconTranslator(lex)
+    assert model.translate_batch(["a mystery"], "eng", "zul") == ["x mystery"]
+    # the copy-through of an unseen word is cached like a table word
+    assert lex._best == {"a": "x", "mystery": "mystery"}
+    assert model.translate_batch(["mystery b"], "eng", "zul") == ["mystery b"]
+    assert lex._best == {"a": "x", "mystery": "mystery", "b": "b"}
+
+
 def test_decode_recovers_cipher_sentences():
     corpus, cipher = cipher_bitext(n_pairs=400, vocab_words=25, seed=2)
     lex = train_lexicon(corpus, iterations=15)
