@@ -31,9 +31,20 @@ order's F_beta, the segment and corpus means summed left to right by
 every score equals, bit for bit, the one plain per-segment Counter loops
 give (the oracles in tests/oracles.py).
 
+Scoring is batched. The kernels take several systems, each a (hyps,
+refs) pair, split together by the copy rule (`_split`), and send the
+other segments of all of them through one matcher call per stream (BLEU
+words, spBLEU token ids, chrF characters, chrF words). Matches never
+cross a segment, so each system reads its integer sums and segment
+scores from its own range and runs its float steps alone, as above. A
+whole report (`evaluate_directions`) or every candidate of a model
+selection (`score_candidates`) is so scored in one matcher pass per
+stream, with the scores that separate `bleu`, `spbleu` and `chrf` calls
+give: those are the one-system case of the same kernels.
+
 Identical hypothesis and reference streams score exactly 100.0; fully
 disjoint ones score exactly 0.0. Model selection scores each candidate
-by BLEU on a dev set stored in the candidates' direction.
+by BLEU on a dev set stored in its direction.
 """
 
 from __future__ import annotations
@@ -112,23 +123,62 @@ def _clipped_matches(hyp_ids: np.ndarray, hyp_lens: np.ndarray,
 
 
 _Streams = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+# One system to score: its hypotheses and their references.
+_System = tuple[Sequence[str], Sequence[str]]
 
 
 def _ints(values) -> np.ndarray:
     return np.fromiter(values, dtype=np.int64)
 
 
-def _copies(hyps: Sequence[str], refs: Sequence[str]
-            ) -> tuple[list[bool], list[str], list[str], list[str]]:
-    """(copy, copies, hyps, refs): per segment, whether its hypothesis is
-    the same string as its reference; the hypotheses of those copies; and
-    the hypotheses and references of the other segments. Each list keeps
-    segment order. One string comparison a segment, in C."""
+def _range_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Integer sums of *values* along the last axis over each range
+    bounds[k]:bounds[k + 1], exact (int64 prefix sums)."""
+    prefix = np.zeros((*values.shape[:-1], values.shape[-1] + 1),
+                      dtype=np.int64)
+    np.cumsum(values, axis=-1, out=prefix[..., 1:])
+    return prefix[..., bounds[1:]] - prefix[..., bounds[:-1]]
+
+
+@dataclass(frozen=True)
+class _Split:
+    """The segments of several systems end to end, in system order, split
+    by the copy rule: `copy` marks each segment whose hypothesis is the
+    same string as its reference, `copies` holds those hypotheses, and
+    `hyps` and `refs` the other segments; each keeps segment order.
+    System k owns the segments bounds[k]:bounds[k + 1] of each order:
+    all segments (`bounds`), copies (`copy_bounds`), the others
+    (`other_bounds`)."""
+    copy: np.ndarray
+    copies: list[str]
+    hyps: list[str]
+    refs: list[str]
+    bounds: np.ndarray
+    copy_bounds: np.ndarray
+    other_bounds: np.ndarray
+
+
+def _split(systems: Sequence[_System]) -> _Split:
+    """Check each system's streams and split their segments by the copy
+    rule: one string comparison a segment, in C."""
+    for hyps, refs in systems:
+        _check_streams(hyps, refs)
+    hyps = list(itertools.chain.from_iterable(h for h, _ in systems))
+    refs = list(itertools.chain.from_iterable(r for _, r in systems))
     copy = list(map(operator.eq, hyps, refs))
     differ = list(map(operator.not_, copy))
-    return (copy, list(itertools.compress(hyps, copy)),
-            list(itertools.compress(hyps, differ)),
-            list(itertools.compress(refs, differ)))
+    bounds = np.cumsum([0, *(len(h) for h, _ in systems)])
+    copy_bounds = np.cumsum([0, *copy], dtype=np.int64)[bounds]
+    return _Split(np.array(copy, dtype=bool),
+                  list(itertools.compress(hyps, copy)),
+                  list(itertools.compress(hyps, differ)),
+                  list(itertools.compress(refs, differ)),
+                  bounds, copy_bounds, bounds - copy_bounds)
+
+
+def _word_counts(texts: list[str]) -> np.ndarray:
+    """Each text's number of whitespace words."""
+    return _ints(map(len, map(str.split, texts)))
 
 
 def _word_ids(hyps: Sequence[str], refs: Sequence[str]) -> _Streams:
@@ -142,7 +192,7 @@ def _word_ids(hyps: Sequence[str], refs: Sequence[str]) -> _Streams:
         words = " ".join(texts).split()
         out.append(np.fromiter(map(index.setdefault, words, fresh),
                                dtype=np.int64, count=len(words)))
-        out.append(_ints(map(len, map(str.split, texts))))
+        out.append(_word_counts(texts))
     return tuple(out)
 
 
@@ -157,26 +207,15 @@ _BLEU_ORDERS = np.arange(1, BLEU_MAX_N + 1)[:, None]
 
 
 def _ngram_counts(lens: np.ndarray) -> np.ndarray:
-    """Number of n-grams of each order 1..BLEU_MAX_N over segments of
-    *lens* tokens."""
-    return np.maximum(lens - _BLEU_ORDERS + 1, 0).sum(axis=1)
+    """(BLEU_MAX_N, segments): the number of n-grams of each order
+    1..BLEU_MAX_N in each segment of *lens* tokens."""
+    return np.maximum(lens - _BLEU_ORDERS + 1, 0)
 
 
-def _corpus_bleu(copy_lens: np.ndarray, hyp_ids: np.ndarray,
-                 hyp_lens: np.ndarray, ref_ids: np.ndarray,
-                 ref_lens: np.ndarray) -> float:
-    """BLEU over copies of *copy_lens* tokens, each of whose n-grams
-    matches, and the other segments' id streams."""
-    copied = _ngram_counts(copy_lens)
-    correct = copied
-    if len(hyp_lens):
-        correct = correct + _clipped_matches(
-            hyp_ids, hyp_lens, ref_ids, ref_lens, BLEU_MAX_N).sum(axis=1)
-    correct = correct.tolist()
-    total = (copied + _ngram_counts(hyp_lens)).tolist()
-    copy_len = int(copy_lens.sum())
-    hyp_len = copy_len + int(hyp_lens.sum())
-    ref_len = copy_len + int(ref_lens.sum())
+def _bleu(correct: list[int], total: list[int], hyp_len: int,
+          ref_len: int) -> float:
+    """BLEU from one system's matches and n-grams per order and its
+    hypothesis and reference lengths."""
     if hyp_len == 0:
         return 0.0
     log_sum = 0.0
@@ -193,6 +232,26 @@ def _corpus_bleu(copy_lens: np.ndarray, hyp_ids: np.ndarray,
     return 100.0 * brevity * math.exp(log_sum / orders)
 
 
+def _corpus_bleu(split: _Split, copy_lens: np.ndarray, hyp_ids: np.ndarray,
+                 hyp_lens: np.ndarray, ref_ids: np.ndarray,
+                 ref_lens: np.ndarray) -> list[float]:
+    """BLEU of each system of *split*: its copies, of *copy_lens* tokens,
+    each of whose n-grams matches, and its other segments, whose id
+    streams go through one `_clipped_matches` call for all systems."""
+    copied = _range_sums(_ngram_counts(copy_lens), split.copy_bounds)
+    correct = copied
+    if len(hyp_lens):
+        correct = correct + _range_sums(
+            _clipped_matches(hyp_ids, hyp_lens, ref_ids, ref_lens,
+                             BLEU_MAX_N), split.other_bounds)
+    total = copied + _range_sums(_ngram_counts(hyp_lens), split.other_bounds)
+    copy_len = _range_sums(copy_lens, split.copy_bounds)
+    hyp_len = copy_len + _range_sums(hyp_lens, split.other_bounds)
+    ref_len = copy_len + _range_sums(ref_lens, split.other_bounds)
+    return list(map(_bleu, correct.T.tolist(), total.T.tolist(),
+                    hyp_len.tolist(), ref_len.tolist()))
+
+
 def _flat_ids(encoded: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
     """Token id lists end to end, and each list's length."""
     lens = _ints(map(len, encoded))
@@ -200,24 +259,30 @@ def _flat_ids(encoded: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
                         dtype=np.int64, count=int(lens.sum())), lens)
 
 
+def _bleu_scores(split: _Split) -> list[float]:
+    """Corpus BLEU over whitespace tokens of each system of *split*."""
+    return _corpus_bleu(split, _word_counts(split.copies),
+                        *_word_ids(split.hyps, split.refs))
+
+
+def _spbleu_scores(split: _Split, vocab: Vocabulary) -> list[float]:
+    """BLEU over subword token ids of each system of *split*."""
+    encode = vocab.encode
+    return _corpus_bleu(split, _ints(map(len, map(encode, split.copies))),
+                        *_flat_ids(list(map(encode, split.hyps))),
+                        *_flat_ids(list(map(encode, split.refs))))
+
+
 def bleu(hyps: Sequence[str], refs: Sequence[str]) -> float:
     """Corpus BLEU over whitespace tokens."""
-    _check_streams(hyps, refs)
-    _, copies, hyps, refs = _copies(hyps, refs)
-    return _corpus_bleu(_ints(map(len, map(str.split, copies))),
-                        *_word_ids(hyps, refs))
+    return _bleu_scores(_split([(hyps, refs)]))[0]
 
 
 def spbleu(hyps: Sequence[str], refs: Sequence[str],
            vocab: Vocabulary) -> float:
     """BLEU over subword token ids; rewards the segmentation the model
     actually trains on rather than whitespace luck."""
-    _check_streams(hyps, refs)
-    _, copies, hyps, refs = _copies(hyps, refs)
-    encode = vocab.encode
-    return _corpus_bleu(_ints(map(len, map(encode, copies))),
-                        *_flat_ids(list(map(encode, hyps))),
-                        *_flat_ids(list(map(encode, refs))))
+    return _spbleu_scores(_split([(hyps, refs)]), vocab)[0]
 
 
 def _order_fscores(streams: _Streams, max_n: int,
@@ -244,7 +309,8 @@ def _order_fscores(streams: _Streams, max_n: int,
 def _segment_chrf(hyps: list[str], refs: list[str]) -> np.ndarray:
     """Each segment's chrF++: the mean F_beta over its valid char orders
     1-6 and word orders 1-2, summed left to right in that order, or 0
-    without any."""
+    without any. Every step is elementwise, so segments of several
+    systems go through together."""
     beta2 = CHRF_BETA * CHRF_BETA
     chars = (*_code_points(["".join(h.split()) for h in hyps]),
              *_code_points(["".join(r.split()) for r in refs]))
@@ -259,20 +325,26 @@ def _segment_chrf(hyps: list[str], refs: list[str]) -> np.ndarray:
         return np.where(orders > 0, total / orders, 0.0)
 
 
+def _chrf_scores(split: _Split) -> list[float]:
+    """Macro-averaged segment chrF++ (`_segment_chrf`) of each system of
+    *split*: the mean over its segments, summed left to right. A copy's
+    valid orders each have F = 1.0, so it scores 1.0, or 0.0 when its
+    reference has no non-whitespace character and so no valid order."""
+    scores = np.empty(len(split.copy))
+    scores[split.copy] = np.fromiter(map(bool, map(str.strip, split.copies)),
+                                     dtype=np.float64,
+                                     count=len(split.copies))
+    if split.hyps:
+        scores[~split.copy] = _segment_chrf(split.hyps, split.refs)
+    scores = scores.tolist()
+    return [100.0 * left_to_right_sum(scores[lo:hi]) / (hi - lo)
+            for lo, hi in itertools.pairwise(split.bounds.tolist())]
+
+
 def chrf(hyps: Sequence[str], refs: Sequence[str]) -> float:
-    """Macro-averaged segment chrF++ (`_segment_chrf`); the corpus score
-    is the mean over segments. A copy's valid orders each have F = 1.0,
-    so it scores 1.0, or 0.0 when its reference has no non-whitespace
-    character and so no valid order."""
-    _check_streams(hyps, refs)
-    copy, copies, hyps, refs = _copies(hyps, refs)
-    is_copy = np.array(copy)
-    scores = np.empty(len(is_copy))
-    scores[is_copy] = np.fromiter(map(bool, map(str.strip, copies)),
-                                  dtype=np.float64, count=len(copies))
-    if hyps:
-        scores[~is_copy] = _segment_chrf(hyps, refs)
-    return 100.0 * left_to_right_sum(scores.tolist()) / len(scores)
+    """Macro-averaged segment chrF++; the corpus score is the mean over
+    segments (`_chrf_scores`)."""
+    return _chrf_scores(_split([(hyps, refs)]))[0]
 
 
 @dataclass(frozen=True)
@@ -312,42 +384,53 @@ class EvalReport:
         return left_to_right_sum(r.bleu for r in rows) / len(rows)
 
 
+def _translated(model: TranslatorModel, corpus: BitextCorpus) -> _System:
+    """*model*'s translation of *corpus*'s source side, with the target
+    side it is scored against; raises on a stream pair no metric takes."""
+    hyps = model.translate_batch(corpus.src_sentences, corpus.src_lang,
+                                 corpus.tgt_lang)
+    refs = corpus.tgt_sentences
+    _check_streams(hyps, refs)
+    return hyps, refs
+
+
 def evaluate_directions(model: TranslatorModel,
                         testsets: Sequence[BitextCorpus],
                         vocab: Vocabulary) -> EvalReport:
-    """Translate each testset's source side and score against its target
-    side; one report row per corpus, in the given order."""
-    rows = []
+    """Translate each testset's source side, then score every testset
+    against its target side in one call per metric; one report row per
+    corpus, in the given order. A testset the model does not support, or
+    whose translation has another number of lines, raises before the
+    next testset is translated."""
+    systems = []
     for corpus in testsets:
         check_direction(model, corpus.src_lang, corpus.tgt_lang)
-        hyps = model.translate_batch(corpus.src_sentences,
-                                     corpus.src_lang, corpus.tgt_lang)
-        refs = corpus.tgt_sentences
-        rows.append(EvalRow(
-            direction=corpus.direction.label,
-            pair_count=len(corpus),
-            bleu=bleu(hyps, refs),
-            spbleu=spbleu(hyps, refs, vocab),
-            chrf=chrf(hyps, refs),
-        ))
-    return EvalReport(getattr(model, "model_id", "model"), tuple(rows))
+        systems.append(_translated(model, corpus))
+    split = _split(systems)
+    rows = tuple(
+        EvalRow(direction=corpus.direction.label, pair_count=len(corpus),
+                bleu=b, spbleu=sp, chrf=c)
+        for corpus, b, sp, c in zip(testsets, _bleu_scores(split),
+                                    _spbleu_scores(split, vocab),
+                                    _chrf_scores(split)))
+    return EvalReport(getattr(model, "model_id", "model"), rows)
 
 
-def score_candidates(candidates: Sequence[tuple[TranslatorModel, str]],
-                     devset: BitextCorpus) -> list[float]:
-    """Dev BLEU of each candidate, in candidate order: each model
-    translates the devset's source side once."""
+def score_candidates(candidates: Sequence[tuple[TranslatorModel,
+                                                BitextCorpus]]
+                     ) -> list[float]:
+    """Dev BLEU of each (model, devset) candidate, in candidate order,
+    scored in one BLEU pass: each model translates its devset's source
+    side once."""
     if not candidates:
         raise EmptyInput("no candidate models")
-    sources, refs = devset.src_sentences, devset.tgt_sentences
-    return [bleu(model.translate_batch(sources, devset.src_lang,
-                                       devset.tgt_lang), refs)
-            for model, _ in candidates]
+    return _bleu_scores(_split([_translated(model, devset)
+                                for model, devset in candidates]))
 
 
 def select_best(candidates: Sequence[tuple[TranslatorModel, str]],
                 devset: BitextCorpus) -> str:
-    """Name of the candidate with the highest dev BLEU
+    """Name of the candidate with the highest BLEU on *devset*
     (`score_candidates`); ties keep the earliest listed."""
-    scores = score_candidates(candidates, devset)
+    scores = score_candidates([(model, devset) for model, _ in candidates])
     return candidates[scores.index(max(scores))][1]

@@ -16,6 +16,7 @@ log aside).
 
 from __future__ import annotations
 
+import itertools
 import json
 import time
 from dataclasses import dataclass, field, fields
@@ -475,7 +476,8 @@ class _Runner:
         self.state = _State(cfg, run_dir, inputs)
         self.config_source = config_source
         self.log_path = run_dir / "run_log.json"
-        self.entries: list[dict] = []
+        # each finished step's run-log entry, encoded once (`_add_entry`)
+        self.entry_texts: list[str] = []
 
     def _rel(self, path: Path) -> str:
         try:
@@ -483,10 +485,24 @@ class _Runner:
         except ValueError:
             return path.name
 
+    def _add_entry(self, entry: dict) -> None:
+        """Encode a finished step's log entry as `write_json` nests it in
+        the log's steps list: indent-2 JSON, every line 4 spaces in (JSON
+        text holds no raw line break inside a string)."""
+        self.entry_texts.append(
+            "    " + json.dumps(entry, indent=2).replace("\n", "\n    "))
+
     def _write_log(self, status: str) -> None:
-        doc = {"name": self.state.cfg["name"], "status": status,
-               "steps": self.entries}
-        write_json(self.log_path, doc)
+        """Write the run log: the bytes of `write_json` over {"name",
+        "status", "steps": the entries so far}, joined from the encoded
+        entries so that no entry is encoded twice."""
+        text = json.dumps({"name": self.state.cfg["name"], "status": status,
+                           "steps": []}, indent=2)
+        if self.entry_texts:
+            # the text ends in the empty list: '"steps": []\n}'
+            text = (text[:-len("[]\n}")] + "[\n"
+                    + ",\n".join(self.entry_texts) + "\n  ]\n}")
+        write_artifact(self.log_path, text + "\n")
 
     def run(self) -> RunResult:
         for name in STEPS:
@@ -495,13 +511,13 @@ class _Runner:
             try:
                 inputs, outputs = step()
             except Exception as exc:
-                self.entries.append({
+                self._add_entry({
                     "step": name, "status": "failed", "error": str(exc),
                     "started_at": started, "finished_at": _now(),
                     "duration_ms": _ms_since(clock)})
                 self._write_log("failed")
                 raise StepFailure(name, exc) from exc
-            self.entries.append({
+            self._add_entry({
                 "step": name, "status": "ok",
                 "started_at": started, "finished_at": _now(),
                 "duration_ms": _ms_since(clock),
@@ -593,11 +609,16 @@ class _Runner:
         out = state.run_dir / "stage1"
         selection: dict[str, dict] = {}
         outputs = []
-        for d in sorted(state.candidates):
+        directions = sorted(state.candidates)
+        devsets = {d: dev_bitext(dev, d.src, d.tgt) for d in directions}
+        # every candidate of every direction in one BLEU pass
+        all_scores = iter(score_candidates(
+            [(model, devsets[d]) for d in directions
+             for model, _ in state.candidates[d]]))
+        for d in directions:
             label = d.label
-            devset = dev_bitext(dev, d.src, d.tgt)
             candidates = state.candidates[d]
-            scores = score_candidates(candidates, devset)
+            scores = list(itertools.islice(all_scores, len(candidates)))
             best = scores.index(max(scores))
             model, chosen = candidates[best]
             selection[label] = {

@@ -16,6 +16,7 @@ batch translation. Provided implementations:
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import shlex
@@ -68,6 +69,24 @@ def _probability_text(p: float) -> str:
     if sys.float_info.min <= p <= 1.0:
         return "1.0" if text == "1" else text
     return json.dumps(float(text))
+
+
+def _entry_texts(keys: list[str], values: list[float]) -> list[str]:
+    """`f"{key}: {_probability_text(p)}"` for each JSON key text and
+    probability, from one `%`-format call over all of them. Only the texts
+    that call cannot give are patched, by index: a value outside
+    [smallest normal, 0.9999999999) takes `_probability_text`, for it
+    may print as "1" (JSON's "1.0") or lie outside [smallest normal, 1].
+    A key text holds no raw line break (JSON escapes it)."""
+    n = len(values)
+    args: list = [None] * (2 * n)
+    args[::2], args[1::2] = keys, values
+    texts = ("%s: %.12g\n" * n % tuple(args)).split("\n")[:-1]
+    p = np.fromiter(values, dtype=np.float64, count=n)
+    for i in np.flatnonzero(~((p >= sys.float_info.min)
+                              & (p < 0.9999999999))).tolist():
+        texts[i] = f"{keys[i]}: {_probability_text(values[i])}"
+    return texts
 
 
 @runtime_checkable
@@ -162,11 +181,12 @@ class Lexicon:
 
         The text is built directly: the header goes through `json.dumps`,
         each row is one join over its entries, keys go through
-        `json.encoder.encode_basestring`, and each probability reads as
-        `json.dumps(float(f"{p:.12g}"))` would write it
-        (`_probability_text`). The bytes equal those of `json.dumps` over
-        the whole payload (`tests/oracles.reference_lexicon_text`), which
-        CPython encodes in pure Python whenever `indent` is set."""
+        `json.encoder.encode_basestring` (each target word once), and each
+        probability reads as `json.dumps(float(f"{p:.12g}"))` would write
+        it (`_entry_texts`: one format call for the whole table). The
+        bytes equal those of `json.dumps` over the whole payload
+        (`tests/oracles.reference_lexicon_text`), which CPython encodes in
+        pure Python whenever `indent` is set."""
         header = json.dumps({
             "src_lang": self.src_lang,
             "tgt_lang": self.tgt_lang,
@@ -175,11 +195,18 @@ class Lexicon:
             "table": {},
         }, ensure_ascii=False, indent=1)
         if self.table:
+            sources = sorted(self.table)
+            entries = [sorted(self.table[e].items()) for e in sources]
+            flat = list(itertools.chain.from_iterable(entries))
+            targets = [f for f, _ in flat]
+            keys = {f: _json_key(f) for f in set(targets)}
+            lines = iter(_entry_texts(list(map(keys.__getitem__, targets)),
+                                      [p for _, p in flat]))
             rows = ",\n".join(
-                f"  {_json_key(e)}: {{\n   " + ",\n   ".join(
-                    f"{_json_key(f)}: {_probability_text(p)}"
-                    for f, p in sorted(row.items())) + "\n  }"
-                for e, row in sorted(self.table.items()))
+                f"  {_json_key(e)}: {{\n   "
+                + ",\n   ".join(itertools.islice(lines, len(entry)))
+                + "\n  }"
+                for e, entry in zip(sources, entries))
             # the header ends in the empty table: '"table": {}\n}'
             header = header[:-len("{}\n}")] + "{\n" + rows + "\n }\n}"
         return write_artifact(path, header + "\n")

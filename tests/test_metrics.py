@@ -410,17 +410,109 @@ def test_evaluate_directions_identity_on_copy_task():
     assert row.bleu == row.spbleu == row.chrf == 100.0
 
 
+# One report's test sets, of different sizes: all copies, no copies,
+# mixed (a whitespace variant included), one-word segments (no n-grams of
+# orders 2-4) and a single disjoint segment.
+REPORT_SETS = [
+    ("eng", "zul", [(h, h) for h in HYPS]),
+    ("eng", "xho", CORPUS),
+    ("eng", "ssw", CORPUS[:2] + [(r, r) for r in REFS] + [("a  b", "a b")]),
+    ("eng", "tso", [("hello", "hello"), ("cat", "dog"), ("sat", "sat"),
+                    ("mat", "mat")]),
+    ("zul", "eng", CORPUS + [(h, h) for h in HYPS] + [("fox", "fox jumps"),
+                                                     ("the", "a")]),
+    ("xho", "eng", [("x y", "a b")]),
+]
+
+
+def report_sets():
+    return [make_corpus(pairs, name=f"{src}-{tgt}", src=src, tgt=tgt)
+            for src, tgt, pairs in REPORT_SETS]
+
+
+def report_vocab():
+    return small_vocab({"eng": [t for _, _, pairs in REPORT_SETS
+                                for pair in pairs for t in pair]}, budget=8)
+
+
 def test_evaluate_directions_rows_match_direct_metric_calls():
-    vocab = small_vocab({"eng": HYPS, "zul": REFS}, budget=4)
-    testset = make_corpus(CORPUS, name="dev", src="eng", tgt="zul")
-    report = evaluate_directions(IdentityTranslator(), [testset], vocab)
-    row = report.rows[0]
-    assert row.bleu == bleu(HYPS, REFS)
-    assert row.spbleu == spbleu(HYPS, REFS, vocab)
-    assert row.chrf == chrf(HYPS, REFS)
+    """One report over test sets of several shapes: each row equals the
+    per-direction oracles and the one-direction metric calls."""
+    vocab = report_vocab()
+    testsets = report_sets()
+    report = evaluate_directions(IdentityTranslator(), testsets, vocab)
+    assert [row.direction for row in report.rows] == \
+        [f"{src}-{tgt}" for src, tgt, _ in REPORT_SETS]
+    for row, corpus in zip(report.rows, testsets):
+        hyps, refs = corpus.src_sentences, corpus.tgt_sentences
+        assert row.pair_count == len(hyps)
+        assert row.bleu == oracles.reference_bleu(hyps, refs) == \
+            bleu(hyps, refs)
+        assert row.spbleu == oracles.reference_bleu(
+            [" ".join(vocab.segment(h)) for h in hyps],
+            [" ".join(vocab.segment(r)) for r in refs]) == \
+            spbleu(hyps, refs, vocab)
+        assert row.chrf == oracles.reference_chrf(hyps, refs) == \
+            chrf(hyps, refs)
+    assert [row.bleu for row in report.rows][::5] == [100.0, 0.0]
     table = report.render_table()
-    assert "eng-zul" in table and len(table.splitlines()) == 2
+    assert "eng-zul" in table and len(table.splitlines()) == 7
     assert report.to_json()["rows"][0]["direction"] == "eng-zul"
+
+
+def test_scoring_makes_one_matcher_pass_per_stream(monkeypatch):
+    """A report makes at most one n-gram matcher call per stream (BLEU
+    words, spBLEU ids, chrF characters, chrF words), and scoring model
+    candidates at most one, however many directions they cover."""
+    def counting(*args):
+        calls.append(args)
+        return matcher(*args)
+
+    calls = []
+    matcher = metrics._clipped_matches
+    monkeypatch.setattr(metrics, "_clipped_matches", counting)
+    vocab = report_vocab()
+    testsets = report_sets()
+    for n in (1, 2, len(testsets)):
+        calls.clear()
+        evaluate_directions(IdentityTranslator(), testsets[1:n + 1], vocab)
+        assert 0 < len(calls) <= 4
+    calls.clear()
+    scores = score_candidates([(IdentityTranslator(), corpus)
+                               for corpus in testsets for _ in range(2)])
+    assert len(calls) == 1
+    assert scores == [bleu(c.src_sentences, c.tgt_sentences)
+                      for c in testsets for _ in range(2)]
+
+
+class _Recorder(IdentityTranslator):
+    """Copies its input, records each direction it translates, supports
+    only *supported*, and drops a line from the batches of *short*."""
+
+    def __init__(self, supported, short=None):
+        self.supported, self.short, self.translated = supported, short, []
+
+    def supported_directions(self):
+        return self.supported
+
+    def translate_batch(self, sentences, src, tgt):
+        self.translated.append(f"{src}-{tgt}")
+        return list(sentences)[:-1 if (src, tgt) == self.short else None]
+
+
+def test_evaluate_directions_fails_before_translating_the_next_set():
+    vocab = report_vocab()
+    testsets = report_sets()
+    labels = [c.direction.label for c in testsets]
+    supported = frozenset((c.src_lang, c.tgt_lang) for c in testsets)
+    unsupported = _Recorder(supported - {("eng", "tso")})
+    with pytest.raises(UnsupportedDirection):
+        evaluate_directions(unsupported, testsets, vocab)
+    assert unsupported.translated == labels[:3]
+    short = _Recorder(supported, short=("eng", "ssw"))
+    with pytest.raises(LengthMismatch):
+        evaluate_directions(short, testsets, vocab)
+    assert short.translated == labels[:3]
 
 
 def test_evaluate_directions_checks_support():
@@ -467,8 +559,11 @@ def test_score_candidates_scores_each_candidate_in_order():
     sources, refs = devset.src_sentences, devset.tgt_sentences
     noisy = bleu(bad.translate_batch(sources, "eng", "zul"), refs)
     assert noisy < 100.0
-    assert score_candidates([(bad, "bad"), (good, "good")], devset) == \
-        [noisy, 100.0]
+    rev_good = LexiconTranslator(
+        Lexicon("zul", "eng", {"x": {"a": 1.0}, "y": {"b": 1.0}}))
+    flipped = orient(devset, "zul", "eng")
+    assert score_candidates([(bad, devset), (good, devset),
+                             (rev_good, flipped)]) == [noisy, 100.0, 100.0]
 
 
 def test_select_best_tie_keeps_first():

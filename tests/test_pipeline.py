@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mtkit import pipeline, translator
+from mtkit import metrics, pipeline, translator
 from mtkit.cli import main
 from mtkit.corpus import (
     BitextCorpus,
@@ -520,7 +520,9 @@ def finished_run(dataset, tmp_path_factory):
 
 
 def test_run_completes_every_step(finished_run):
-    log = json.loads((finished_run.run_dir / "run_log.json").read_text())
+    text = (finished_run.run_dir / "run_log.json").read_text()
+    log = json.loads(text)
+    assert text == json.dumps(log, indent=2) + "\n"
     assert log["status"] == "ok"
     assert [s["step"] for s in log["steps"]] == list(STEPS)
     assert all(s["status"] == "ok" for s in log["steps"])
@@ -537,10 +539,22 @@ def test_a_failed_step_carries_its_duration(dataset, tmp_path, monkeypatch):
     def fail(self):
         raise RuntimeError("split broke")
 
+    def recording(path, data):
+        if path.name == "run_log.json":
+            log_texts.append(data)
+        return write_artifact(path, data)
+
+    log_texts = []
+    write_artifact = pipeline.write_artifact
     monkeypatch.setattr(pipeline._Runner, "step_split_validation", fail)
+    monkeypatch.setattr(pipeline, "write_artifact", recording)
     root, manifests = dataset
     with pytest.raises(StepFailure):
         run_pipeline(make_config(root, manifests), run_dir=tmp_path / "run")
+    # every write of the log is the indent-2 JSON of its document
+    assert len(log_texts) == 2
+    for text in log_texts:
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
     log = json.loads((tmp_path / "run" / "run_log.json").read_text())
     assert [s["status"] for s in log["steps"]] == ["ok", "failed"]
     assert all(s["duration_ms"] >= 0 for s in log["steps"])
@@ -654,18 +668,31 @@ def test_final_eval_scores_each_system_and_direction_once(tmp_path, capsys,
                                                           monkeypatch):
     """Stage 2 routes the English-centric directions to stage 1's selected
     lexicons, so the toy run scores them once, for stage 1, and its
-    stage-2 report carries stage 1's rows for them."""
-    evaluated = []
+    stage-2 report carries stage 1's rows for them. Each report makes at
+    most one n-gram matcher call per metric stream, and model selection
+    one for all 16 directions' candidates."""
+    evaluated, matcher_calls = [], []
 
     def recording(model, testsets, vocab):
         evaluated.append((model.model_id,
                           [f"{c.src_lang}-{c.tgt_lang}" for c in testsets]))
-        return evaluate(model, testsets, vocab)
+        before = len(matcher_calls)
+        report = evaluate(model, testsets, vocab)
+        assert len(matcher_calls) - before <= 4
+        return report
+
+    def counting(*args):
+        matcher_calls.append(len(evaluated))
+        return matcher(*args)
 
     evaluate = pipeline.evaluate_directions
+    matcher = metrics._clipped_matches
     monkeypatch.setattr(pipeline, "evaluate_directions", recording)
+    monkeypatch.setattr(metrics, "_clipped_matches", counting)
     assert main(["repro-toy", "--out", str(tmp_path), "--seed", "17"]) == 0
     capsys.readouterr()
+    # the calls made before final-eval are model selection's
+    assert matcher_calls.count(0) <= 1
 
     new = new_direction_labels()
     assert [(model, len(labels)) for model, labels in evaluated] == \

@@ -249,6 +249,16 @@ _lexicons = st.builds(
     "b": {"y": 1.0 - 1e-13, "x": 1e-13, "\x00": 0.0},
     'a"\\': {"\U0001f600": 5e-324, "z": 1.0},
     "\n": {"m": sys.float_info.min, "l": 1.0 - sys.float_info.min}}, ()))
+# entries a hand-built row summing to 1 can hold: negative and > 1, -0.0,
+# zero and subnormals beside 1, and values on either side of the 12-digit
+# rounding to 1
+@example(Lexicon("eng", "zul", {
+    "a": {"x": 1.5, "y": -0.5},
+    "b": {"x": 2.0, "y": -1.0, "z": 1e-300},
+    "c": {"x": 1.0, "y": -0.0, "z": 0.0, "w": 5e-324, "v": 1e-310},
+    "d": {"x": 0.9999999999, "y": 1e-10},
+    "e": {"x": 0.99999999999996, "y": 4e-14},
+    "f": {"x": 0.99999999999949, "y": 5.1e-13}}, (0.5,)))
 @settings(max_examples=200, deadline=None)
 def test_save_writes_the_reference_text(lexicon_file, lexicon):
     lexicon.save(lexicon_file)
