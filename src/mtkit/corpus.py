@@ -32,7 +32,7 @@ from .errors import (
     MTKitError,
 )
 
-# Languages known out of the box; loaders accept any registry you pass.
+# The nine languages of the experiment; a manifest naming any other fails.
 DEFAULT_LANGUAGES: tuple[str, ...] = (
     "afr", "eng", "nso", "sna", "ssw", "tsn", "tso", "xho", "zul",
 )
@@ -43,13 +43,13 @@ _NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 _LINE_BREAKS = frozenset("\n\r\v\f\x85\u2028\u2029")
 
 
-def validate_language(code: str, registry: Iterable[str] | None = None) -> str:
-    """Return *code* if it is a 3-letter lowercase code in *registry*."""
+def validate_language(code: str) -> str:
+    """Return *code* if it is one of the codes in DEFAULT_LANGUAGES."""
     if not _CODE_RE.match(code):
         raise BadManifest(f"bad language code {code!r}: want 3 lowercase letters")
-    known = DEFAULT_LANGUAGES if registry is None else tuple(registry)
-    if code not in known:
-        raise BadManifest(f"language {code!r} not in registry {sorted(known)}")
+    if code not in DEFAULT_LANGUAGES:
+        raise BadManifest(
+            f"language {code!r} not in registry {list(DEFAULT_LANGUAGES)}")
     return code
 
 
@@ -363,8 +363,7 @@ def _read_checked(path: Path, sha256: str,
     return split_lines(data, path, error)
 
 
-def load_bitext(manifest_path: str | Path,
-                registry: Iterable[str] | None = None) -> BitextCorpus:
+def load_bitext(manifest_path: str | Path) -> BitextCorpus:
     """Load a corpus from its manifest, verifying alignment and checksums."""
     manifest_path = Path(manifest_path)
     manifest = read_json(manifest_path, BadManifest)
@@ -382,8 +381,8 @@ def load_bitext(manifest_path: str | Path,
         raise BadManifest(
             f"{manifest_path}: pair_count must be a non-negative integer")
 
-    src_lang = validate_language(manifest["src_lang"], registry)
-    tgt_lang = validate_language(manifest["tgt_lang"], registry)
+    src_lang = validate_language(manifest["src_lang"])
+    tgt_lang = validate_language(manifest["tgt_lang"])
     base = manifest_path.parent
     src_path = base / manifest["src_file"]
     tgt_path = base / manifest["tgt_file"]

@@ -126,16 +126,16 @@ def _resolve_paths(cfg: dict, base: Path) -> dict:
 
 
 # Each config field with its default (vocab may add VocabConfig's fields);
-# a stage seed defaults to the top-level seed, a required field to None.
+# a required field defaults to None.
 _DEFAULTS = {
     "name": None, "seed": None, "output_root": None, "corpora": None,
     "new_corpora": [],
     "validation_split": 0,
     "vocab": {"use": "obpe"},
-    "stage1": {"em_iterations": [5, 15], "seed": None},
+    "stage1": {"em_iterations": [5, 15]},
     "backtranslation": {"default": "internal", "models": {}, "batch_size": 64},
     "stage2": {"plan": None, "em_iterations": 20, "default_cap": None,
-               "new_directions": None, "seed": None},
+               "new_directions": None},
     "eval": {"dev_dir": None},
 }
 
@@ -145,7 +145,6 @@ def _with_defaults(cfg: dict) -> dict:
     section that is not an object stays as it is, for validation to
     report."""
     cfg, defaults = json.loads(json.dumps([cfg, _DEFAULTS]))
-    defaults["stage1"]["seed"] = defaults["stage2"]["seed"] = cfg.get("seed", 0)
     for key, default in defaults.items():
         section = cfg.setdefault(key, default)
         if isinstance(default, dict) and isinstance(section, dict):
@@ -218,10 +217,9 @@ def _load_inputs(cfg: dict) -> tuple[_Inputs, list[str]]:
     if not isinstance(name, str) or not name:
         problems.append("name: required non-empty string")
     seed = cfg.get("seed")
-    seed_ok = is_json_int(seed) and seed >= 0  # numpy takes no negative seed
     if not is_json_int(seed):
         problems.append("seed: required integer (seeds must be explicit)")
-    elif not seed_ok:
+    elif seed < 0:  # numpy takes no negative seed
         problems.append("seed: must be a non-negative integer")
     if not isinstance(cfg.get("output_root"), str):
         problems.append("output_root: required path string")
@@ -293,16 +291,6 @@ def _load_inputs(cfg: dict) -> tuple[_Inputs, list[str]]:
 
     stage1, bt, stage2 = (section(key) for key in
                           ("stage1", "backtranslation", "stage2"))
-    for key, stage in (("stage1", stage1), ("stage2", stage2)):
-        # a stage seed that only repeats a bad top-level seed (its default)
-        # is not reported again
-        if stage is None or (not seed_ok and stage["seed"] == seed):
-            continue
-        if not is_json_int(stage["seed"]):
-            problems.append(f"{key}.seed: must be an integer")
-        elif stage["seed"] < 0:
-            problems.append(f"{key}.seed: must be a non-negative integer")
-
     if stage1 is not None:
         iters = stage1["em_iterations"]
         if (not isinstance(iters, list) or not iters
@@ -419,9 +407,10 @@ def _load_inputs(cfg: dict) -> tuple[_Inputs, list[str]]:
 
 
 def validate_config(cfg: dict | str | Path) -> list[str]:
-    """Schema and language-registry checks, and every input file the
-    config names loaded as a run loads it. Returns a list of problems,
-    empty when the config is usable. Writes nothing."""
+    """Schema checks, and every input file the config names loaded as a
+    run loads it (corpus languages must be among the nine known ones).
+    Returns a list of problems, empty when the config is usable. Writes
+    nothing."""
     try:
         cfg = load_config(cfg) if isinstance(cfg, (str, Path)) else cfg
     except ConfigValidationError as exc:
@@ -480,10 +469,12 @@ class _Runner:
         self.entry_texts: list[str] = []
 
     def _rel(self, path: Path) -> str:
+        """*path*'s run-log key: relative to the run dir when inside it,
+        else resolved, so that two inputs of one name keep two keys."""
         try:
             return path.relative_to(self.state.run_dir).as_posix()
         except ValueError:
-            return path.name
+            return path.resolve().as_posix()
 
     def _add_entry(self, entry: dict) -> None:
         """Encode a finished step's log entry as `write_json` nests it in
@@ -586,8 +577,7 @@ class _Runner:
         out = state.run_dir / "stage1"
         cand_dir = out / "candidates"
         outputs = []
-        mixture = build_stage1_mixture(state.old_train,
-                                       seed=cfg["stage1"]["seed"])
+        mixture = build_stage1_mixture(state.old_train, seed=cfg["seed"])
         for s in mixture.slices:
             d = s.direction
             oriented = orient(s.corpus, d.src, d.tgt)
@@ -677,7 +667,7 @@ class _Runner:
         plan_path = plan.save(out / "plan.json")
         mixture = build_stage2_mixture(
             state.old_pool, state.new_pool, plan,
-            seed=cfg["stage2"]["seed"],
+            seed=cfg["seed"],
             default_cap=cfg["stage2"]["default_cap"])
         state.stage2_mixture = mixture
         export = export_mixture(mixture, state.vocab, out / "mixture")

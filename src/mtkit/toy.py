@@ -142,11 +142,15 @@ def _base_sentences(n: int, rng: np.random.Generator) -> list[str]:
     # grade with corpus size instead of saturating.
     weights = np.arange(1, len(WORDS) + 1) ** -1.5
     weights /= weights.sum()
+    # the draw `rng.choice(len(WORDS), size=length, p=weights)` makes,
+    # with its CDF built once rather than once per sentence
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
     seen: set[str] = set()
     out: list[str] = []
     while len(out) < n:
         length = int(rng.integers(low, high + 1))
-        idx = rng.choice(len(WORDS), size=length, p=weights)
+        idx = cdf.searchsorted(rng.random(length), side="right")
         sentence = " ".join(WORDS[i] for i in idx)
         if sentence not in seen:
             seen.add(sentence)

@@ -1,12 +1,13 @@
 """Subword vocabularies: BPE and overlap-aware BPE (OBPE) training.
 
 Both trainers run greedy pair merging over whitespace-pretokenized words
-with an end-of-word marker appended to each word's final character. BPE
-ranks candidate pairs by pooled occurrence count. OBPE ranks them by a
-weighted power mean of per-language relative pair frequencies, so a
-negative exponent rewards pairs shared across languages and a positive
-one rewards raw frequency; exponent 1 reduces exactly to BPE and runs
-BPE's merge loop.
+with the fixed end-of-word marker `</w>` appended to each word's final
+character, and every vocabulary opens with the same fixed special
+tokens. BPE ranks candidate pairs by pooled occurrence count. OBPE ranks
+them by a weighted power mean of per-language relative pair frequencies,
+so a negative exponent rewards pairs shared across languages and a
+positive one rewards raw frequency; exponent 1 reduces exactly to BPE
+and runs BPE's merge loop.
 
 Pair counts are maintained incrementally (only words containing the
 merged pair are rescanned), which keeps training near-linear instead of
@@ -23,7 +24,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import ClassVar, Iterable, Mapping, Sequence
 
 from .corpus import (
     DEFAULT_LANGUAGES,
@@ -58,12 +59,11 @@ class VocabConfig:
     hrl_langs: frozenset[str] = DEFAULT_HRL
     lrl_langs: frozenset[str] = DEFAULT_LRL
     mean_exponent_p: float = -2.0
-    special_tokens: tuple[str, ...] = DEFAULT_SPECIAL_TOKENS
-    end_of_word_marker: str = END_OF_WORD
+    special_tokens: ClassVar[tuple[str, ...]] = DEFAULT_SPECIAL_TOKENS
+    end_of_word_marker: ClassVar[str] = END_OF_WORD
 
     def __post_init__(self) -> None:
-        for name, kind in (("hrl_langs", frozenset), ("lrl_langs", frozenset),
-                           ("special_tokens", tuple)):
+        for name in ("hrl_langs", "lrl_langs"):
             value = getattr(self, name)
             # a string would become its characters, a dict its keys
             items = (tuple(value) if isinstance(value, Iterable)
@@ -71,7 +71,7 @@ class VocabConfig:
             if items is None or not all(isinstance(s, str) for s in items):
                 raise InvalidConfig(
                     f"{name} must be a list of strings, got {value!r}")
-            object.__setattr__(self, name, kind(items))
+            object.__setattr__(self, name, frozenset(items))
         if not is_json_int(self.vocab_size) or self.vocab_size < 1:
             raise InvalidConfig(
                 f"vocab_size must be a positive int, got {self.vocab_size!r}")
@@ -83,13 +83,6 @@ class VocabConfig:
         overlap = self.hrl_langs & self.lrl_langs
         if overlap:
             raise InvalidConfig(f"languages in both hrl and lrl: {sorted(overlap)}")
-        if len(set(self.special_tokens)) != len(self.special_tokens):
-            raise InvalidConfig("duplicate special tokens")
-        if UNK not in self.special_tokens:
-            raise InvalidConfig(f"special tokens must include {UNK!r}")
-        if not isinstance(self.end_of_word_marker, str) \
-                or not self.end_of_word_marker:
-            raise InvalidConfig("end_of_word_marker must be a non-empty string")
 
     @property
     def languages(self) -> frozenset[str]:
@@ -114,23 +107,28 @@ class VocabConfig:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "VocabConfig":
+        """The config `to_json` wrote; a file whose special tokens or
+        marker differ from the fixed ones raises InvalidConfig."""
         try:
+            fixed = cls().to_json()
+            for key in ("end_of_word_marker", "special_tokens"):
+                if obj[key] != fixed[key]:
+                    raise InvalidConfig(
+                        f"{key} must be {fixed[key]!r}, got {obj[key]!r}")
             return cls(
                 vocab_size=obj["vocab_size"],
                 hrl_langs=obj["hrl_langs"],
                 lrl_langs=obj["lrl_langs"],
                 mean_exponent_p=obj["mean_exponent_p"],
-                special_tokens=obj["special_tokens"],
-                end_of_word_marker=obj["end_of_word_marker"],
             )
         except KeyError as exc:
             raise InvalidConfig(f"vocab config missing field {exc}") from exc
 
 
-def _mark_word(word: str, marker: str) -> list[str]:
-    """A word's characters, *marker* appended to the last one: the
-    symbols merging starts from."""
-    return list(word[:-1]) + [word[-1] + marker]
+def _mark_word(word: str) -> list[str]:
+    """A word's characters, the end-of-word marker appended to the last
+    one: the symbols merging starts from."""
+    return list(word[:-1]) + [word[-1] + END_OF_WORD]
 
 
 def _merge_pair(symbols: list[str], left: str, right: str) -> list[str]:
@@ -187,25 +185,24 @@ class LangCorpusSet:
 
 
 def base_tokens(data: LangCorpusSet, cfg: VocabConfig) -> list[str]:
-    """The tokens training starts from: *cfg*'s special tokens, then the
+    """The tokens training starts from: the special tokens, then the
     sorted base symbols of *data* (each word's characters, the last one
-    marked). Raises VocabSizeTooSmall when they leave vocab_size no room
-    for a merge."""
+    marked). Raises VocabSizeTooSmall when they leave *cfg*'s vocab_size
+    no room for a merge."""
     words = set().union(*data.word_counts.values())
-    symbols = sorted({sym for w in words
-                      for sym in _mark_word(w, cfg.end_of_word_marker)})
-    n_special = len(cfg.special_tokens)
+    symbols = sorted({sym for w in words for sym in _mark_word(w)})
+    n_special = len(DEFAULT_SPECIAL_TOKENS)
     if cfg.vocab_size <= n_special + len(symbols):
         raise VocabSizeTooSmall(
             f"vocab_size {cfg.vocab_size} <= {n_special} special tokens + "
             f"{len(symbols)} base symbols")
-    return list(cfg.special_tokens) + symbols
+    return list(DEFAULT_SPECIAL_TOKENS) + symbols
 
 
 class _MergeState:
     """Word types plus incrementally maintained adjacent-pair counts."""
 
-    def __init__(self, data: LangCorpusSet, marker: str) -> None:
+    def __init__(self, data: LangCorpusSet) -> None:
         self.langs: tuple[str, ...] = data.languages
         n = len(self.langs)
         self.words: list[list[str]] = []
@@ -214,7 +211,7 @@ class _MergeState:
         for li, lang in enumerate(self.langs):
             freq = data.word_counts[lang]
             for w in sorted(freq):
-                self.words.append(_mark_word(w, marker))
+                self.words.append(_mark_word(w))
                 self.freqs.append(freq[w])
                 self.word_lang.append(li)
         self.pair_pooled: dict[tuple[str, str], int] = {}
@@ -342,7 +339,7 @@ def _train(data: LangCorpusSet, cfg: VocabConfig, mode: str) -> "Vocabulary":
 
     tokens = base_tokens(data, cfg)
     token_set = set(tokens)
-    state = _MergeState(data, cfg.end_of_word_marker)
+    state = _MergeState(data)
 
     # BPE ranks by pooled count, as does OBPE at p = 1 (score = pooled count
     # / grand total): both pop a lazy max-heap of (-count, pair), whose
@@ -424,7 +421,7 @@ class Vocabulary:
             raise InvalidConfig("duplicate token surfaces")
         if len(self.tokens) > self.config.vocab_size:
             raise InvalidConfig("token table exceeds configured vocab_size")
-        if self.tokens[:len(self.config.special_tokens)] != self.config.special_tokens:
+        if self.tokens[:len(DEFAULT_SPECIAL_TOKENS)] != DEFAULT_SPECIAL_TOKENS:
             raise InvalidConfig("special tokens must occupy the first ids")
         object.__setattr__(self, "_ids",
                            {tok: i for i, tok in enumerate(self.tokens)})
@@ -441,7 +438,7 @@ class Vocabulary:
 
     @property
     def n_special(self) -> int:
-        return len(self.config.special_tokens)
+        return len(DEFAULT_SPECIAL_TOKENS)
 
     @property
     def unk_id(self) -> int:
@@ -451,7 +448,7 @@ class Vocabulary:
         return self._ids.get(surface)
 
     def _encode_word(self, word: str) -> tuple[int, ...]:
-        symbols = _mark_word(word, self.config.end_of_word_marker)
+        symbols = _mark_word(word)
         ranks = self._ranks
         while len(symbols) > 1:
             best_rank = None
@@ -489,7 +486,7 @@ class Vocabulary:
                 raise UnknownId(f"token id {i!r} outside [0, {n})")
             surface = self.tokens[i]
             parts.append(surface + " " if i < self.n_special else surface)
-        text = "".join(parts).replace(self.config.end_of_word_marker, " ")
+        text = "".join(parts).replace(END_OF_WORD, " ")
         return " ".join(text.split())
 
     def segment(self, text: str) -> list[str]:
@@ -527,9 +524,9 @@ class Vocabulary:
             path, json.dumps(payload, ensure_ascii=False, indent=2) + "\n")
 
 
-def _is_base_symbol(token: str, marker: str) -> bool:
-    if token.endswith(marker):
-        return len(token) - len(marker) == 1
+def _is_base_symbol(token: str) -> bool:
+    if token.endswith(END_OF_WORD):
+        return len(token) - len(END_OF_WORD) == 1
     return len(token) == 1
 
 
@@ -559,9 +556,8 @@ def _vocabulary_from_json(payload: dict) -> Vocabulary:
         raise InvalidConfig("merges must be [left, right] string pairs")
     tokens, merges = tuple(tokens), tuple(map(tuple, merges))
 
-    marker = cfg.end_of_word_marker
     token_set = set(tokens)
-    available = {t for t in tokens if _is_base_symbol(t, marker)}
+    available = {t for t in tokens if _is_base_symbol(t)}
     produced: set[str] = set()
     for left, right in merges:
         if left not in available or right not in available:
@@ -573,9 +569,9 @@ def _vocabulary_from_json(payload: dict) -> Vocabulary:
             raise InvalidConfig(f"merge output {joined!r} missing from tokens")
         produced.add(joined)
         available.add(joined)
-    specials = set(cfg.special_tokens)
+    specials = set(DEFAULT_SPECIAL_TOKENS)
     for tok in tokens:
-        if tok in specials or tok in produced or _is_base_symbol(tok, marker):
+        if tok in specials or tok in produced or _is_base_symbol(tok):
             continue
         raise InvalidConfig(f"unreachable token {tok!r}")
     return Vocabulary(mode=mode, tokens=tokens, merges=merges, config=cfg)

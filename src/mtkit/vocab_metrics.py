@@ -18,18 +18,17 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import asdict, dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .corpus import BitextCorpus, orient
+from .corpus import BitextCorpus
 from .errors import EmptyCorpus, EmptyLanguage
 from .vocab import LangCorpusSet, Vocabulary
 
 
-def _total_tokens(vocab: Vocabulary, sentences: Iterable[str]) -> int:
-    """Tokens in *sentences*, counted per word type: a word encodes to
-    the same tokens wherever it occurs."""
-    words = Counter(w for s in sentences for w in s.split())
-    return sum(n * len(vocab.encode(w)) for w, n in words.items())
+def _total_tokens(vocab: Vocabulary, word_counts: Counter[str]) -> int:
+    """Tokens in text with these *word_counts*, counted per word type: a
+    word encodes to the same tokens wherever it occurs."""
+    return sum(n * len(vocab.encode(w)) for w, n in word_counts.items())
 
 
 @dataclass(frozen=True)
@@ -69,9 +68,8 @@ def representation_change(data: LangCorpusSet, vocab_a: Vocabulary,
     0.0 for every language."""
     rows = []
     for lang in data.languages:
-        sentences = data.sentences[lang]
-        tokens_a = _total_tokens(vocab_a, sentences)
-        tokens_b = _total_tokens(vocab_b, sentences)
+        tokens_a = _total_tokens(vocab_a, data.word_counts[lang])
+        tokens_b = _total_tokens(vocab_b, data.word_counts[lang])
         if tokens_a == 0 or tokens_b == 0:
             raise EmptyLanguage(f"{lang} encodes to zero tokens")
         change = 0.0 if tokens_a == tokens_b else \
@@ -107,9 +105,9 @@ def avg_tokens_per_pair(corpus: BitextCorpus, vocab: Vocabulary) -> SpeedRow:
     if "eng" not in corpus.languages():
         raise ValueError(f"{corpus.name} has no English side")
     other = next(iter(corpus.languages() - {"eng"}))
-    from_eng = orient(corpus, "eng", other)
-    tokens_eng = _total_tokens(vocab, from_eng.src_sentences)
-    tokens_other = _total_tokens(vocab, from_eng.tgt_sentences)
+    counts = LangCorpusSet.from_bitexts([corpus]).word_counts
+    tokens_eng = _total_tokens(vocab, counts["eng"])
+    tokens_other = _total_tokens(vocab, counts[other])
     return SpeedRow(
         pair=corpus.direction.label,
         other_lang=other,

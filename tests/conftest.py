@@ -18,8 +18,7 @@ def small_vocab(sentences_by_lang, budget=10, **kw):
         for s in sents:
             for w in s.split():
                 syms.update(oracles.mark(w))
-    n_special = len(VocabConfig(**kw).special_tokens) if "special_tokens" in kw \
-        else len(VocabConfig().special_tokens)
-    cfg = VocabConfig(vocab_size=n_special + len(syms) + budget, **kw)
+    cfg = VocabConfig(
+        vocab_size=len(VocabConfig.special_tokens) + len(syms) + budget, **kw)
     data = LangCorpusSet({k: tuple(v) for k, v in sentences_by_lang.items()})
     return train_bpe(data, cfg)

@@ -18,6 +18,7 @@ from collections import Counter, defaultdict
 import numpy as np
 
 from mtkit.errors import EmptyCorpus
+from mtkit.toy import SENTENCE_LENGTHS, WORDS
 from mtkit.translator import NULL_WORD, Lexicon
 
 MARKER = "</w>"
@@ -25,8 +26,8 @@ MARKER = "</w>"
 
 # -- subword training --------------------------------------------------
 
-def mark(word: str, marker: str = MARKER) -> list[str]:
-    return list(word[:-1]) + [word[-1] + marker]
+def mark(word: str) -> list[str]:
+    return list(word[:-1]) + [word[-1] + MARKER]
 
 
 def merge_word(word: list[str], left: str, right: str) -> list[str]:
@@ -51,8 +52,7 @@ def count_pairs(words: list[list[str]], freqs: list[int]) -> Counter:
     return counts
 
 
-def word_table(sentences_by_lang: dict[str, list[str]],
-               marker: str = MARKER):
+def word_table(sentences_by_lang: dict[str, list[str]]):
     """(words, freqs, langs) with the same deterministic ordering rules the
     library documents: languages sorted, word types sorted within each."""
     words, freqs, langs = [], [], []
@@ -61,14 +61,13 @@ def word_table(sentences_by_lang: dict[str, list[str]],
         for sent in sentences_by_lang[lang]:
             bag.update(sent.split())
         for w in sorted(bag):
-            words.append(mark(w, marker))
+            words.append(mark(w))
             freqs.append(bag[w])
             langs.append(lang)
     return words, freqs, langs
 
 
-def reference_bpe(sentences_by_lang: dict[str, list[str]], budget: int,
-                  marker: str = MARKER):
+def reference_bpe(sentences_by_lang: dict[str, list[str]], budget: int):
     """Quadratic BPE: full recount each step, highest pooled count wins,
     ties go to the lexicographically smaller pair, stop below count 2.
 
@@ -76,7 +75,7 @@ def reference_bpe(sentences_by_lang: dict[str, list[str]], budget: int,
     specials minus base alphabet). Returns (merges, final words, the
     pooled count chosen at each step).
     """
-    words, freqs, _ = word_table(sentences_by_lang, marker)
+    words, freqs, _ = word_table(sentences_by_lang)
     surfaces = {sym for w in words for sym in w}
     merges: list[tuple[str, str]] = []
     chosen_counts: list[int] = []
@@ -130,13 +129,13 @@ def power_mean_score(counts_by_lang: dict[str, int],
 
 
 def reference_obpe(sentences_by_lang: dict[str, list[str]], budget: int,
-                   p: float, marker: str = MARKER):
+                   p: float):
     """OBPE by full recount: each step counts every adjacent pair per
     language, scores each pair that occurs at least twice in all with
     `power_mean_score`, and merges the highest score; a score <= 0 never
     wins and ties go to the smaller pair. *budget* counts new token
     surfaces, as in `reference_bpe`. Returns the merge list."""
-    words, freqs, word_langs = word_table(sentences_by_lang, marker)
+    words, freqs, word_langs = word_table(sentences_by_lang)
     langs = sorted(sentences_by_lang)
     surfaces = {sym for w in words for sym in w}
     merges: list[tuple[str, str]] = []
@@ -167,18 +166,16 @@ def reference_obpe(sentences_by_lang: dict[str, list[str]], budget: int,
     return merges
 
 
-def reference_encode(word: str, merges: list[tuple[str, str]],
-                     marker: str = MARKER) -> list[str]:
+def reference_encode(word: str, merges: list[tuple[str, str]]) -> list[str]:
     """Apply every merge rule once, in training order, to one word."""
-    symbols = mark(word, marker)
+    symbols = mark(word)
     for left, right in merges:
         symbols = merge_word(symbols, left, right)
     return symbols
 
 
-def encode_token_count(sentence: str, merges, marker: str = MARKER) -> int:
-    return sum(len(reference_encode(w, merges, marker))
-               for w in sentence.split())
+def encode_token_count(sentence: str, merges) -> int:
+    return sum(len(reference_encode(w, merges)) for w in sentence.split())
 
 
 # -- metrics -----------------------------------------------------------
@@ -279,6 +276,26 @@ def random_sentences_by_lang(seed: int, max_sentences: int = 100
                                for _ in range(rng.randint(1, 12)))
                       for _ in range(max(quota, 1))]
     return data
+
+
+# -- toy data ----------------------------------------------------------
+
+def reference_base_sentences(n: int, rng: np.random.Generator) -> list[str]:
+    """`toy._base_sentences` drawn as it first was: one `rng.choice` over
+    the Zipf-ish word weights per sentence, repeats skipped."""
+    low, high = SENTENCE_LENGTHS
+    weights = np.arange(1, len(WORDS) + 1) ** -1.5
+    weights /= weights.sum()
+    seen: set[str] = set()
+    out: list[str] = []
+    while len(out) < n:
+        length = int(rng.integers(low, high + 1))
+        idx = rng.choice(len(WORDS), size=length, p=weights)
+        sentence = " ".join(WORDS[i] for i in idx)
+        if sentence not in seen:
+            seen.add(sentence)
+            out.append(sentence)
+    return out
 
 
 # -- mixture export ----------------------------------------------------

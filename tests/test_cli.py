@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mtkit
+from mtkit import cli
 from mtkit.cli import build_parser, main
 from mtkit.corpus import (
     BitextCorpus,
@@ -291,6 +292,10 @@ _PLAN = {"entries": [{"new": "xho-zul", "old": ["xho-eng", "eng-zul"]}]}
     ("vocabulary", ["tokens", 10], 7, "tokens must"),
     ("vocabulary", ["config", "end_of_word_marker"], 7,
      "end_of_word_marker must"),
+    ("vocabulary", ["config", "end_of_word_marker"], "x",
+     "end_of_word_marker must be '</w>', got 'x'"),
+    ("vocabulary", ["config", "special_tokens"], ["<pad>", "<unk>"],
+     "special_tokens must be ['<pad>', '<unk>', '<bos>', '<eos>', "),
     ("vocabulary", ["config", "mean_exponent_p"], "x",
      "mean_exponent_p must"),
     ("vocabulary", ["config", "mean_exponent_p"], float("nan"),
@@ -308,7 +313,8 @@ _PLAN = {"entries": [{"new": "xho-zul", "old": ["xho-eng", "eng-zul"]}]}
     ("plan", ["entries", 0, "n"], True, "n must"),
 ], ids=["manifest-name-int", "manifest-src_lang-int", "manifest-src_file-list",
         "manifest-pair_count-str", "manifest-pair_count-bool",
-        "vocab-token-int", "vocab-marker-int", "vocab-p-str", "vocab-p-nan",
+        "vocab-token-int", "vocab-marker-int", "vocab-marker-other",
+        "vocab-special-tokens-other", "vocab-p-str", "vocab-p-nan",
         "vocab-p-inf", "vocab-p-minus-inf", "vocab-p-huge",
         "plan-entries-object", "plan-entry-int", "plan-n-str",
         "plan-n-negative", "plan-n-bool"])
@@ -799,15 +805,21 @@ def _plan_without_pairs(work):
          ".plan: entry xho-zul has n 0"),
     _set("vocab", "vocab_size", 40,
          ".vocab_size: vocab_size 40 <= 22 special tokens + "),
-    # a stage seed defaults to the top-level one and is not reported again
     _seed(-1, "problem: seed: must be a non-negative integer"),
-    _set("stage1", "seed", -3, ".seed: must be a non-negative integer"),
-    _set("stage2", "seed", -5, ".seed: must be a non-negative integer"),
+    # the run's one seed is the top-level one
+    _set("stage1", "seed", -3, ": unknown fields ['seed']"),
+    _set("stage2", "seed", -5, ": unknown fields ['seed']"),
     _not_json(float("nan"), "NaN"),
     _not_json(float("inf"), "Infinity"),
     _not_json(float("-inf"), "-Infinity"),
     _set("vocab", "mean_exponent_p", 10 ** 400,
          ": mean_exponent_p must be a finite number"),
+    _set("stage1", "seed", 5, ": unknown fields ['seed']"),
+    _set("stage2", "seed", 5, ": unknown fields ['seed']"),
+    _set("vocab", "special_tokens", ["<pad>", "<unk>"],
+         ": unknown fields ['special_tokens']"),
+    _set("vocab", "end_of_word_marker", "x",
+         ": unknown fields ['end_of_word_marker']"),
 ], ids=["corpus-checksum", "dev-checksum", "dev-line-count", "exec-empty",
         "exec-unclosed", "dev-line-break", "direction-without-corpus",
         "direction-side-empty",
@@ -818,7 +830,8 @@ def _plan_without_pairs(work):
         "corpus-without-pairs", "split-takes-everything", "plan-entry-without-pairs",
         "vocab-size-too-small", "seed-negative", "stage1-seed-negative",
         "stage2-seed-negative", "nan-token", "infinity-token",
-        "minus-infinity-token", "exponent-too-large"])
+        "minus-infinity-token", "exponent-too-large", "stage1-seed",
+        "stage2-seed", "vocab-special-tokens", "vocab-marker"])
 def test_bad_input_file_exits_2_before_any_step(data, tmp_path, capsys,
                                                 breaks):
     """`pipeline validate` and `pipeline run` load the same inputs, so they
@@ -843,6 +856,31 @@ def test_bad_input_file_exits_2_before_any_step(data, tmp_path, capsys,
                     if line.startswith("problem: ")]
         assert any(needle in line for line in problems), (verb, problems)
     assert not (tmp_path / "out").exists()
+
+
+def test_repro_toy_config_with_its_own_special_tokens_exits_2(
+        tmp_path, capsys, monkeypatch):
+    """The config `repro-toy` writes, given a special-token list: both
+    verbs report the unknown field, and no step runs."""
+    class Stop(Exception):
+        pass
+
+    def stop(config, run_dir):
+        raise Stop
+
+    monkeypatch.setattr(cli, "run_pipeline", stop)
+    with pytest.raises(Stop):
+        main(["repro-toy", "--out", str(tmp_path), "--seed", "1"])
+    monkeypatch.undo()
+    path = tmp_path / "toy-config.json"
+    cfg = json.loads(path.read_text(encoding="utf-8"))
+    cfg["vocab"]["special_tokens"] = ["<pad>", "<unk>"]
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    for verb in ("validate", "run"):
+        assert main(["pipeline", verb, "--config", str(path)]) == 2, verb
+        assert "problem: vocab: unknown fields ['special_tokens']" in \
+            capsys.readouterr().err.splitlines()
+    assert not (tmp_path / "run-root").exists()
 
 
 _JSON_VALUES = st.recursive(

@@ -15,6 +15,7 @@ from mtkit import corpus as corpus_module
 from mtkit import errors
 from mtkit.corpus import (
     _LINE_BREAKS,
+    DEFAULT_LANGUAGES,
     BitextCorpus,
     Provenance,
     SentencePair,
@@ -165,11 +166,9 @@ def test_language_registry(tmp_path):
     data = json.loads(manifest.read_text())
     data["src_lang"] = "qqq"
     manifest.write_text(json.dumps(data))
-    with pytest.raises(errors.BadManifest, match="registry"):
+    with pytest.raises(errors.BadManifest,
+                       match=re.escape(f"registry {list(DEFAULT_LANGUAGES)}")):
         load_bitext(manifest)
-    # same manifest passes once the registry admits the code
-    fixed = load_bitext(manifest, registry=("qqq", "zul"))
-    assert fixed.src_lang == "qqq"
 
 
 def test_provenance_requires_generator_iff_synthetic():

@@ -1,7 +1,10 @@
 """The package's export list."""
 
+import dataclasses
+import inspect
+
 import mtkit
-from mtkit import metrics, translator, vocab
+from mtkit import corpus, metrics, translator, vocab
 
 
 def test_every_exported_name_resolves_once():
@@ -22,4 +25,11 @@ def test_deleted_names_are_gone():
     assert not hasattr(metrics, "BleuConfig")
     assert not hasattr(metrics, "ChrfConfig")
     assert not hasattr(vocab, "pretokenize")
+    # the special tokens and the end-of-word marker are constants
+    assert [f.name for f in dataclasses.fields(vocab.VocabConfig)] == [
+        "vocab_size", "hrl_langs", "lrl_langs", "mean_exponent_p"]
+    assert vocab.VocabConfig.special_tokens == vocab.DEFAULT_SPECIAL_TOKENS
+    assert vocab.VocabConfig.end_of_word_marker == vocab.END_OF_WORD
+    for fn in (corpus.load_bitext, corpus.validate_language):
+        assert "registry" not in inspect.signature(fn).parameters, fn
 

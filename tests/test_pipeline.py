@@ -148,9 +148,11 @@ def test_valid_config_has_no_problems(dataset):
     ({"backtranslation": {"batch_size": 0}}, "backtranslation.batch_size"),
     ({"backtranslation": {"batch_size": "64"}}, "backtranslation.batch_size"),
     ({"backtranslation": {"batch_size": False}}, "backtranslation.batch_size"),
-    ({"stage1": {"em_iterations": [2, 5], "seed": "x"}}, "stage1.seed"),
-    ({"stage2": {"em_iterations": 6, "seed": "x"}}, "stage2.seed"),
-    ({"stage2": {"em_iterations": 6, "seed": True}}, "stage2.seed"),
+    # the run's one seed is the top-level one
+    ({"stage1": {"em_iterations": [2, 5], "seed": 3}},
+     "stage1: unknown fields"),
+    ({"stage2": {"em_iterations": 6, "seed": 3}}, "stage2: unknown fields"),
+    ({"stage2": {"em_iterations": 6, "seed": "x"}}, "stage2: unknown fields"),
     ({"stage2": {"default_cap": "many"}}, "stage2.default_cap"),
     ({"stage2": {"default_cap": -1}}, "stage2.default_cap"),
     ({"stage2": {"default_cap": True}}, "stage2.default_cap"),
@@ -172,7 +174,7 @@ def test_valid_config_has_no_problems(dataset):
     ({"vocab": {"vocab_size": 160, "hrl_langs": "eng"}}, "vocab: hrl_langs"),
     ({"vocab": {"vocab_size": 160, "lrl_langs": "zul"}}, "vocab: lrl_langs"),
     ({"vocab": {"vocab_size": 160, "special_tokens": "<unk>"}},
-     "vocab: special_tokens"),
+     "vocab: unknown fields"),
     ({"vocab": {"vocab_size": 160, "hrl_langs": [["eng"]]}},
      "vocab: hrl_langs"),
     ({"vocab": {"vocab_size": 160, "lrl_langs": ["afr"]}},
@@ -192,6 +194,11 @@ def test_valid_config_has_no_problems(dataset):
      "vocab: mean_exponent_p must be a finite number"),
     ({"vocab": {"vocab_size": 160, "mean_exponent_p": float("-inf")}},
      "vocab: mean_exponent_p must be a finite number"),
+    # the special tokens and the end-of-word marker are fixed
+    ({"vocab": {"vocab_size": 160, "special_tokens": ["<pad>", "<unk>"]}},
+     "vocab: unknown fields ['special_tokens']"),
+    ({"vocab": {"vocab_size": 160, "end_of_word_marker": "x"}},
+     "vocab: unknown fields ['end_of_word_marker']"),
 ])
 def test_validate_config_flags_problems(dataset, overrides, needle):
     root, manifests = dataset
@@ -203,11 +210,11 @@ def test_validate_config_flags_problems(dataset, overrides, needle):
     ({"seed": "x"}, ["seed: required integer (seeds must be explicit)"]),
     ({"seed": "x", "stage2": {"seed": "y"}},
      ["seed: required integer (seeds must be explicit)",
-      "stage2.seed: must be an integer"]),
+      "stage2: unknown fields ['seed']"]),
     ({"seed": -1}, ["seed: must be a non-negative integer"]),
     ({"seed": -1, "stage1": {"seed": -2}},
      ["seed: must be a non-negative integer",
-      "stage1.seed: must be a non-negative integer"]),
+      "stage1: unknown fields ['seed']"]),
     ({"vocab": "obpe"}, ["vocab: must be an object"]),
     ({"stage1": []}, ["stage1: must be an object"]),
     ({"backtranslation": None}, ["backtranslation: must be an object"]),
@@ -216,9 +223,8 @@ def test_validate_config_flags_problems(dataset, overrides, needle):
 ])
 def test_validate_config_reports_each_problem_once(dataset, overrides,
                                                    problems):
-    """Defaults are applied before validation: a stage seed that defaults
-    to a bad top-level seed, or a section that is not an object, gives
-    one problem line."""
+    """Defaults are applied before validation: a section that is not an
+    object gives one problem line."""
     root, manifests = dataset
     assert validate_config(make_config(root, manifests, **overrides)) == \
         problems
@@ -558,6 +564,39 @@ def test_a_failed_step_carries_its_duration(dataset, tmp_path, monkeypatch):
     log = json.loads((tmp_path / "run" / "run_log.json").read_text())
     assert [s["status"] for s in log["steps"]] == ["ok", "failed"]
     assert all(s["duration_ms"] >= 0 for s in log["steps"])
+
+
+def test_run_log_keys_inputs_of_one_name_apart(dataset, tmp_path,
+                                               monkeypatch):
+    """Each manifest, copied to a directory of its own as train.json,
+    keeps its own run-log key (its resolved path) and digest."""
+    def stop(self):
+        raise RuntimeError("stop after split-validation")
+
+    root, manifests = dataset
+    moved = {}
+    for name, manifest in manifests.items():
+        doc = json.loads(manifest.read_text())
+        where = tmp_path / name
+        where.mkdir()
+        for key in ("src_file", "tgt_file"):
+            (where / doc[key]).write_bytes(
+                (manifest.parent / doc[key]).read_bytes())
+        moved[name] = where / "train.json"
+        moved[name].write_bytes(manifest.read_bytes())
+    cfg = make_config(root, manifests,
+                      corpora=[str(moved[n]) for n in sorted(moved)
+                               if n.startswith("eng-")],
+                      new_corpora=[str(moved["xho-zul"])])
+    monkeypatch.setattr(pipeline._Runner, "step_vocab_train", stop)
+    with pytest.raises(StepFailure):
+        run_pipeline(cfg, run_dir=tmp_path / "run")
+    log = json.loads((tmp_path / "run" / "run_log.json").read_text())
+    inputs = log["steps"][1]["inputs"]
+    assert inputs == {
+        p.resolve().as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in moved.values()}
+    assert len(set(inputs.values())) == len(moved) == 4
 
 
 def test_run_summary_reports_improvement(finished_run):

@@ -4,6 +4,8 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
+import oracles
 import pytest
 
 from mtkit.corpus import load_bitext
@@ -16,6 +18,7 @@ from mtkit.toy import (
     LANGUAGES,
     NEW_PAIR_SIZES,
     WORDS,
+    _base_sentences,
     family_of,
     generate_toy_data,
     new_direction_labels,
@@ -123,6 +126,14 @@ def test_training_slices_disjoint_from_each_other_and_dev(toy):
         assert len(bases) == len(corpus.pairs), name
         assert not (bases & seen), name
         seen |= bases
+
+
+@pytest.mark.parametrize("seed", [0, 1, 17, 20261])
+def test_base_sentences_match_the_choice_draw(seed):
+    total = (DEV_SIZE + sum(ENG_TRAIN_SIZES.values())
+             + sum(NEW_PAIR_SIZES.values()))
+    assert _base_sentences(total, np.random.default_rng(seed)) == \
+        oracles.reference_base_sentences(total, np.random.default_rng(seed))
 
 
 def test_generation_is_deterministic(tmp_path):

@@ -232,9 +232,13 @@ def _rows(draw):
                            max_size=len(keys) - 1))
     rest = 1.0 - sum(values)
     big = draw(st.sampled_from([rest, 1.0, 1.0 - 1e-13, 0.99999999999995]))
-    values.append(big if abs(sum(values) + big - 1.0) <= 1e-9 else rest)
     order = draw(st.permutations(range(len(keys))))
-    return {keys[i]: values[i] for i in order}
+    row = {keys[i]: (values + [big])[i] for i in order}
+    # summed in the row's own order, as `Lexicon` sums it: near the 1e-9
+    # bound another order can round to the other side
+    if abs(sum(row.values()) - 1.0) <= 1e-9:
+        return row
+    return {keys[i]: (values + [rest])[i] for i in order}
 
 
 _lexicons = st.builds(

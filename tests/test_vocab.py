@@ -42,15 +42,15 @@ def config_for(sentences_by_lang, budget, **kw):
 # -- end-of-word marking ------------------------------------------------
 
 def test_mark_word_appends_marker_to_last_char():
-    assert _mark_word("go", END_OF_WORD) == ["g", "o" + END_OF_WORD]
-    assert _mark_word("now", "_") == ["n", "o", "w_"]
-    assert _mark_word("a", END_OF_WORD) == ["a" + END_OF_WORD]
+    assert _mark_word("go") == ["g", "o" + END_OF_WORD]
+    assert _mark_word("now") == ["n", "o", "w" + END_OF_WORD]
+    assert _mark_word("a") == ["a" + END_OF_WORD]
 
 
 @given(st.text(alphabet="abc xyz", max_size=30))
 def test_marked_words_join_restores_normalized_text(text):
     joined = "".join(sym for w in text.split()
-                     for sym in _mark_word(w, END_OF_WORD))
+                     for sym in _mark_word(w))
     assert joined.replace(END_OF_WORD, " ").split() == text.split()
 
 
@@ -140,7 +140,7 @@ def test_hrl_lrl_overlap_rejected():
 
 
 @pytest.mark.parametrize("field,value", [
-    ("hrl_langs", "eng"), ("lrl_langs", "zul"), ("special_tokens", "<unk>"),
+    ("hrl_langs", "eng"), ("lrl_langs", "zul"), ("lrl_langs", {"zul": 1}),
     ("hrl_langs", 5), ("lrl_langs", [["zul"]]),
 ])
 def test_vocab_config_wants_a_list_of_strings(field, value):
@@ -218,7 +218,7 @@ def test_obpe_negative_exponent_prefers_shared_pair():
 def test_obpe_score_matches_hand_formula():
     from mtkit.vocab import _MergeState, _obpe_best
     data = data_of({"eng": OVERLAP_HRL, "zul": OVERLAP_LRL})
-    state = _MergeState(data, END_OF_WORD)
+    state = _MergeState(data)
     pair, score = _obpe_best(state, -2.0)
     assert pair == Y
     want = oracles.power_mean_score({"eng": 1, "zul": 1},
