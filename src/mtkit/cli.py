@@ -36,7 +36,7 @@ from .metrics import bleu, chrf, evaluate_directions, spbleu
 from .pipeline import run_pipeline, validate_config
 from .synthesis import backtranslate, pivot_synthesize
 from .toy import generate_toy_data, new_direction_labels
-from .translator import load_translator, train_lexicon
+from .translator import MAX_EM_ITERATIONS, load_translator, train_lexicon
 from .vocab import (
     DEFAULT_HRL,
     DEFAULT_LRL,
@@ -65,6 +65,19 @@ def _int_at_least(low: int):
 
 
 _non_negative_int, _positive_int = _int_at_least(0), _int_at_least(1)
+
+
+def _em_iterations(arg: str) -> int:
+    """An argparse `type=` for `--iters`: an integer from 1 to
+    `translator.MAX_EM_ITERATIONS`, else a usage error."""
+    value = int(arg)
+    if not 1 <= value <= MAX_EM_ITERATIONS:
+        raise argparse.ArgumentTypeError(
+            f"must be >= 1 and <= {MAX_EM_ITERATIONS}, got {value}")
+    return value
+
+
+_em_iterations.__name__ = "int"
 
 
 def _read_lines(path: str | None) -> list[str]:
@@ -374,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     tsub = p.add_subparsers(dest="verb", required=True)
     v = tsub.add_parser("train-lexicon", help="EM-train a lexicon")
     v.add_argument("--in", dest="infile", required=True)
-    v.add_argument("--iters", type=_positive_int, default=20)
+    v.add_argument("--iters", type=_em_iterations, default=20)
     v.add_argument("--out", required=True)
     v.set_defaults(fn=cmd_translator_train)
     v = tsub.add_parser("run", help="translate stdin lines")

@@ -58,6 +58,7 @@ from .errors import (
 from .metrics import EvalReport, evaluate_directions, score_candidates
 from .synthesis import backtranslate, pivot_synthesize
 from .translator import (
+    MAX_EM_ITERATIONS,
     IdentityTranslator,
     LexiconTranslator,
     RoutingTranslator,
@@ -164,6 +165,10 @@ def _vocab_config(section: dict) -> VocabConfig:
 
 def _is_positive_int(value: object) -> bool:
     return is_json_int(value) and value >= 1
+
+
+def _is_em_iterations(value: object) -> bool:
+    return is_json_int(value) and 1 <= value <= MAX_EM_ITERATIONS
 
 
 @dataclass
@@ -294,10 +299,10 @@ def _load_inputs(cfg: dict) -> tuple[_Inputs, list[str]]:
     if stage1 is not None:
         iters = stage1["em_iterations"]
         if (not isinstance(iters, list) or not iters
-                or not all(map(_is_positive_int, iters))
+                or not all(map(_is_em_iterations, iters))
                 or len(set(iters)) != len(iters)):
             problems.append("stage1.em_iterations: non-empty list of "
-                            "distinct positive ints")
+                            f"distinct ints in 1..{MAX_EM_ITERATIONS}")
 
     if bt is not None:
         if bt["default"] not in ("internal", "none"):
@@ -332,8 +337,9 @@ def _load_inputs(cfg: dict) -> tuple[_Inputs, list[str]]:
     new: list[DirectionSpec] = []
     directions, where = [], "stage2.new_directions"
     if stage2 is not None:
-        if not _is_positive_int(stage2["em_iterations"]):
-            problems.append("stage2.em_iterations: must be a positive int")
+        if not _is_em_iterations(stage2["em_iterations"]):
+            problems.append("stage2.em_iterations: must be an int in "
+                            f"1..{MAX_EM_ITERATIONS}")
         cap = stage2["default_cap"]
         if cap is not None and not (is_json_int(cap) and cap >= 0):
             problems.append(

@@ -16,12 +16,10 @@ batch translation. Provided implementations:
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import shlex
 import subprocess
-import sys
 from pathlib import Path
 from typing import Protocol, Sequence, runtime_checkable
 
@@ -54,39 +52,10 @@ NULL_WORD = "<null>"
 EXTERNAL_START_TIMEOUT_S = 600.0
 EXTERNAL_SENTENCE_TIMEOUT_S = 5.0
 
-_json_key = json.encoder.encode_basestring  # as json.dumps(ensure_ascii=False)
-
-
-def _probability_text(p: float) -> str:
-    """`json.dumps(float(f"{p:.12g}"))`: a probability as `Lexicon.save`
-    writes it. For a normal float in [smallest normal, 1], the 12-digit
-    text reads back as a float whose shortest repr is that same text (a
-    double holds 15 significant digits), except that 1 reprs as "1.0".
-    Anything else (0, subnormals, values outside [0, 1], NaN) takes the
-    plain path: `%.12g` of 5e-324 is 4.94065645841e-324, but the float
-    that reads back as reprs as 5e-324."""
-    text = "%.12g" % p
-    if sys.float_info.min <= p <= 1.0:
-        return "1.0" if text == "1" else text
-    return json.dumps(float(text))
-
-
-def _entry_texts(keys: list[str], values: list[float]) -> list[str]:
-    """`f"{key}: {_probability_text(p)}"` for each JSON key text and
-    probability, from one `%`-format call over all of them. Only the texts
-    that call cannot give are patched, by index: a value outside
-    [smallest normal, 0.9999999999) takes `_probability_text`, for it
-    may print as "1" (JSON's "1.0") or lie outside [smallest normal, 1].
-    A key text holds no raw line break (JSON escapes it)."""
-    n = len(values)
-    args: list = [None] * (2 * n)
-    args[::2], args[1::2] = keys, values
-    texts = ("%s: %.12g\n" * n % tuple(args)).split("\n")[:-1]
-    p = np.fromiter(values, dtype=np.float64, count=n)
-    for i in np.flatnonzero(~((p >= sys.float_info.min)
-                              & (p < 0.9999999999))).tolist():
-        texts[i] = f"{keys[i]}: {_probability_text(values[i])}"
-    return texts
+# The most EM iterations a config or `translator train-lexicon --iters`
+# may ask for. Runs use 5-20; the bound is far above any useful count and
+# keeps a typo such as 2**70 from starting a run that cannot finish.
+MAX_EM_ITERATIONS = 1000
 
 
 @runtime_checkable
@@ -145,9 +114,10 @@ class _BestTranslations(dict):
 class Lexicon:
     """t(f|e): conditional probabilities of target words given source words.
 
-    Rows (fixed source word, all target words) sum to 1 within 1e-9.
-    The table is sparse: only co-occurring pairs get mass. It is not
-    modified after construction: decoding caches each row's argmax.
+    Rows (fixed source word, all target words) sum to 1 within 1e-9; a
+    table with a row that does not raises BadLexicon. The table is
+    sparse: only co-occurring pairs get mass. It is not modified after
+    construction: decoding caches each row's argmax.
     """
 
     def __init__(self, src_lang: str, tgt_lang: str,
@@ -161,12 +131,14 @@ class Lexicon:
         self._check_rows()
 
     def _check_rows(self) -> None:
+        """Raise BadLexicon for a row whose left-to-right sum misses 1 by
+        more than 1e-9 (the same sum on every interpreter)."""
         for e, row in self.table.items():
-            total = sum(row.values())
+            total = left_to_right_sum(row.values())
             # `not <=`, not `>`: a NaN sum (from a NaN entry, or inf with
             # -inf) compares False either way and must fail
             if not abs(total - 1.0) <= 1e-9:
-                raise AssertionError(
+                raise BadLexicon(
                     f"row {e!r} sums to {total!r}, expected 1 within 1e-9")
 
     def best_translation(self, word: str) -> str:
@@ -176,47 +148,25 @@ class Lexicon:
         return self._best[word]
 
     def save(self, path: str | Path) -> Path:
-        """Write the lexicon as `indent=1` JSON, probabilities rounded to
-        12 significant digits, rows and their entries in key order.
-
-        The text is built directly: the header goes through `json.dumps`,
-        each row is one join over its entries, keys go through
-        `json.encoder.encode_basestring` (each target word once), and each
-        probability reads as `json.dumps(float(f"{p:.12g}"))` would write
-        it (`_entry_texts`: one format call for the whole table). The
-        bytes equal those of `json.dumps` over the whole payload
-        (`tests/oracles.reference_lexicon_text`), which CPython encodes in
-        pure Python whenever `indent` is set."""
-        header = json.dumps({
+        """Write the lexicon as one line of JSON, keys sorted. Each float
+        is written as its `repr`, so `load` reads back this very table,
+        bit for bit: `mtkit eval report --model <run>/stage2/lexicons/<d>.json`
+        reproduces that run's row for <d>. A NaN or infinite
+        log-likelihood raises ValueError before anything is written.
+        `python -m json.tool` prints a file readably."""
+        return write_artifact(path, json.dumps({
             "src_lang": self.src_lang,
             "tgt_lang": self.tgt_lang,
             "null_word": NULL_WORD,
             "log_likelihoods": list(self.log_likelihoods),
-            "table": {},
-        }, ensure_ascii=False, indent=1)
-        if self.table:
-            sources = sorted(self.table)
-            entries = [sorted(self.table[e].items()) for e in sources]
-            flat = list(itertools.chain.from_iterable(entries))
-            targets = [f for f, _ in flat]
-            keys = {f: _json_key(f) for f in set(targets)}
-            lines = iter(_entry_texts(list(map(keys.__getitem__, targets)),
-                                      [p for _, p in flat]))
-            rows = ",\n".join(
-                f"  {_json_key(e)}: {{\n   "
-                + ",\n   ".join(itertools.islice(lines, len(entry)))
-                + "\n  }"
-                for e, entry in zip(sources, entries))
-            # the header ends in the empty table: '"table": {}\n}'
-            header = header[:-len("{}\n}")] + "{\n" + rows + "\n }\n}"
-        return write_artifact(path, header + "\n")
+            "table": self.table,
+        }, ensure_ascii=False, sort_keys=True, allow_nan=False) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "Lexicon":
         """Read a lexicon written by `save`; raises BadLexicon for a file
-        that is not one. Saved probabilities are rounded, so each row is
-        renormalized by its left-to-right sum, the same on every
-        interpreter."""
+        that is not one. Rows are kept as written: a row whose sum misses
+        1 by more than 1e-9 is refused (`_check_rows`), not renormalised."""
         payload = read_json(path, BadLexicon)
         for key in ("src_lang", "tgt_lang"):
             if not isinstance(payload.get(key), str):
@@ -227,11 +177,10 @@ class Lexicon:
             DirectionSpec(payload["src_lang"], payload["tgt_lang"])
         except ValueError as exc:
             raise BadLexicon(f"lexicon {path}: {exc}") from exc
-        rows = payload.get("table")
-        if not isinstance(rows, dict):
+        table = payload.get("table")
+        if not isinstance(table, dict):
             raise BadLexicon(f"lexicon {path}: table must be an object")
-        table = {}
-        for e, row in rows.items():
+        for e, row in table.items():
             if not isinstance(row, dict) or not row:
                 raise BadLexicon(
                     f"lexicon {path}: row {e!r} must be a non-empty object")
@@ -239,17 +188,16 @@ class Lexicon:
                 raise BadLexicon(
                     f"lexicon {path}: row {e!r} holds a value that is not "
                     f"a probability")
-            total = left_to_right_sum(row.values())
-            if not total:
-                raise BadLexicon(f"lexicon {path}: row {e!r} is all zeros")
-            table[e] = {f: p / total for f, p in row.items()}
         log_likelihoods = payload.get("log_likelihoods", [])
         if not (isinstance(log_likelihoods, list)
                 and all(map(is_json_number, log_likelihoods))):
             raise BadLexicon(
                 f"lexicon {path}: log_likelihoods must be a list of numbers")
-        return cls(payload["src_lang"], payload["tgt_lang"], table,
-                   tuple(log_likelihoods))
+        try:
+            return cls(payload["src_lang"], payload["tgt_lang"], table,
+                       tuple(log_likelihoods))
+        except BadLexicon as exc:
+            raise BadLexicon(f"lexicon {path}: {exc}") from exc
 
 
 def train_lexicon(corpus: BitextCorpus, iterations: int = 20) -> Lexicon:

@@ -9,7 +9,6 @@ obviously correct.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import operator
 import random
@@ -394,21 +393,3 @@ def reference_em(corpus, iterations: int = 20):
 def _add(values) -> float:
     return functools.reduce(operator.add, values, 0.0)
 
-
-# -- lexicon files -------------------------------------------------------
-
-def reference_lexicon_text(lexicon) -> str:
-    """The text `Lexicon.save` writes: the whole payload through
-    `json.dumps` with `indent=1`, rows and entries in key order, each
-    probability rounded to 12 significant digits."""
-    payload = {
-        "src_lang": lexicon.src_lang,
-        "tgt_lang": lexicon.tgt_lang,
-        "null_word": NULL_WORD,
-        "log_likelihoods": list(lexicon.log_likelihoods),
-        "table": {
-            e: {f: float(f"{p:.12g}") for f, p in sorted(row.items())}
-            for e, row in sorted(lexicon.table.items())
-        },
-    }
-    return json.dumps(payload, ensure_ascii=False, indent=1) + "\n"

@@ -244,32 +244,49 @@ _LEXICON = {"src_lang": "eng", "tgt_lang": "zul", "log_likelihoods": [],
             "table": {"a": {"x": 1.0}}}
 
 
-@pytest.mark.parametrize("text", [
-    json.dumps({**_LEXICON, "table": {"a": {"x": 0.0, "y": 0.0}}}),
-    json.dumps({k: v for k, v in _LEXICON.items() if k != "src_lang"}),
-    json.dumps({k: v for k, v in _LEXICON.items() if k != "tgt_lang"}),
-    json.dumps({k: v for k, v in _LEXICON.items() if k != "table"}),
-    json.dumps({**_LEXICON, "table": {"a": {"x": "1.0"}}}),
-    json.dumps({**_LEXICON, "table": {"a": {"x": True}}}),
-    json.dumps({**_LEXICON, "table": {"a": {"x": None}}}),
-    json.dumps({**_LEXICON, "table": {"a": {"x": -0.5, "y": 1.5}}}),
-    json.dumps({**_LEXICON, "table": {"a": {}}}),
-    json.dumps({**_LEXICON, "table": {"a": [1.0]}}),
-    json.dumps({**_LEXICON, "src_lang": 7}),
-    json.dumps({**_LEXICON, "log_likelihoods": 5}),
-    json.dumps([_LEXICON]),
-    '{"src_lang": "eng",',
-    json.dumps({**_LEXICON, "log_likelihoods": [float("nan")]}),
-    json.dumps({**_LEXICON, "log_likelihoods": [float("inf")]}),
-    json.dumps({**_LEXICON, "log_likelihoods": [float("-inf")]}),
-    json.dumps(_LEXICON).replace("1.0", "1" * 5000),
+def _row(row):
+    return json.dumps({**_LEXICON, "table": {"a": row}})
+
+
+@pytest.mark.parametrize("text, needle", [
+    (_row({"x": 0.0, "y": 0.0}), "row 'a' sums to 0.0"),
+    (json.dumps({k: v for k, v in _LEXICON.items() if k != "src_lang"}),
+     "src_lang must be a string"),
+    (json.dumps({k: v for k, v in _LEXICON.items() if k != "tgt_lang"}),
+     "tgt_lang must be a string"),
+    (json.dumps({k: v for k, v in _LEXICON.items() if k != "table"}),
+     "table must be an object"),
+    (_row({"x": "1.0"}), "row 'a' holds a value that is not a probability"),
+    (_row({"x": True}), "row 'a' holds a value that is not a probability"),
+    (_row({"x": None}), "row 'a' holds a value that is not a probability"),
+    (_row({"x": -0.5, "y": 1.5}),
+     "row 'a' holds a value that is not a probability"),
+    (_row({}), "row 'a' must be a non-empty object"),
+    (_row([1.0]), "row 'a' must be a non-empty object"),
+    (json.dumps({**_LEXICON, "src_lang": 7}), "src_lang must be a string"),
+    (json.dumps({**_LEXICON, "log_likelihoods": 5}),
+     "log_likelihoods must be a list of numbers"),
+    (json.dumps([_LEXICON]), "not a JSON object"),
+    ('{"src_lang": "eng",', "line 1 column 20"),
+    (json.dumps({**_LEXICON, "log_likelihoods": [float("nan")]}),
+     "NaN is not a JSON value"),
+    (json.dumps({**_LEXICON, "log_likelihoods": [float("inf")]}),
+     "Infinity is not a JSON value"),
+    (json.dumps({**_LEXICON, "log_likelihoods": [float("-inf")]}),
+     "-Infinity is not a JSON value"),
+    (json.dumps(_LEXICON).replace("1.0", "1" * 5000), "5000 digits"),
+    # a row is kept as written, so one that misses 1 is refused rather
+    # than renormalised
+    (_row({"x": 0.333333, "y": 0.333333, "z": 0.333333}),
+     "row 'a' sums to 0.999999, expected 1 within 1e-9"),
 ], ids=["all-zero-row", "no-src_lang", "no-tgt_lang", "no-table",
         "string-probability", "bool-probability", "null-probability",
         "out-of-range-probability", "empty-row", "row-not-object",
         "src_lang-not-string", "log_likelihoods-not-list", "not-object",
         "not-json", "nan-token", "infinity-token", "minus-infinity-token",
-        "integer-too-long"])
-def test_translator_run_rejects_malformed_lexicon(tmp_path, capsys, text):
+        "integer-too-long", "row-off-one"])
+def test_translator_run_rejects_malformed_lexicon(tmp_path, capsys, text,
+                                                  needle):
     lex = tmp_path / "bad.json"
     lex.write_text(text, encoding="utf-8")
     infile = tmp_path / "in.txt"
@@ -278,6 +295,7 @@ def test_translator_run_rejects_malformed_lexicon(tmp_path, capsys, text):
                  "--tgt", "zul", "--in", str(infile)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "bad.json" in err
+    assert needle in err
 
 
 _PLAN = {"entries": [{"new": "xho-zul", "old": ["xho-eng", "eng-zul"]}]}
@@ -820,6 +838,10 @@ def _plan_without_pairs(work):
          ": unknown fields ['special_tokens']"),
     _set("vocab", "end_of_word_marker", "x",
          ": unknown fields ['end_of_word_marker']"),
+    _set("stage1", "em_iterations", [2, 1001],
+         ".em_iterations: non-empty list of distinct ints in 1..1000"),
+    _set("stage2", "em_iterations", 2 ** 70,
+         ".em_iterations: must be an int in 1..1000"),
 ], ids=["corpus-checksum", "dev-checksum", "dev-line-count", "exec-empty",
         "exec-unclosed", "dev-line-break", "direction-without-corpus",
         "direction-side-empty",
@@ -831,7 +853,8 @@ def _plan_without_pairs(work):
         "vocab-size-too-small", "seed-negative", "stage1-seed-negative",
         "stage2-seed-negative", "nan-token", "infinity-token",
         "minus-infinity-token", "exponent-too-large", "stage1-seed",
-        "stage2-seed", "vocab-special-tokens", "vocab-marker"])
+        "stage2-seed", "vocab-special-tokens", "vocab-marker",
+        "stage1-em-iterations-too-many", "stage2-em-iterations-too-many"])
 def test_bad_input_file_exits_2_before_any_step(data, tmp_path, capsys,
                                                 breaks):
     """`pipeline validate` and `pipeline run` load the same inputs, so they
@@ -1015,8 +1038,11 @@ def test_unknown_subcommand_exits_via_argparse(capsys):
     ["repro-toy", "--seed", "-1", "--out", "{out}"],
     ["translator", "train-lexicon", "--in", "{eng-xho}", "--iters", "0",
      "--out", "{out}/lex.json"],
+    ["translator", "train-lexicon", "--in", "{eng-xho}", "--iters", "1001",
+     "--out", "{out}/lex.json"],
 ], ids=["split-n", "backtranslate-batch-size", "pivot-batch-size",
-        "stage2-cap", "stage1-seed", "repro-toy-seed", "train-lexicon-iters"])
+        "stage2-cap", "stage1-seed", "repro-toy-seed", "train-lexicon-iters",
+        "train-lexicon-iters-too-many"])
 def test_out_of_range_integer_option_exits_2(data, vocab_file, tmp_path,
                                              argv):
     """An integer option out of its range is a usage error: argparse exits

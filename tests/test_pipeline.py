@@ -18,6 +18,7 @@ from mtkit.corpus import (
     SentencePair,
     load_bitext,
     orient,
+    parse_direction,
     write_bitext,
 )
 from mtkit.errors import ConfigValidationError, InvalidConfig, StepFailure
@@ -31,6 +32,7 @@ from mtkit.pipeline import (
 )
 from mtkit.toy import WORDS, new_direction_labels, render, word_transforms
 from mtkit.translator import train_lexicon
+from mtkit.vocab import load_vocabulary
 
 LANGS = ("eng", "ssw", "xho", "zul")
 OLD_SIZES = {"xho": 120, "zul": 100, "ssw": 60}
@@ -120,6 +122,14 @@ def test_valid_config_has_no_problems(dataset):
     assert validate_config(make_config(root, manifests)) == []
 
 
+def test_em_iterations_may_reach_the_bound(dataset):
+    root, manifests = dataset
+    bound = translator.MAX_EM_ITERATIONS
+    assert validate_config(make_config(
+        root, manifests, stage1={"em_iterations": [1, bound]},
+        stage2={"em_iterations": bound})) == []
+
+
 @pytest.mark.parametrize("overrides,needle", [
     ({"seed": "7"}, "seed"),
     ({"name": ""}, "name"),
@@ -199,6 +209,9 @@ def test_valid_config_has_no_problems(dataset):
      "vocab: unknown fields ['special_tokens']"),
     ({"vocab": {"vocab_size": 160, "end_of_word_marker": "x"}},
      "vocab: unknown fields ['end_of_word_marker']"),
+    # EM runs at most translator.MAX_EM_ITERATIONS iterations
+    ({"stage1": {"em_iterations": [5, 1001]}}, "stage1.em_iterations"),
+    ({"stage2": {"em_iterations": 2 ** 70}}, "stage2.em_iterations"),
 ])
 def test_validate_config_flags_problems(dataset, overrides, needle):
     root, manifests = dataset
@@ -652,6 +665,36 @@ def test_selection_scores_cover_all_candidates(finished_run):
         chosen = stage1 / "candidates" / f"{label}-{entry['chosen']}.json"
         assert (stage1 / "lexicons" / f"{label}.json").read_bytes() == \
             chosen.read_bytes()
+
+
+def test_eval_rows_score_the_saved_lexicons(finished_run):
+    """Each eval row a lexicon served equals `evaluate_directions` over the
+    lexicon file the run saved for it, scored with the run's saved
+    vocabulary: `translator run` on a run's own lexicon reproduces its
+    report. Stage 1 copies the source on a new direction (an identity
+    route, no file), so those rows are skipped."""
+    run_dir = finished_run.run_dir
+    cfg = json.loads((run_dir / "config.json").read_text())
+    vocab = load_vocabulary(run_dir / "vocab" / f"{cfg['vocab']['use']}.json")
+    dev = load_multiparallel(Path(cfg["eval"]["dev_dir"]))
+    checked = 0
+    for stage in ("stage1", "stage2"):
+        report = json.loads((run_dir / "eval" / f"{stage}_eval.json")
+                            .read_text())
+        for row in report["rows"]:
+            d = parse_direction(row["direction"])
+            if d.role == "new" and stage == "stage1":
+                continue
+            served_by = "stage2" if d.role == "new" else "stage1"
+            lexicon = translator.Lexicon.load(
+                run_dir / served_by / "lexicons" / f"{d.label}.json")
+            rescored = metrics.evaluate_directions(
+                translator.LexiconTranslator(lexicon),
+                [dev_bitext(dev, d.src, d.tgt)], vocab)
+            assert [r.to_json() for r in rescored.rows] == [row], row
+            checked += 1
+    # 6 English-centric rows in each report, and the new one in stage 2
+    assert checked == 13
 
 
 def test_rerun_is_byte_identical(dataset, finished_run, tmp_path):
