@@ -120,10 +120,7 @@ def make_config(root: Path, manifests: dict, **overrides) -> dict:
 def test_valid_config_has_no_problems(dataset):
     root, manifests = dataset
     assert validate_config(make_config(root, manifests)) == []
-
-
-def test_em_iterations_may_reach_the_bound(dataset):
-    root, manifests = dataset
+    # EM iteration counts may reach the bound
     bound = translator.MAX_EM_ITERATIONS
     assert validate_config(make_config(
         root, manifests, stage1={"em_iterations": [1, bound]},

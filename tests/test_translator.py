@@ -219,9 +219,9 @@ def _rows(draw):
     big = draw(st.sampled_from([rest, 1.0, 1.0 - 1e-13, 0.99999999999995]))
     order = draw(st.permutations(range(len(keys))))
     row = {keys[i]: (values + [big])[i] for i in order}
-    # summed in the row's own order, as `Lexicon` sums it: near the 1e-9
-    # bound another order can round to the other side
-    if abs(sum(row.values()) - 1.0) <= 1e-9:
+    # summed left to right in the row's own order, as `Lexicon` sums it:
+    # near the 1e-9 bound another order can round to the other side
+    if abs(oracles._add(row.values()) - 1.0) <= 1e-9:
         return row
     return {keys[i]: (values + [rest])[i] for i in order}
 
