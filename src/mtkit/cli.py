@@ -53,31 +53,21 @@ def _langs(arg: str) -> frozenset[str]:
     return frozenset(x for x in arg.split(",") if x)
 
 
-def _int_at_least(low: int):
-    """An argparse `type=`: an integer >= *low*, else a usage error."""
+def _int_at_least(low: int, high: int | None = None):
+    """An argparse `type=`: an integer >= *low* (and <= *high*, if
+    given), else a usage error."""
+    bounds = f">= {low}" if high is None else f">= {low} and <= {high}"
+
     def parse(arg: str) -> int:
         value = int(arg)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if value < low or high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be {bounds}, got {value}")
         return value
     parse.__name__ = "int"  # a non-integer reads "invalid int value: ..."
     return parse
 
 
 _non_negative_int, _positive_int = _int_at_least(0), _int_at_least(1)
-
-
-def _em_iterations(arg: str) -> int:
-    """An argparse `type=` for `--iters`: an integer from 1 to
-    `translator.MAX_EM_ITERATIONS`, else a usage error."""
-    value = int(arg)
-    if not 1 <= value <= MAX_EM_ITERATIONS:
-        raise argparse.ArgumentTypeError(
-            f"must be >= 1 and <= {MAX_EM_ITERATIONS}, got {value}")
-    return value
-
-
-_em_iterations.__name__ = "int"
 
 
 def _read_lines(path: str | None) -> list[str]:
@@ -387,7 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     tsub = p.add_subparsers(dest="verb", required=True)
     v = tsub.add_parser("train-lexicon", help="EM-train a lexicon")
     v.add_argument("--in", dest="infile", required=True)
-    v.add_argument("--iters", type=_em_iterations, default=20)
+    v.add_argument("--iters", type=_int_at_least(1, MAX_EM_ITERATIONS),
+                   default=20)
     v.add_argument("--out", required=True)
     v.set_defaults(fn=cmd_translator_train)
     v = tsub.add_parser("run", help="translate stdin lines")

@@ -148,19 +148,21 @@ class Lexicon:
         return self._best[word]
 
     def save(self, path: str | Path) -> Path:
-        """Write the lexicon as one line of JSON, keys sorted. Each float
-        is written as its `repr`, so `load` reads back this very table,
-        bit for bit: `mtkit eval report --model <run>/stage2/lexicons/<d>.json`
+        """Write the lexicon as one line of JSON: header keys sorted, each
+        row in its order in `table`, the order `_check_rows` sums it in
+        (`train_lexicon` sorts them). Each float is written as its `repr`,
+        so `load` reads back this very table, bit for bit:
+        `mtkit eval report --model <run>/stage2/lexicons/<d>.json`
         reproduces that run's row for <d>. A NaN or infinite
         log-likelihood raises ValueError before anything is written.
         `python -m json.tool` prints a file readably."""
         return write_artifact(path, json.dumps({
-            "src_lang": self.src_lang,
-            "tgt_lang": self.tgt_lang,
-            "null_word": NULL_WORD,
             "log_likelihoods": list(self.log_likelihoods),
+            "null_word": NULL_WORD,
+            "src_lang": self.src_lang,
             "table": self.table,
-        }, ensure_ascii=False, sort_keys=True, allow_nan=False) + "\n")
+            "tgt_lang": self.tgt_lang,
+        }, ensure_ascii=False, allow_nan=False) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "Lexicon":

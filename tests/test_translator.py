@@ -247,6 +247,10 @@ _lexicons = st.builds(
     "d": {"x": 0.9999999999, "y": 1e-10},
     "e": {"x": 0.99999999999996, "y": 4e-14},
     "f": {"x": 0.99999999999949, "y": 5.1e-13}}, (0.5, -1e300, 5e-324)))
+# a row within 1e-9 of 1 summed in its own order, but not in key order
+@example(Lexicon("eng", "zul", {
+    "g": {"z": 1.0, "a": 4.999998860885416e-10, "b": 5.00000137899049e-10}},
+    ()))
 @settings(max_examples=200, deadline=None)
 def test_save_load_round_trips_exactly(lexicon_file, lexicon):
     loaded = Lexicon.load(lexicon.save(lexicon_file))
