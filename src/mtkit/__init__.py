@@ -35,12 +35,7 @@ from .vocab import (
     train_bpe,
     train_obpe,
 )
-from .vocab_metrics import (
-    avg_tokens_per_pair,
-    representation_change,
-    speed_report,
-    vocabulary_report,
-)
+from .vocab_metrics import representation_change, vocabulary_report
 from .translator import (
     NULL_WORD,
     ExternalProcessTranslator,
@@ -91,15 +86,15 @@ __all__ = [
     "IdentityTranslator", "LangCorpusSet", "Lexicon", "LexiconTranslator",
     "NULL_WORD", "PlanEntry", "Provenance", "RoutingTranslator", "RunResult",
     "STEPS", "SentencePair", "TrainingMixture", "TranslatorModel",
-    "VocabConfig", "Vocabulary", "avg_tokens_per_pair", "backtranslate",
-    "bleu", "build_stage1_mixture", "build_stage2_mixture", "chrf",
+    "VocabConfig", "Vocabulary", "backtranslate", "bleu",
+    "build_stage1_mixture", "build_stage2_mixture", "chrf",
     "concat_corpora", "corpus_stats", "errors",
     "evaluate_directions", "export_mixture", "generate_toy_data",
     "load_bitext", "load_multiparallel", "load_translator",
     "load_vocabulary", "make_balance_plan", "new_direction_labels",
     "parse_direction", "pivot_synthesize",
     "representation_change", "run_pipeline", "score_candidates",
-    "select_best", "speed_report", "spbleu", "split_validation", "train_bpe",
+    "select_best", "spbleu", "split_validation", "train_bpe",
     "train_lexicon", "train_obpe", "validate_config", "vocabulary_report",
     "write_bitext", "__version__",
 ]

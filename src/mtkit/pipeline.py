@@ -174,13 +174,16 @@ def _is_em_iterations(value: object) -> bool:
 @dataclass
 class _Inputs:
     """Every input a config names, each loaded by its format's own loader,
-    and the VocabConfig and new directions the config gives."""
+    the VocabConfig and new directions the config gives, and the text
+    vocab-train learns from (the corpora after validation_split, plus
+    new_corpora)."""
     corpora: list[BitextCorpus] = field(default_factory=list)
     new_corpora: list[BitextCorpus] = field(default_factory=list)
     dev: dict[str, list[str]] = field(default_factory=dict)
     plan: BalancePlan | None = None
     models: dict[str, TranslatorModel] = field(default_factory=dict)
     vocab: VocabConfig | None = None
+    vocab_data: LangCorpusSet | None = None
     new: list[DirectionSpec] = field(default_factory=list)
 
 
@@ -288,9 +291,10 @@ def _load_inputs(cfg: dict) -> tuple[_Inputs, list[str]]:
             and len(inputs.new_corpora) == len(new_corpora)):
         # the text vocab-train learns from
         train = [split_validation(c, split)[1] for c in inputs.corpora]
+        inputs.vocab_data = LangCorpusSet.from_bitexts(
+            train + inputs.new_corpora)
         try:
-            base_tokens(LangCorpusSet.from_bitexts(
-                train + inputs.new_corpora), inputs.vocab)
+            base_tokens(inputs.vocab_data, inputs.vocab)
         except VocabSizeTooSmall as exc:
             problems.append(f"vocab.vocab_size: {exc}")
 
@@ -471,8 +475,7 @@ class _Runner:
         self.state = _State(cfg, run_dir, inputs)
         self.config_source = config_source
         self.log_path = run_dir / "run_log.json"
-        # each finished step's run-log entry, encoded once (`_add_entry`)
-        self.entry_texts: list[str] = []
+        self.entries: list[dict] = []
 
     def _rel(self, path: Path) -> str:
         """*path*'s run-log key: relative to the run dir when inside it,
@@ -482,24 +485,12 @@ class _Runner:
         except ValueError:
             return path.resolve().as_posix()
 
-    def _add_entry(self, entry: dict) -> None:
-        """Encode a finished step's log entry as `write_json` nests it in
-        the log's steps list: indent-2 JSON, every line 4 spaces in (JSON
-        text holds no raw line break inside a string)."""
-        self.entry_texts.append(
-            "    " + json.dumps(entry, indent=2).replace("\n", "\n    "))
-
     def _write_log(self, status: str) -> None:
-        """Write the run log: the bytes of `write_json` over {"name",
-        "status", "steps": the entries so far}, joined from the encoded
-        entries so that no entry is encoded twice."""
-        text = json.dumps({"name": self.state.cfg["name"], "status": status,
-                           "steps": []}, indent=2)
-        if self.entry_texts:
-            # the text ends in the empty list: '"steps": []\n}'
-            text = (text[:-len("[]\n}")] + "[\n"
-                    + ",\n".join(self.entry_texts) + "\n  ]\n}")
-        write_artifact(self.log_path, text + "\n")
+        """Rewrite the run log: indent-2 JSON of the run's name, *status*
+        and the step entries so far."""
+        doc = {"name": self.state.cfg["name"], "status": status,
+               "steps": self.entries}
+        write_artifact(self.log_path, json.dumps(doc, indent=2) + "\n")
 
     def run(self) -> RunResult:
         for name in STEPS:
@@ -508,13 +499,13 @@ class _Runner:
             try:
                 inputs, outputs = step()
             except Exception as exc:
-                self._add_entry({
+                self.entries.append({
                     "step": name, "status": "failed", "error": str(exc),
                     "started_at": started, "finished_at": _now(),
                     "duration_ms": _ms_since(clock)})
                 self._write_log("failed")
                 raise StepFailure(name, exc) from exc
-            self._add_entry({
+            self.entries.append({
                 "step": name, "status": "ok",
                 "started_at": started, "finished_at": _now(),
                 "duration_ms": _ms_since(clock),
@@ -554,13 +545,10 @@ class _Runner:
         return [Path(p) for p in cfg["corpora"] + cfg["new_corpora"]], outputs
 
     def step_vocab_train(self):
-        cfg = self.state.cfg
-        data = LangCorpusSet.from_bitexts(
-            self.state.old_train + self.state.inputs.new_corpora)
-        vocab_cfg = self.state.inputs.vocab
+        cfg, inputs = self.state.cfg, self.state.inputs
         out = self.state.run_dir / "vocab"
-        self.state.vocab_bpe = train_bpe(data, vocab_cfg)
-        self.state.vocab_obpe = train_obpe(data, vocab_cfg)
+        self.state.vocab_bpe = train_bpe(inputs.vocab_data, inputs.vocab)
+        self.state.vocab_obpe = train_obpe(inputs.vocab_data, inputs.vocab)
         bpe_path = self.state.vocab_bpe.save(out / "bpe.json")
         obpe_path = self.state.vocab_obpe.save(out / "obpe.json")
         self.state.vocab = (self.state.vocab_obpe

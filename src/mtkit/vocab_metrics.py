@@ -78,85 +78,49 @@ def representation_change(data: LangCorpusSet, vocab_a: Vocabulary,
     return RepresentationReport(vocab_a.mode, vocab_b.mode, tuple(rows))
 
 
-@dataclass(frozen=True)
-class SpeedRow:
-    pair: str
-    other_lang: str
-    pair_count: int
-    tokens_other: int
-    tokens_eng: int
-    avg_tokens: float
-
-    def to_json(self) -> dict:
-        return {
-            "pair": self.pair,
-            "pair_count": self.pair_count,
-            "tokens_other": self.tokens_other,
-            "tokens_eng": self.tokens_eng,
-            "avg_tokens": self.avg_tokens,
-        }
-
-
-def avg_tokens_per_pair(corpus: BitextCorpus, vocab: Vocabulary) -> SpeedRow:
-    """(tokens on the non-English side + tokens on the English side) / N
-    for a corpus with an English side."""
-    if len(corpus) == 0:
-        raise EmptyCorpus(f"{corpus.name} is empty")
-    if "eng" not in corpus.languages():
-        raise ValueError(f"{corpus.name} has no English side")
-    other = next(iter(corpus.languages() - {"eng"}))
-    counts = LangCorpusSet.from_bitexts([corpus]).word_counts
-    tokens_eng = _total_tokens(vocab, counts["eng"])
-    tokens_other = _total_tokens(vocab, counts[other])
-    return SpeedRow(
-        pair=corpus.direction.label,
-        other_lang=other,
-        pair_count=len(corpus),
-        tokens_other=tokens_other,
-        tokens_eng=tokens_eng,
-        avg_tokens=(tokens_other + tokens_eng) / len(corpus),
-    )
-
-
-@dataclass(frozen=True)
-class SpeedReport:
-    label: str
-    rows: tuple[SpeedRow, ...]
-
-    def to_json(self) -> dict:
-        return {"vocab": self.label, "rows": [r.to_json() for r in self.rows]}
-
-    def render_table(self) -> str:
-        lines = [f"{'pair':<12} {'pairs':>8} {'tokens_l':>10} "
-                 f"{'tokens_eng':>10} {'avg_tokens':>11}"]
-        for r in self.rows:
-            lines.append(f"{r.pair:<12} {r.pair_count:>8} {r.tokens_other:>10} "
-                         f"{r.tokens_eng:>10} {r.avg_tokens:>11.2f}")
-        return "\n".join(lines)
-
-
-def speed_report(corpora: Sequence[BitextCorpus],
-                 vocab: Vocabulary) -> SpeedReport:
-    return SpeedReport(vocab.mode,
-                       tuple(avg_tokens_per_pair(c, vocab) for c in corpora))
+def _avg_tokens_table(rows: list[dict]) -> str:
+    lines = [f"{'pair':<12} {'pairs':>8} {'tokens_l':>10} "
+             f"{'tokens_eng':>10} {'avg_tokens':>11}"]
+    for r in rows:
+        lines.append(f"{r['pair']:<12} {r['pair_count']:>8} "
+                     f"{r['tokens_other']:>10} {r['tokens_eng']:>10} "
+                     f"{r['avg_tokens']:>11.2f}")
+    return "\n".join(lines)
 
 
 def vocabulary_report(corpora: Sequence[BitextCorpus], vocab_a: Vocabulary,
                       vocab_b: Vocabulary) -> dict:
     """Combined JSON document comparing two vocabularies on the same
-    corpora: per-language representation change plus per-pair average
-    tokens under each vocabulary."""
-    data = LangCorpusSet.from_bitexts(corpora)
-    rep = representation_change(data, vocab_a, vocab_b)
-    eng_corpora = [c for c in corpora if "eng" in c.languages()]
-    speed_a = speed_report(eng_corpora, vocab_a)
-    speed_b = speed_report(eng_corpora, vocab_b)
+    corpora: per-language representation change plus, for each corpus
+    with an English side, average tokens per pair under each vocabulary
+    (each corpus's words counted once for both)."""
+    rep = representation_change(LangCorpusSet.from_bitexts(corpora),
+                                vocab_a, vocab_b)
+    rows: dict[str, list[dict]] = {"a": [], "b": []}
+    for corpus in corpora:
+        if "eng" not in corpus.languages():
+            continue
+        if len(corpus) == 0:
+            raise EmptyCorpus(f"{corpus.name} is empty")
+        counts = LangCorpusSet.from_bitexts([corpus]).word_counts
+        (other,) = corpus.languages() - {"eng"}
+        for key, vocab in (("a", vocab_a), ("b", vocab_b)):
+            tokens_other = _total_tokens(vocab, counts[other])
+            tokens_eng = _total_tokens(vocab, counts["eng"])
+            rows[key].append({
+                "pair": corpus.direction.label,
+                "pair_count": len(corpus),
+                "tokens_other": tokens_other,
+                "tokens_eng": tokens_eng,
+                "avg_tokens": (tokens_other + tokens_eng) / len(corpus),
+            })
     return {
         "representation": rep.to_json(),
-        "avg_tokens": {"a": speed_a.to_json(), "b": speed_b.to_json()},
+        "avg_tokens": {"a": {"vocab": vocab_a.mode, "rows": rows["a"]},
+                       "b": {"vocab": vocab_b.mode, "rows": rows["b"]}},
         "tables": {
             "representation": rep.render_table(),
-            "avg_tokens_a": speed_a.render_table(),
-            "avg_tokens_b": speed_b.render_table(),
+            "avg_tokens_a": _avg_tokens_table(rows["a"]),
+            "avg_tokens_b": _avg_tokens_table(rows["b"]),
         },
     }

@@ -41,7 +41,7 @@ from mtkit.vocab import (
     train_bpe,
     train_obpe,
 )
-from mtkit.vocab_metrics import avg_tokens_per_pair, representation_change
+from mtkit.vocab_metrics import representation_change, vocabulary_report
 from mtkit.metrics import bleu, chrf
 
 from test_pipeline import _write_dataset, make_config
@@ -208,19 +208,21 @@ def test_criterion_05_representation_reports_match_oracle(toy):
     assert all(row.change_pct == 0.0 for row in identity.rows)
 
     speed_checked = 0
-    for corpus in corpora:
-        row = avg_tokens_per_pair(corpus, vocab_a)
-        other = [s for s in (corpus.src_sentences if corpus.src_lang != "eng"
-                             else corpus.tgt_sentences)]
-        eng = [s for s in (corpus.src_sentences if corpus.src_lang == "eng"
-                           else corpus.tgt_sentences)]
-        tok = sum(oracles.encode_token_count(s, list(vocab_a.merges))
-                  for s in other)
-        tok_eng = sum(oracles.encode_token_count(s, list(vocab_a.merges))
-                      for s in eng)
-        want = (tok + tok_eng) / len(corpus.pairs)
-        assert row.avg_tokens == pytest.approx(want, rel=1e-9)
-        speed_checked += 1
+    avg_tokens = vocabulary_report(corpora, vocab_a, vocab_b)["avg_tokens"]
+    for key, vocab in (("a", vocab_a), ("b", vocab_b)):
+        rows = avg_tokens[key]["rows"]
+        assert len(rows) == len(corpora)
+        for corpus, row in zip(corpora, rows):
+            eng, other = (corpus.src_sentences, corpus.tgt_sentences)
+            if corpus.src_lang != "eng":
+                eng, other = other, eng
+            tok = sum(oracles.encode_token_count(s, list(vocab.merges))
+                      for s in other)
+            tok_eng = sum(oracles.encode_token_count(s, list(vocab.merges))
+                          for s in eng)
+            want = (tok + tok_eng) / len(corpus.pairs)
+            assert row["avg_tokens"] == pytest.approx(want, rel=1e-9)
+            speed_checked += 1
     _report(5, f"per-language change and {speed_checked} per-pair token "
                "averages match the encode-and-count oracle at 1e-9; "
                "identity comparison is exactly 0")

@@ -4,7 +4,7 @@ import dataclasses
 import inspect
 
 import mtkit
-from mtkit import corpus, metrics, translator, vocab
+from mtkit import corpus, metrics, translator, vocab, vocab_metrics
 
 
 def test_every_exported_name_resolves_once():
@@ -25,6 +25,11 @@ def test_deleted_names_are_gone():
     assert not hasattr(metrics, "BleuConfig")
     assert not hasattr(metrics, "ChrfConfig")
     assert not hasattr(vocab, "pretokenize")
+    for name in ("SpeedRow", "SpeedReport", "avg_tokens_per_pair",
+                 "speed_report"):
+        assert name not in mtkit.__all__, name
+        assert not hasattr(mtkit, name), name
+        assert not hasattr(vocab_metrics, name), name
     # the special tokens and the end-of-word marker are constants
     assert [f.name for f in dataclasses.fields(vocab.VocabConfig)] == [
         "vocab_size", "hrl_langs", "lrl_langs", "mean_exponent_p"]

@@ -32,7 +32,7 @@ from mtkit.pipeline import (
 )
 from mtkit.toy import WORDS, new_direction_labels, render, word_transforms
 from mtkit.translator import train_lexicon
-from mtkit.vocab import load_vocabulary
+from mtkit.vocab import LangCorpusSet, load_vocabulary, train_bpe, train_obpe
 
 LANGS = ("eng", "ssw", "xho", "zul")
 OLD_SIZES = {"xho": 120, "zul": 100, "ssw": 60}
@@ -609,6 +609,45 @@ def test_run_log_keys_inputs_of_one_name_apart(dataset, tmp_path,
     assert len(set(inputs.values())) == len(moved) == 4
 
 
+def test_vocab_train_learns_from_the_text_validation_checked(
+        dataset, tmp_path, monkeypatch):
+    """vocab-train trains both vocabularies on the `LangCorpusSet` that
+    `_load_inputs` checked against vocab_size, and they are the
+    vocabularies of the split train files plus the new corpora."""
+    def stop(self):
+        raise RuntimeError("stop after vocab-train")
+
+    def recording(fn):
+        def wrapper(data, cfg):
+            seen.append((fn.__name__, data, cfg))
+            return fn(data, cfg)
+        return wrapper
+
+    seen = []
+    for name in ("base_tokens", "train_bpe", "train_obpe"):
+        monkeypatch.setattr(pipeline, name, recording(getattr(pipeline, name)))
+    monkeypatch.setattr(pipeline._Runner, "step_vocab_report", stop)
+    root, manifests = dataset
+    cfg = make_config(root, manifests, validation_split=5)
+    run_dir = tmp_path / "run"
+    with pytest.raises(StepFailure):
+        run_pipeline(cfg, run_dir=run_dir)
+    assert [name for name, _, _ in seen] == ["base_tokens", "train_bpe",
+                                             "train_obpe"]
+    assert seen[0][1] is seen[1][1] is seen[2][1]
+
+    monkeypatch.undo()
+    train = [load_bitext(run_dir / "corpora" / f"{Path(p).stem}-train.json")
+             for p in cfg["corpora"]]
+    data = LangCorpusSet.from_bitexts(
+        train + [load_bitext(p) for p in cfg["new_corpora"]])
+    assert data.sentences == seen[0][1].sentences
+    for mode, train_vocab in (("bpe", train_bpe), ("obpe", train_obpe)):
+        saved = train_vocab(data, seen[0][2]).save(tmp_path / f"{mode}.json")
+        assert (run_dir / "vocab" / f"{mode}.json").read_bytes() == \
+            saved.read_bytes()
+
+
 def test_run_summary_reports_improvement(finished_run):
     summary = finished_run.summary
     assert summary["new_directions"] == ["xho-zul"]
@@ -692,6 +731,33 @@ def test_eval_rows_score_the_saved_lexicons(finished_run):
             checked += 1
     # 6 English-centric rows in each report, and the new one in stage 2
     assert checked == 13
+
+
+@pytest.mark.parametrize("stage, label", [("stage2", "xho-zul"),
+                                          ("stage1", "eng-xho")])
+def test_eval_report_reproduces_a_run_row(finished_run, tmp_path, capsys,
+                                          stage, label):
+    """`mtkit eval report` on a run's saved lexicon and vocabulary, over
+    one direction's dev pairs written as a bitext manifest, prints the
+    row the run's eval report holds for that direction."""
+    run_dir = finished_run.run_dir
+    cfg = json.loads((run_dir / "config.json").read_text())
+    d = parse_direction(label)
+    tests_dir = tmp_path / "tests"
+    write_bitext(dev_bitext(load_multiparallel(cfg["eval"]["dev_dir"]),
+                            d.src, d.tgt), tests_dir)
+    out = tmp_path / "report.json"
+    assert main(["eval", "report",
+                 "--model", str(run_dir / stage / "lexicons" / f"{label}.json"),
+                 "--vocab", str(run_dir / "vocab"
+                                / f"{cfg['vocab']['use']}.json"),
+                 "--tests", str(tests_dir), "--out", str(out)]) == 0
+    capsys.readouterr()
+    run_rows = json.loads((run_dir / "eval" / f"{stage}_eval.json")
+                          .read_text())["rows"]
+    want = [row for row in run_rows if row["direction"] == label]
+    assert len(want) == 1
+    assert json.loads(out.read_text())["rows"] == want
 
 
 def test_rerun_is_byte_identical(dataset, finished_run, tmp_path):

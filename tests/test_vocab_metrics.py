@@ -6,12 +6,7 @@ import oracles
 from conftest import make_corpus, small_vocab
 from mtkit.errors import EmptyCorpus, EmptyLanguage
 from mtkit.vocab import LangCorpusSet
-from mtkit.vocab_metrics import (
-    avg_tokens_per_pair,
-    representation_change,
-    speed_report,
-    vocabulary_report,
-)
+from mtkit.vocab_metrics import representation_change, vocabulary_report
 
 DATA = {
     "eng": ["the cat sat", "the dog sat", "a cat and a dog"],
@@ -113,78 +108,138 @@ def test_report_table_and_json():
     assert doc["rows"][0]["language"] == "afr"
 
 
-# -- tokens per pair -----------------------------------------------------
+# -- tokens per pair (the report's avg_tokens tables) ----------------------
+
+def avg_rows(corpora, vocab_a, vocab_b):
+    """The report's tokens-per-pair rows under vocabulary A and B."""
+    doc = vocabulary_report(corpora, vocab_a, vocab_b)["avg_tokens"]
+    return doc["a"]["rows"], doc["b"]["rows"]
+
 
 def test_avg_tokens_matches_oracle():
     corpus = make_corpus(
         [("the cat sat", "aba kha"), ("a dog", "lulu aba kha")],
         src="eng", tgt="zul")
-    vocab = small_vocab(DATA, budget=8)
-    row = avg_tokens_per_pair(corpus, vocab)
-    tok_eng = sum(oracles.encode_token_count(p.src, vocab.merges)
-                  for p in corpus.pairs)
-    tok_zul = sum(oracles.encode_token_count(p.tgt, vocab.merges)
-                  for p in corpus.pairs)
-    assert row.tokens_eng == tok_eng
-    assert row.tokens_other == tok_zul
-    assert row.avg_tokens == pytest.approx((tok_eng + tok_zul) / 2, rel=1e-9)
-    assert row.pair == "eng-zul"
+    vocab_a = small_vocab(DATA, budget=2)
+    vocab_b = small_vocab(DATA, budget=8)
+    for vocab, (row,) in zip((vocab_a, vocab_b),
+                             avg_rows([corpus], vocab_a, vocab_b)):
+        tok_eng = sum(oracles.encode_token_count(p.src, vocab.merges)
+                      for p in corpus.pairs)
+        tok_zul = sum(oracles.encode_token_count(p.tgt, vocab.merges)
+                      for p in corpus.pairs)
+        assert row["tokens_eng"] == tok_eng
+        assert row["tokens_other"] == tok_zul
+        assert row["avg_tokens"] == pytest.approx((tok_eng + tok_zul) / 2,
+                                                  rel=1e-9)
+        assert row["pair"] == "eng-zul" and row["pair_count"] == 2
 
 
 def test_avg_tokens_five_plus_five_over_one_pair():
     corpus = make_corpus([("a b c d e", "v w x y z")], src="eng", tgt="afr")
     # single-letter words have no in-word pairs, so no merges happen
-    vocab = small_vocab({"eng": corpus.src_sentences,
-                         "afr": corpus.tgt_sentences}, budget=1)
-    row = avg_tokens_per_pair(corpus, vocab)
-    assert row.tokens_eng == 5 and row.tokens_other == 5
-    assert row.avg_tokens == 10.0
+    texts = {"eng": corpus.src_sentences, "afr": corpus.tgt_sentences}
+    for (row,) in avg_rows([corpus], small_vocab(texts, budget=1),
+                           small_vocab(texts, budget=4)):
+        assert row["tokens_eng"] == 5 and row["tokens_other"] == 5
+        assert row["avg_tokens"] == 10.0
 
 
 def test_avg_tokens_invariant_under_pair_reordering():
     pairs = [("the cat sat", "aba kha"), ("a dog", "lulu aba kha"),
              ("the dog sat", "kha aba")]
-    vocab = small_vocab(DATA, budget=8)
-    fwd = avg_tokens_per_pair(make_corpus(pairs, src="eng", tgt="zul"), vocab)
-    rev = avg_tokens_per_pair(
-        make_corpus(pairs[::-1], src="eng", tgt="zul"), vocab)
-    assert fwd.avg_tokens == rev.avg_tokens
+    vocab_a = small_vocab(DATA, budget=3)
+    vocab_b = small_vocab(DATA, budget=8)
+    fwd = avg_rows([make_corpus(pairs, src="eng", tgt="zul")],
+                   vocab_a, vocab_b)
+    rev = avg_rows([make_corpus(pairs[::-1], src="eng", tgt="zul")],
+                   vocab_a, vocab_b)
+    assert fwd == rev
 
 
 def test_avg_tokens_eng_side_detected_either_way():
-    vocab = small_vocab(DATA, budget=4)
-    fwd = avg_tokens_per_pair(
-        make_corpus([("the cat", "aba kha")], src="eng", tgt="zul"), vocab)
-    rev = avg_tokens_per_pair(
-        make_corpus([("aba kha", "the cat")], src="zul", tgt="eng"), vocab)
-    assert fwd.tokens_eng == rev.tokens_eng
-    assert fwd.tokens_other == rev.tokens_other
-    assert fwd.other_lang == rev.other_lang == "zul"
+    vocab_a = small_vocab(DATA, budget=2)
+    vocab_b = small_vocab(DATA, budget=8)
+    fwd = avg_rows([make_corpus([("the cat", "aba kha")],
+                                src="eng", tgt="zul")], vocab_a, vocab_b)
+    rev = avg_rows([make_corpus([("aba kha", "the cat")],
+                                src="zul", tgt="eng")], vocab_a, vocab_b)
+    for vocab, (f,), (r,) in zip((vocab_a, vocab_b), fwd, rev):
+        assert (f["pair"], r["pair"]) == ("eng-zul", "zul-eng")
+        assert f["tokens_eng"] == r["tokens_eng"] == \
+            oracles.encode_token_count("the cat", vocab.merges)
+        assert f["tokens_other"] == r["tokens_other"] == \
+            oracles.encode_token_count("aba kha", vocab.merges)
 
 
-def test_avg_tokens_rejects_empty_and_non_english():
+def test_avg_tokens_rejects_empty_and_skips_non_english():
     vocab = small_vocab(DATA, budget=2)
-    with pytest.raises(EmptyCorpus):
-        avg_tokens_per_pair(
-            make_corpus([], src="eng", tgt="zul", name="none"), vocab)
-    with pytest.raises(ValueError):
-        avg_tokens_per_pair(
-            make_corpus([("aba", "die kat")], src="zul", tgt="afr"), vocab)
+    ez = make_corpus([("the cat", "aba kha")], src="eng", tgt="zul")
+    with pytest.raises(EmptyCorpus, match="none is empty"):
+        vocabulary_report(
+            [ez, make_corpus([], src="eng", tgt="zul", name="none")],
+            vocab, vocab)
+    # a language with no text fails the representation table first
+    with pytest.raises(EmptyLanguage):
+        vocabulary_report(
+            [ez, make_corpus([], src="afr", tgt="eng", name="none")],
+            vocab, vocab)
+    za = make_corpus([("aba", "die kat")], src="zul", tgt="afr")
+    rows_a, rows_b = avg_rows([za, ez], vocab, vocab)
+    assert [r["pair"] for r in rows_a] == [r["pair"] for r in rows_b] == \
+        ["eng-zul"]
+
+
+def test_each_corpus_is_counted_once(monkeypatch):
+    corpora = [
+        make_corpus([("the cat sat", "aba kha")], name="ez",
+                    src="eng", tgt="zul"),
+        make_corpus([("die kat sit", "the cat sat")], name="ae",
+                    src="afr", tgt="eng"),
+        make_corpus([("aba", "die kat")], name="za", src="zul", tgt="afr"),
+    ]
+    vocab_a = small_vocab(DATA, budget=2)
+    vocab_b = small_vocab(DATA, budget=10)
+    calls = []
+    from_bitexts = LangCorpusSet.from_bitexts
+
+    def counted(corpora):
+        calls.append(len(corpora))
+        return from_bitexts(corpora)
+
+    monkeypatch.setattr(LangCorpusSet, "from_bitexts", staticmethod(counted))
+    vocabulary_report(corpora, vocab_a, vocab_b)
+    # one pooled set for the representation table, one per English-centric
+    # corpus for both tokens-per-pair tables
+    assert calls == [3, 1, 1]
 
 
 def test_combined_report_document():
     corpora = [
         make_corpus([("the cat sat", "aba kha")], name="ez",
                     src="eng", tgt="zul"),
-        make_corpus([("die kat sit", "the cat sat")], name="ae",
+        make_corpus([("a b c d e", "v w x y z")], name="ae",
                     src="afr", tgt="eng"),
     ]
     vocab_a = small_vocab(DATA, budget=2)
     vocab_b = small_vocab(DATA, budget=10)
     doc = vocabulary_report(corpora, vocab_a, vocab_b)
-    assert set(doc) == {"representation", "avg_tokens", "tables"}
+    assert list(doc) == ["representation", "avg_tokens", "tables"]
+    assert list(doc["tables"]) == ["representation", "avg_tokens_a",
+                                   "avg_tokens_b"]
     langs = [r["language"] for r in doc["representation"]["rows"]]
     assert langs == ["afr", "eng", "zul"]
-    assert len(doc["avg_tokens"]["a"]["rows"]) == 2
-    report = speed_report(corpora, vocab_a)
-    assert doc["tables"]["avg_tokens_a"] == report.render_table()
+    for key, vocab in (("a", vocab_a), ("b", vocab_b)):
+        table = doc["avg_tokens"][key]
+        assert table["vocab"] == vocab.mode
+        assert [list(r) for r in table["rows"]] == [[
+            "pair", "pair_count", "tokens_other", "tokens_eng",
+            "avg_tokens"]] * 2
+        ez, ae = table["rows"]
+        assert ae == {"pair": "afr-eng", "pair_count": 1, "tokens_other": 5,
+                      "tokens_eng": 5, "avg_tokens": 10.0}
+        assert doc["tables"][f"avg_tokens_{key}"] == "\n".join([
+            "pair            pairs   tokens_l tokens_eng  avg_tokens",
+            f"eng-zul             1 {ez['tokens_other']:>10} "
+            f"{ez['tokens_eng']:>10} {ez['avg_tokens']:>11.2f}",
+            "afr-eng             1          5          5       10.00"])
