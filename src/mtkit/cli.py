@@ -25,7 +25,6 @@ from .corpus import (
     write_json,
 )
 from .dataset_builder import (
-    BalancePlan,
     build_stage1_mixture,
     build_stage2_mixture,
     export_mixture,
@@ -170,8 +169,7 @@ def cmd_mixture(args) -> int:
     else:
         old = [c for c in corpora if "eng" in c.languages()]
         new = [c for c in corpora if "eng" not in c.languages()]
-        plan = (BalancePlan.load(args.plan) if args.plan
-                else make_balance_plan([c.direction for c in new]))
+        plan = make_balance_plan([c.direction for c in new])
         mixture = build_stage2_mixture(old, new, plan, seed=args.seed,
                                        default_cap=args.cap)
     export = export_mixture(mixture, vocab, args.out)
@@ -363,8 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mixture", help="build tagged training mixtures")
     p.add_argument("stage", choices=("stage1", "stage2"))
-    p.add_argument("--plan", default=None,
-                   help="balance plan JSON (stage2; default derives one)")
     p.add_argument("--seed", type=_non_negative_int, default=17)
     p.add_argument("--cap", type=_non_negative_int, default=None,
                    help="stage2 cap for directions the plan does not match")

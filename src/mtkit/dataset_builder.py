@@ -20,17 +20,15 @@ import functools
 import statistics
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .corpus import (
     BitextCorpus,
     DirectionSpec,
-    is_json_int,
     orient,
     parse_direction,
-    read_json,
     seeded_rng,
     stored_reversed,
     write_artifact,
@@ -102,7 +100,6 @@ def build_stage1_mixture(corpora: Sequence[BitextCorpus],
 class PlanEntry:
     new: DirectionSpec
     old: tuple[DirectionSpec, DirectionSpec]
-    n: int | None = None
 
 
 @dataclass(frozen=True)
@@ -111,47 +108,11 @@ class BalancePlan:
 
     def to_json(self) -> dict:
         return {"entries": [
-            {"new": e.new.label, "old": [o.label for o in e.old],
-             **({"n": e.n} if e.n is not None else {})}
+            {"new": e.new.label, "old": [o.label for o in e.old]}
             for e in self.entries]}
-
-    @classmethod
-    def from_json(cls, obj: Mapping) -> "BalancePlan":
-        if not isinstance(obj.get("entries"), list):
-            raise PlanCoverage("entries must be a list")
-        entries = []
-        for i, raw in enumerate(obj["entries"]):
-            if not isinstance(raw, dict):
-                raise PlanCoverage(f"entries[{i}] must be an object")
-            new, old, n = raw.get("new"), raw.get("old"), raw.get("n")
-            if not (isinstance(new, str) and isinstance(old, list)
-                    and all(isinstance(o, str) for o in old)):
-                raise PlanCoverage(f"entries[{i}]: new must be a direction "
-                                   f"label and old a list of labels")
-            if len(old) != 2:
-                raise PlanCoverage(
-                    f"entry {new!r} lists {len(old)} old directions, "
-                    f"want exactly 2 (encoder X->eng, decoder eng->Y)")
-            if n is not None and not (is_json_int(n) and n >= 0):
-                raise PlanCoverage(
-                    f"entries[{i}]: n must be a non-negative int, got {n!r}")
-            entries.append(PlanEntry(
-                new=parse_direction(new),
-                old=(parse_direction(old[0]), parse_direction(old[1])),
-                n=n,
-            ))
-        return cls(tuple(entries))
 
     def save(self, path: str | Path) -> Path:
         return write_json(path, self.to_json())
-
-    @classmethod
-    def load(cls, path: str | Path) -> "BalancePlan":
-        doc = read_json(path, PlanCoverage)
-        try:
-            return cls.from_json(doc)
-        except (PlanCoverage, ValueError) as exc:
-            raise PlanCoverage(f"plan {path}: {exc}") from exc
 
 
 def make_balance_plan(new_directions: Iterable[str | DirectionSpec]
@@ -178,7 +139,10 @@ def stage2_problems(old: Sequence[BitextCorpus],
     new directions none; no two old corpora and no two new directions
     share a language pair; each new direction's language pair has
     exactly one plan entry, no entry is off those pairs, and each entry's
-    old directions have a corpus. Directions match by language pair."""
+    old directions have a corpus. Directions match by language pair. A
+    plan from `make_balance_plan` over *new* has its one entry per
+    direction by construction; a hand-built plan may not, and an old
+    direction it names may lack a corpus either way."""
     problems = [("old", m) for m in _without_english(old)]
     for what, named in (("old", [(c.languages(), c.name) for c in old]),
                         ("new", [(d.languages, d.label) for d in new])):
@@ -222,8 +186,7 @@ def build_stage2_mixture(old: Sequence[BitextCorpus],
     if problems:
         raise PlanCoverage("; ".join(m for _, m in problems))
     by_pair = {c.languages(): c for c in (*old, *new)}
-    new_sizes = [e.n if e.n is not None else len(by_pair[e.new.languages])
-                 for e in plan.entries]
+    new_sizes = [len(by_pair[e.new.languages]) for e in plan.entries]
     cap = default_cap if default_cap is not None else (
         int(statistics.median(new_sizes)) if new_sizes else 0)
 

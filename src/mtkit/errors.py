@@ -81,8 +81,7 @@ class NonEnglishCorpus(MTKitError):
 
 
 class PlanCoverage(MTKitError):
-    """A balance plan is malformed, or it and the corpora cannot make a
-    stage-2 mixture."""
+    """A balance plan and the corpora cannot make a stage-2 mixture."""
 
 
 class MissingCorpus(MTKitError):

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import json
 import time
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -41,7 +42,6 @@ from .corpus import (
     write_json,
 )
 from .dataset_builder import (
-    BalancePlan,
     TrainingMixture,
     build_stage1_mixture,
     build_stage2_mixture,
@@ -113,8 +113,7 @@ def _resolve_paths(cfg: dict, base: Path) -> dict:
     for key in ("corpora", "new_corpora"):
         if isinstance(cfg.get(key), list):
             cfg[key] = [resolve(p) for p in cfg[key]]
-    for section, key in ((cfg, "output_root"), (cfg.get("eval"), "dev_dir"),
-                         (cfg.get("stage2"), "plan")):
+    for section, key in ((cfg, "output_root"), (cfg.get("eval"), "dev_dir")):
         if isinstance(section, dict) and key in section:
             section[key] = resolve(section[key])
     bt = cfg.get("backtranslation")
@@ -135,7 +134,7 @@ _DEFAULTS = {
     "vocab": {"use": "obpe"},
     "stage1": {"em_iterations": [5, 15]},
     "backtranslation": {"default": "internal", "models": {}, "batch_size": 64},
-    "stage2": {"plan": None, "em_iterations": 20, "default_cap": None,
+    "stage2": {"em_iterations": 20, "default_cap": None,
                "new_directions": None},
     "eval": {"dev_dir": None},
 }
@@ -180,7 +179,6 @@ class _Inputs:
     corpora: list[BitextCorpus] = field(default_factory=list)
     new_corpora: list[BitextCorpus] = field(default_factory=list)
     dev: dict[str, list[str]] = field(default_factory=dict)
-    plan: BalancePlan | None = None
     models: dict[str, TranslatorModel] = field(default_factory=dict)
     vocab: VocabConfig | None = None
     vocab_data: LangCorpusSet | None = None
@@ -188,30 +186,22 @@ class _Inputs:
 
 
 def _direction_problems(where: str, new: list[DirectionSpec],
-                        corpora: list[BitextCorpus],
-                        plan: BalancePlan | None) -> list[str]:
-    """The run's own rules for its *new* directions (from config field
-    *where*): pivot synthesis needs an English-centric corpus in *corpora*
-    for each language of one, and stage2-retrain and final-eval read each
-    in its own direction, so its *plan* entry must have the same src and
-    tgt."""
+                        corpora: list[BitextCorpus]) -> list[str]:
+    """The run's own rule for its *new* directions (from config field
+    *where*): pivot synthesis, and stage 2's balance plan, need an
+    English-centric corpus in *corpora* for each language of one."""
     served = {c.languages() for c in corpora}
-    problems = [f"{where}: {d.label} needs an English-centric corpus for "
-                f"{lang}" for d in new if "eng" not in d.languages
-                for lang in (d.src, d.tgt)
-                if frozenset(("eng", lang)) not in served]
-    return problems + [
-        f"stage2.plan: entry {e.new.label} reverses new direction "
-        f"{d.label}; give it as {d.label}"
-        for d in new for e in (plan.entries if plan else ())
-        if e.new.languages == d.languages and e.new != d]
+    return [f"{where}: {d.label} needs an English-centric corpus for {lang}"
+            for d in new if "eng" not in d.languages
+            for lang in (d.src, d.tgt)
+            if frozenset(("eng", lang)) not in served]
 
 
 def _load_inputs(cfg: dict) -> tuple[_Inputs, list[str]]:
     """Check *cfg*, its defaults applied, against the schema and load
-    every input it names: corpora, the dev set, the balance plan and the
-    back-translation models. Returns the inputs and one problem line per
-    failure; the inputs are whole only when there is no problem."""
+    every input it names: corpora, the dev set and the back-translation
+    models. Returns the inputs and one problem line per failure; the
+    inputs are whole only when there is no problem."""
     inputs = _Inputs()
     problems: list[str] = []
 
@@ -262,6 +252,11 @@ def _load_inputs(cfg: dict) -> tuple[_Inputs, list[str]]:
                 except MTKitError as exc:
                     where = "" if p in str(exc) else f"{p}: "
                     problems.append(f"{key}: {where}{exc}")
+    # split-validation and back-translation name a corpus's files after it
+    problems += [f"corpora: {k} manifests are named {name!r}; their files "
+                 f"in the run directory would overwrite each other"
+                 for name, k in Counter(c.name for c in inputs.corpora).items()
+                 if k > 1]
     languages = {lang for c in inputs.corpora + inputs.new_corpora
                  for lang in c.languages()}
 
@@ -348,18 +343,6 @@ def _load_inputs(cfg: dict) -> tuple[_Inputs, list[str]]:
         if cap is not None and not (is_json_int(cap) and cap >= 0):
             problems.append(
                 "stage2.default_cap: must be null or a non-negative int")
-        plan = stage2["plan"]
-        if plan is not None and not isinstance(plan, str):
-            problems.append("stage2.plan: must be a path string")
-        elif plan is not None:
-            try:
-                inputs.plan = BalancePlan.load(plan)
-            except MTKitError as exc:
-                problems.append(f"stage2.plan: {exc}")
-            else:
-                problems += [f"stage2.plan: entry {e.new.label} has n 0, "
-                             f"leaving stage2-retrain no pairs for it"
-                             for e in inputs.plan.entries if e.n == 0]
         directions = stage2["new_directions"]
         if directions is None:
             if not new_corpora:
@@ -385,18 +368,16 @@ def _load_inputs(cfg: dict) -> tuple[_Inputs, list[str]]:
                 if not unknown:
                     new.append(d)
         inputs.new = new
-    # new directions and the plan only from whole inputs, lest a corpus or
-    # label that failed counts twice
+    # new directions only from whole inputs, lest a corpus or label that
+    # failed counts twice
     whole = bool(inputs.corpora and len(inputs.corpora) == len(corpora)
                  and len(inputs.new_corpora) == len(new_corpora)
                  and len(new) == len(directions))
-    fields_of = {"old": "corpora", "new": where, "plan": "stage2.plan"}
+    fields_of = {"old": "corpora", "new": where}
     problems += [f"{fields_of[what]}: {message}" for what, message in
-                 stage2_problems(inputs.corpora, new if whole else [],
-                                 inputs.plan if whole else None)]
+                 stage2_problems(inputs.corpora, new if whole else [], None)]
     if whole:
-        problems += _direction_problems(where, new, inputs.corpora,
-                                        inputs.plan)
+        problems += _direction_problems(where, new, inputs.corpora)
 
     ev = section("eval")
     if ev is not None:
@@ -657,7 +638,7 @@ class _Runner:
     def step_stage2_balance(self):
         cfg, state = self.state.cfg, self.state
         out = state.run_dir / "stage2"
-        plan = state.inputs.plan or make_balance_plan(state.inputs.new)
+        plan = make_balance_plan(state.inputs.new)
         plan_path = plan.save(out / "plan.json")
         mixture = build_stage2_mixture(
             state.old_pool, state.new_pool, plan,

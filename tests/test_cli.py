@@ -193,6 +193,23 @@ def test_mixture_stage1_and_stage2(data, vocab_file, tmp_path, capsys):
     assert sidecar["directions"]["zul-eng"] == 20
 
 
+def test_mixture_stage2_takes_no_plan_file(data, vocab_file, tmp_path,
+                                           capsys):
+    """Stage 2's balance plan is always derived from the corpora without
+    English; argparse refuses a --plan option and nothing is written."""
+    root, manifests = data
+    with pytest.raises(SystemExit) as excinfo:
+        main(["mixture", "stage2", "--plan", str(tmp_path / "plan.json"),
+              "--vocab", str(vocab_file), "--out", str(tmp_path / "mix")]
+             + [str(p) for p in manifests.values()])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --plan" in capsys.readouterr().err
+    assert not (tmp_path / "mix").exists()
+    with pytest.raises(SystemExit):
+        main(["mixture", "--help"])
+    assert "--plan" not in capsys.readouterr().out
+
+
 def test_translator_train_and_run(data, tmp_path, capsys):
     root, manifests = data
     lex = tmp_path / "lex.json"
@@ -298,9 +315,6 @@ def test_translator_run_rejects_malformed_lexicon(tmp_path, capsys, text,
     assert needle in err
 
 
-_PLAN = {"entries": [{"new": "xho-zul", "old": ["xho-eng", "eng-zul"]}]}
-
-
 @pytest.mark.parametrize("kind,path,value,needle", [
     ("manifest", ["name"], 5, "name must"),
     ("manifest", ["src_lang"], 5, "src_lang must"),
@@ -324,26 +338,18 @@ _PLAN = {"entries": [{"new": "xho-zul", "old": ["xho-eng", "eng-zul"]}]}
      "-Infinity is not a JSON value"),
     ("vocabulary", ["config", "mean_exponent_p"], 10 ** 400,
      "mean_exponent_p must be a finite number"),
-    ("plan", ["entries"], {}, "entries must"),
-    ("plan", ["entries", 0], 5, "entries[0] must"),
-    ("plan", ["entries", 0, "n"], "5", "n must"),
-    ("plan", ["entries", 0, "n"], -5, "n must"),
-    ("plan", ["entries", 0, "n"], True, "n must"),
 ], ids=["manifest-name-int", "manifest-src_lang-int", "manifest-src_file-list",
         "manifest-pair_count-str", "manifest-pair_count-bool",
         "vocab-token-int", "vocab-marker-int", "vocab-marker-other",
         "vocab-special-tokens-other", "vocab-p-str", "vocab-p-nan",
-        "vocab-p-inf", "vocab-p-minus-inf", "vocab-p-huge",
-        "plan-entries-object", "plan-entry-int", "plan-n-str",
-        "plan-n-negative", "plan-n-bool"])
-def test_wrong_typed_field_exits_2(data, vocab_file, tmp_path, capsys, kind,
-                                   path, value, needle):
-    manifests = data[1]
+        "vocab-p-inf", "vocab-p-minus-inf", "vocab-p-huge"])
+def test_wrong_typed_field_exits_2(vocab_file, tmp_path, capsys, kind, path,
+                                   value, needle):
     one_pair = BitextCorpus(name="one", src_lang="eng", tgt_lang="xho",
                             pairs=(SentencePair("a", "b"),))
     good = {"manifest": write_bitext(one_pair, tmp_path),
-            "vocabulary": vocab_file}.get(kind)
-    doc = json.loads(good.read_text() if good else json.dumps(_PLAN))
+            "vocabulary": vocab_file}[kind]
+    doc = json.loads(good.read_text())
     node = doc
     for key in path[:-1]:
         node = node[key]
@@ -354,9 +360,6 @@ def test_wrong_typed_field_exits_2(data, vocab_file, tmp_path, capsys, kind,
         "manifest": ["corpus", "validate", str(bad)],
         "vocabulary": ["vocab", "encode", "--vocab", str(bad),
                        "--in", str(tmp_path / "one.eng")],
-        "plan": ["mixture", "stage2", "--plan", str(bad), "--vocab",
-                 str(vocab_file), "--out", str(tmp_path / "mix")]
-                + [str(p) for p in manifests.values()],
     }[kind]
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -392,12 +395,10 @@ _RUN = ["translator", "run", "--src", "eng", "--tgt", "zul", "--model"]
     _RUN + ["exec:printf 'caf\\351\\n'", "--in", "GOOD"],
     ["corpus", "validate", "BAD"],
     ["vocab", "encode", "--vocab", "BAD", "--in", "GOOD"],
-    ["mixture", "stage2", "--plan", "BAD", "--vocab", "VOCAB", "--out", "OUT",
-     "ENG_XHO", "ENG_ZUL", "XHO_ZUL"],
     _RUN + ["BAD", "--in", "GOOD"],
 ], ids=["encode-file", "encode-stdin", "decode-file", "decode-stdin",
         "score-hyp", "score-ref", "run-file", "run-stdin", "run-output",
-        "manifest", "vocabulary", "plan", "lexicon"])
+        "manifest", "vocabulary", "lexicon"])
 def test_non_utf8_text_exits_2(data, vocab_file, tmp_path, capsys,
                                monkeypatch, argv):
     raw = b"caf\xe9\n"  # Latin-1, not UTF-8
@@ -575,15 +576,17 @@ def test_pipeline_validate_exit_codes(data, tmp_path, capsys):
         assert main(["pipeline", "validate", "--config", str(bad_field)]) == 2
         assert f"problem: {key}.{field}" in capsys.readouterr().err
 
-    for name, payload in (("list", b'["xho-zul"]'),
-                          ("latin1", b'{"entries": "caf\xe9"}')):
-        plan = tmp_path / f"plan-{name}.json"
-        plan.write_bytes(payload)
-        with_plan = tmp_path / f"with-plan-{name}.json"
-        with_plan.write_text(json.dumps({**cfg, "stage2": {"plan": str(plan)}}),
-                             encoding="utf-8")
-        assert main(["pipeline", "validate", "--config", str(with_plan)]) == 2
-        assert "problem: stage2.plan: " in capsys.readouterr().err
+    # the stage-2 balance plan is always derived; a plan file is refused
+    (tmp_path / "plan.json").write_text(json.dumps({"entries": []}),
+                                        encoding="utf-8")
+    with_plan = tmp_path / "with-plan.json"
+    with_plan.write_text(json.dumps({**cfg, "stage2": {"plan": "plan.json"}}),
+                         encoding="utf-8")
+    for verb in ("validate", "run"):
+        assert main(["pipeline", verb, "--config", str(with_plan)]) == 2, verb
+        assert "problem: stage2: unknown fields ['plan']" in \
+            capsys.readouterr().err.splitlines()
+    assert not (tmp_path / "out").exists()
 
     # a lexicon path resolves against the config's directory
     lex_dir = tmp_path / "lexicons"
@@ -720,13 +723,6 @@ def _set(section, key, value, message):
     return configure
 
 
-def _plan(*entries):
-    def write(work):
-        return str(write_json(work / "plan.json", {"entries": [
-            {"new": new, "old": list(old)} for new, old in entries]}))
-    return write
-
-
 def _exec_model(spec, message):
     def configure(root, work, cfg):
         cfg["backtranslation"] = {"models": {"eng-xho": spec}}
@@ -786,11 +782,6 @@ def _not_json(value, token):
     return configure
 
 
-def _plan_without_pairs(work):
-    return str(write_json(work / "plan.json", {"entries": [
-        {"new": "xho-zul", "old": ["xho-eng", "eng-zul"], "n": 0}]}))
-
-
 @pytest.mark.parametrize("breaks", [
     _corpus_text_edited, _dev_text_edited, _dev_line_added,
     _exec_model("exec:", "empty translator command"),
@@ -801,10 +792,6 @@ def _plan_without_pairs(work):
     _set("stage2", "new_directions", ["xho-"],
          ".new_directions: direction 'xho'->'': side '' is empty or holds "
          "'-'"),
-    _set("stage2", "plan", _plan(("ssw-xho", ("ssw-eng", "eng-xho"))),
-         ".plan: 0 entries for new direction xho-zul, want exactly 1"),
-    _set("stage2", "plan", _plan(("xho-zul", ("xho-eng", "eng-tsn"))),
-         ".plan: entry xho-zul: no English-centric corpus serves eng-tsn"),
     _set("vocab", "hrl_langs", "eng",
          ": hrl_langs must be a list of strings, got 'eng'"),
     _set("vocab", "lrl_langs", ["afr"],
@@ -819,8 +806,6 @@ def _plan_without_pairs(work):
     _bt_lexicon("eng-xho", "eng", "xho", "model does not support xho->eng"),
     _corpus_without_pairs,
     _split_takes_everything,
-    _set("stage2", "plan", _plan_without_pairs,
-         ".plan: entry xho-zul has n 0"),
     _set("vocab", "vocab_size", 40,
          ".vocab_size: vocab_size 40 <= 22 special tokens + "),
     _seed(-1, "problem: seed: must be a non-negative integer"),
@@ -845,11 +830,11 @@ def _plan_without_pairs(work):
 ], ids=["corpus-checksum", "dev-checksum", "dev-line-count", "exec-empty",
         "exec-unclosed", "dev-line-break", "direction-without-corpus",
         "direction-side-empty",
-        "plan-without-direction", "plan-old-unserved", "vocab-langs-string",
+        "vocab-langs-string",
         "vocab-langs-uncovered", "unknown-field", "corpus-listed-twice",
         "corpus-stored-reversed", "new-corpus-listed-twice",
         "bt-model-key-unstored", "bt-model-wrong-direction",
-        "corpus-without-pairs", "split-takes-everything", "plan-entry-without-pairs",
+        "corpus-without-pairs", "split-takes-everything",
         "vocab-size-too-small", "seed-negative", "stage1-seed-negative",
         "stage2-seed-negative", "nan-token", "infinity-token",
         "minus-infinity-token", "exponent-too-large", "stage1-seed",
@@ -947,7 +932,7 @@ def fuzz_targets(data, vocab_file, tmp_path_factory):
         "new_corpora": [str(manifests["xho-zul"])],
         "vocab": {"vocab_size": 140},
         "stage1": {"em_iterations": [2, 4]},
-        "stage2": {"em_iterations": 4, "plan": None},
+        "stage2": {"em_iterations": 4},
         "backtranslation": {"models": {"eng-xho": "exec:cat"}},
         "eval": {"dev_dir": str(root / "dev")},
     }
@@ -958,10 +943,6 @@ def fuzz_targets(data, vocab_file, tmp_path_factory):
                        ["vocab", "encode", "--vocab", str(target),
                         "--in", text]),
         "lexicon": (_LEXICON, _RUN + [str(target), "--in", text]),
-        "plan": (_PLAN, ["mixture", "stage2", "--plan", str(target),
-                         "--vocab", str(vocab_file), "--out",
-                         str(work / "mix")]
-                 + [str(p) for p in manifests.values()]),
         "config": (config, ["pipeline", "validate", "--config",
                             str(target)]),
         "dev": (json.loads((root / "dev" / "dev.json").read_text()),
@@ -972,7 +953,7 @@ def fuzz_targets(data, vocab_file, tmp_path_factory):
 
 
 @pytest.mark.parametrize(
-    "fmt", ["manifest", "vocabulary", "lexicon", "plan", "config", "dev"])
+    "fmt", ["manifest", "vocabulary", "lexicon", "config", "dev"])
 @settings(max_examples=50, deadline=None)
 @given(st.data())
 def test_fuzzed_input_file_exits_2(fuzz_targets, fmt, data):

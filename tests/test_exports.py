@@ -4,7 +4,8 @@ import dataclasses
 import inspect
 
 import mtkit
-from mtkit import corpus, metrics, translator, vocab, vocab_metrics
+from mtkit import corpus, dataset_builder, metrics, translator, vocab, \
+    vocab_metrics
 
 
 def test_every_exported_name_resolves_once():
@@ -37,4 +38,9 @@ def test_deleted_names_are_gone():
     assert vocab.VocabConfig.end_of_word_marker == vocab.END_OF_WORD
     for fn in (corpus.load_bitext, corpus.validate_language):
         assert "registry" not in inspect.signature(fn).parameters, fn
+    # the stage-2 balance plan is always derived, never read from a file
+    for name in ("load", "from_json"):
+        assert not hasattr(dataset_builder.BalancePlan, name), name
+    assert [f.name for f in dataclasses.fields(dataset_builder.PlanEntry)] \
+        == ["new", "old"]
 

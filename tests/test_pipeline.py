@@ -4,6 +4,7 @@ import hashlib
 import json
 import shlex
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -164,7 +165,7 @@ def test_valid_config_has_no_problems(dataset):
     ({"stage2": {"default_cap": -1}}, "stage2.default_cap"),
     ({"stage2": {"default_cap": True}}, "stage2.default_cap"),
     ({"stage2": {"new_directions": ["xho-zul", "xho-zul"]}}, "appear once"),
-    ({"stage2": {"plan": 5}}, "stage2.plan"),
+    ({"stage2": {"plan": 5}}, "stage2: unknown fields ['plan']"),
     ({"backtranslation": {"models": {"xho-eng": "/nowhere/lex.json"}}},
      "backtranslation.models"),
     ({"backtranslation": {"models": ["exec:cat"]}}, "backtranslation.models"),
@@ -269,44 +270,28 @@ def test_validate_config_rejects_an_english_new_corpus(dataset):
         "non-English ones" in validate_config(cfg)
 
 
-def _plan_config(root, manifests, tmp_path, entries):
-    plan = tmp_path / "plan.json"
-    plan.write_text(json.dumps({"entries": [
-        {"new": new, "old": list(old)} for new, old in entries]}))
-    return make_config(root, manifests,
-                       stage2={"em_iterations": 6, "plan": str(plan)})
-
-
-def test_validate_config_accepts_a_plan_covering_the_run(dataset, tmp_path):
+def test_validate_config_flags_corpora_of_one_name(dataset, tmp_path):
+    """Split-validation writes each corpus as corpora/<name>.* and
+    back-translation as synth/bt/<name>-bt.*, so two corpora of one name
+    would overwrite each other's files: one problem per repeated name, and
+    `run` stops before any step."""
     root, manifests = dataset
-    cfg = _plan_config(root, manifests, tmp_path,
-                       [("xho-zul", ("xho-eng", "eng-zul"))])
-    assert validate_config(cfg) == []
-
-
-@pytest.mark.parametrize("entries,needle", [
-    ([("ssw-xho", ("ssw-eng", "eng-xho"))],
-     "0 entries for new direction xho-zul, want exactly 1"),
-    ([("zul-xho", ("zul-eng", "eng-xho"))],
-     "entry zul-xho reverses new direction xho-zul; give it as xho-zul"),
-    ([("xho-zul", ("xho-eng", "eng-zul"))] * 2,
-     "2 entries for new direction xho-zul, want exactly 1"),
-    ([("xho-zul", ("xho-eng", "eng-zul")),
-      ("ssw-xho", ("ssw-eng", "eng-xho"))],
-     "entry ssw-xho serves no new direction of the run"),
-    ([("xho-zul", ("xho-eng", "eng-tsn"))],
-     "entry xho-zul: no English-centric corpus serves eng-tsn"),
-])
-def test_validate_config_checks_the_plan_against_the_run(dataset, tmp_path,
-                                                         entries, needle):
-    """A plan needs one entry per new direction, no entry for another,
-    and a corpus for each old direction; `run` stops before any step."""
-    root, manifests = dataset
-    cfg = _plan_config(root, manifests, tmp_path, entries)
-    assert f"stage2.plan: {needle}" in validate_config(cfg)
+    paths = [str(write_bitext(replace(load_bitext(manifests[label]),
+                                      name=name), tmp_path / label))
+             for label, name in (("eng-ssw", "dev"), ("eng-xho", "train"),
+                                 ("eng-zul", "train"))]
+    paths.append(paths[0])  # the one named dev, listed twice
+    cfg = make_config(root, manifests, corpora=paths)
+    problems = validate_config(cfg)
+    assert [p for p in problems if "manifests are named" in p] == [
+        "corpora: 2 manifests are named 'dev'; their files in the run "
+        "directory would overwrite each other",
+        "corpora: 2 manifests are named 'train'; their files in the run "
+        "directory would overwrite each other"]
     run_dir = tmp_path / "never"
-    with pytest.raises(ConfigValidationError, match=needle):
+    with pytest.raises(ConfigValidationError) as excinfo:
         run_pipeline(cfg, run_dir=run_dir)
+    assert excinfo.value.problems == problems
     assert not run_dir.exists()
 
 
@@ -409,8 +394,8 @@ _NON_ENGLISH = [f"{a}-{b}" for a in _LANGS for b in _LANGS if a != b]
 # the lexicon that back-translates the corpus stored as the key
 _BT_LEXICON = {"eng-xho": "xho-eng", "xho-eng": "eng-xho"}
 _FAULTS = ("corpus repeated", "corpus reversed", "corpus dropped",
-           "new corpus repeated", "any new direction", "plan entry reversed",
-           "plan entry without pairs", "split takes everything",
+           "new corpus repeated", "any new direction", "plan named",
+           "split takes everything",
            "any model key", "vocab too small")
 
 
@@ -418,9 +403,8 @@ _FAULTS = ("corpus repeated", "corpus reversed", "corpus dropped",
 def _variant(draw):
     """Overrides of `make_config`, by name: a valid variation (corpus
     subsets, either orientation of eng-xho, new directions among the
-    corpora's languages or from new_corpora, a plan with n absent or 3,
-    a split of 0 or 10, models keyed by a corpus), then up to two faults
-    validation must catch."""
+    corpora's languages or from new_corpora, a split of 0 or 10, models
+    keyed by a corpus), then up to two faults validation must catch."""
     langs = sorted(draw(st.sets(st.sampled_from(_LANGS), min_size=2)))
     corpora = ["xho-eng" if lang == "xho" and draw(st.booleans())
                else f"eng-{lang}" for lang in langs]
@@ -432,9 +416,7 @@ def _variant(draw):
                    and draw(st.booleans()) else [])
     if new_corpora and draw(st.booleans()):
         directions = None  # the run's directions come from new_corpora
-    plan = draw(st.none() | st.just(
-        [(d, draw(st.sampled_from([None, 3])))
-         for d in directions or ["xho-zul"]]))
+    plan = None
     split = draw(st.sampled_from([0, 10]))
     vocab_size = 100
     models = {key: draw(st.sampled_from(["internal", "none"] + (
@@ -452,11 +434,9 @@ def _variant(draw):
         elif fault == "any new direction":
             directions = draw(st.lists(st.sampled_from(_NON_ENGLISH),
                                        min_size=1, max_size=2))
-        elif fault.startswith("plan entry"):
-            plan = plan or [(d, None) for d in directions or ["xho-zul"]]
-            d, n = plan[0]
-            plan[0] = ((d, 0) if fault.endswith("pairs")
-                       else ("-".join(reversed(d.split("-"))), n))
+        elif fault == "plan named":
+            # the balance plan is always derived; stage2.plan is no field
+            plan = "plan.json"
         elif fault == "split takes everything":
             split = draw(st.sampled_from([60, 200]))
         elif fault == "vocab too small":
@@ -488,11 +468,7 @@ def test_validate_and_run_agree(dataset, variant_inputs, tmp_path_factory,
     if variant["new_directions"] is not None:
         stage2["new_directions"] = variant["new_directions"]
     if variant["plan"] is not None:
-        stage2["plan"] = str(work / "plan.json")
-        (work / "plan.json").write_text(json.dumps({"entries": [
-            {"new": new, "old": [f"{new[:3]}-eng", f"eng-{new[4:]}"],
-             **({} if n is None else {"n": n})}
-            for new, n in variant["plan"]]}), encoding="utf-8")
+        stage2["plan"] = variant["plan"]
     cfg = make_config(
         root, manifests,
         corpora=[str(paths[name]) for name in variant["corpora"]],
