@@ -101,6 +101,10 @@ class BadLexicon(MTKitError):
     """A lexicon file is unreadable or not a well-formed translation table."""
 
 
+class CorpusTooLarge(MTKitError):
+    """A corpus is too large for EM's packed int64 sort keys."""
+
+
 class ExternalProcessError(MTKitError):
     """An external translator process failed or broke the line protocol."""
 

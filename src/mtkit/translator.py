@@ -20,6 +20,7 @@ import json
 import math
 import shlex
 import subprocess
+from itertools import chain, islice
 from pathlib import Path
 from typing import Protocol, Sequence, runtime_checkable
 
@@ -36,6 +37,7 @@ from .corpus import (
 )
 from .errors import (
     BadLexicon,
+    CorpusTooLarge,
     EmptyCorpus,
     ExternalProcessError,
     UnsupportedDirection,
@@ -211,102 +213,138 @@ def train_lexicon(corpus: BitextCorpus, iterations: int = 20) -> Lexicon:
     source word's co-occurring target words. The per-iteration corpus
     log-likelihood (stored on the result) never decreases.
 
-    The corpus is flattened once into one entry per (target token, source
-    position), each holding the id of its co-occurring (e, f) pair and of
-    its target token. An iteration is then four `np.bincount` passes:
-    per-token totals of t over the source positions, expected pair
-    counts, per-source-word norms, and the new table.
+    Each sentence is split once per side, and its words are mapped to
+    vocabulary ids in one pass (`_flat_em`), which then flattens the
+    corpus into one entry per (target token, source position) and runs
+    each iteration as four `np.bincount` passes. The table is built from
+    the co-occurring pairs in (e, f) order, the order the vocabularies
+    sort: one `np.searchsorted` gives each source word's run of pairs,
+    and each row is one `dict` over its run.
 
     The result is bit-for-bit the one of the nested loops over dicts
-    (`reference_em` in the tests): pair ids follow first occurrence in
-    the corpus walked target token by target token, source position by
-    source position, so every bincount adds its terms in the loops'
-    order; the log-likelihood is a `math.log` per token summed left to
-    right (`np.log` and pairwise `np.sum` both differ in the last bits);
-    a pair whose t is exactly 0 going into an iteration leaves the table,
-    as the loops' `if p:` drops it.
+    (`reference_em` in the tests), rows and entries in the same order.
+    Raises CorpusTooLarge when the corpus is too large for `_flat_em`'s
+    packed int64 sort keys (`_check_key_space`).
     """
     if len(corpus) == 0:
         raise EmptyCorpus(f"{corpus.name} has no pairs for EM")
-    src = [p.src.split() + [NULL_WORD] for p in corpus.pairs]
+    src = [p.src.split() for p in corpus.pairs]
     tgt = [p.tgt.split() for p in corpus.pairs]
-    e_vocab = sorted({e for words in src for e in words})
-    f_vocab = sorted({f for words in tgt for f in words})
-    keys, t, kept, log_likelihoods = _flat_em(src, tgt, e_vocab, f_vocab,
-                                              iterations)
-    table: dict[str, dict[str, float]] = {e: {} for e in e_vocab}
-    in_order = np.argsort(keys)  # (e, f) order, as the vocabularies sort
-    in_order = in_order[kept[in_order]]
-    for key, prob in zip(keys[in_order].tolist(), t[in_order].tolist()):
-        e, f = divmod(key, len(f_vocab))
-        table[e_vocab[e]][f_vocab[f]] = prob
+    e_vocab = sorted({NULL_WORD}.union(*src))
+    f_vocab = sorted(set().union(*tgt))
+    keys, t, log_likelihoods = _flat_em(corpus.name, src, tgt, e_vocab,
+                                        f_vocab, iterations)
+    n_f = len(f_vocab)
+    row_sizes = np.diff(np.searchsorted(keys, np.arange(len(e_vocab) + 1)
+                                        * n_f)).tolist()
+    entries = zip(map(f_vocab.__getitem__, (keys % n_f).tolist()),
+                  t.tolist())
+    table = {e: dict(islice(entries, size))
+             for e, size in zip(e_vocab, row_sizes)}
     return Lexicon(corpus.src_lang, corpus.tgt_lang, table,
                    tuple(log_likelihoods))
 
 
-def _flat_em(src: list[list[str]], tgt: list[list[str]],
+def _check_key_space(name: str, n_e: int, n_f: int, n_entries: int) -> None:
+    """Raise CorpusTooLarge, naming corpus *name*, unless every packed
+    sort key ``(e_id * n_f + f_id) * n_entries + entry`` of `_flat_em`
+    fits in an int64, i.e. unless ``n_e * n_f * n_entries < 2**63``."""
+    if n_e * n_f * n_entries >= 2 ** 63:
+        raise CorpusTooLarge(
+            f"{name}: {n_e} source words x {n_f} target words x "
+            f"{n_entries} (target token, source word) entries reach 2**63, "
+            f"beyond EM's int64 sort keys; split the corpus")
+
+
+def _flat_em(name: str, src: list[list[str]], tgt: list[list[str]],
              e_vocab: list[str], f_vocab: list[str], iterations: int
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float]]:
-    """`train_lexicon`'s EM over the flat index. Returns the co-occurring
-    pairs' keys ``e_id * len(f_vocab) + f_id`` (ids index the
-    vocabularies) in first-occurrence order, their final t, whether each
-    is still in the table, and the log-likelihood of each iteration.
-    A function of its own so that the corpus-sized arrays are freed
-    before `train_lexicon` builds the table, which lowers peak memory."""
+             ) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """`train_lexicon`'s EM over the flat index. Returns the keys
+    ``e_id * len(f_vocab) + f_id`` (ids index the vocabularies) of the
+    pairs still in the table, ascending, their final t, and the
+    log-likelihood of each iteration. A function of its own so that the
+    corpus-sized arrays are freed before `train_lexicon` builds the
+    table, which lowers peak memory.
+
+    Entries run target token by target token, each over its sentence's
+    source words in order, <null> last. Pair ids follow first occurrence
+    in that walk, so every bincount adds its terms in the loops' order.
+    They come from one value sort of ``key * n_entries + entry``: equal
+    keys end up together with their first entry first, and the P
+    distinct pairs are ranked by those first entries. The log-likelihood
+    is a `math.log` per token summed left to right (`np.log` and pairwise
+    `np.sum` both differ in the last bits). In the first iteration t is
+    uniform over each source word's target words, so every target token
+    of a sentence has the same total: one `math.log` per sentence,
+    repeated per token and summed by `np.cumsum`, which adds in order as
+    `left_to_right_sum` does. A pair whose t is exactly 0 going into an
+    iteration leaves the table, as the loops' `if p:` drops it."""
     e_index = {e: i for i, e in enumerate(e_vocab)}
     f_index = {f: i for i, f in enumerate(f_vocab)}
-    src_ids = np.array([e_index[e] for words in src for e in words])
-    tgt_ids = np.array([f_index[f] for words in tgt for f in words])
-    src_len = np.array([len(words) for words in src])
-    tgt_len = np.array([len(words) for words in tgt])
+    src_len = np.fromiter(map(len, src), np.int64, len(src))
+    tgt_len = np.fromiter(map(len, tgt), np.int64, len(tgt))
+    src_ids = np.fromiter(map(e_index.__getitem__, chain.from_iterable(src)),
+                          np.int64, int(src_len.sum()))
+    src_ids = np.insert(src_ids, np.cumsum(src_len), e_index[NULL_WORD])
+    src_len += 1
+    tgt_ids = np.fromiter(map(f_index.__getitem__, chain.from_iterable(tgt)),
+                          np.int64, int(tgt_len.sum()))
 
-    # entries run target token by target token, each over its sentence's
-    # source words in order; entry j's source word is src_ids[src_word[j]]
+    # entry j's source word is src_ids[src_word[j]]
     width = np.repeat(src_len, tgt_len)  # source words per target token
+    n = int(width.sum())
+    _check_key_space(name, len(e_vocab), len(f_vocab), n)
     entry_start = np.cumsum(width) - width
     src_start = np.repeat(np.cumsum(src_len) - src_len, tgt_len)
-    src_word = np.arange(width.sum()) - np.repeat(entry_start - src_start,
-                                                  width)
+    src_word = np.arange(n) - np.repeat(entry_start - src_start, width)
     del entry_start, src_start
-    entry_key = src_ids[src_word] * len(f_vocab) + np.repeat(tgt_ids, width)
+    packed = src_ids[src_word] * len(f_vocab) + np.repeat(tgt_ids, width)
     del src_word, src_ids, tgt_ids
-    # one sort groups the entries by key; a group's pair id is the rank of
-    # its first entry among all groups' first entries
-    order = np.argsort(entry_key)
-    sorted_key = entry_key[order]
-    del entry_key
-    new_group = np.empty(len(order), bool)
+    packed *= n
+    packed += np.arange(n)
+    packed.sort()
+    sorted_key, entry = np.divmod(packed, n)
+    del packed
+    new_group = np.empty(n, bool)
     new_group[0] = True
     np.not_equal(sorted_key[1:], sorted_key[:-1], out=new_group[1:])
     starts = np.flatnonzero(new_group)
-    first = np.minimum.reduceat(order, starts)  # each group's first entry
-    is_first = np.zeros(len(order), bool)
-    is_first[first] = True
-    group_id = (np.cumsum(is_first) - 1)[first]
-    del is_first, first
-    keys = np.empty_like(sorted_key, shape=len(starts))
-    keys[group_id] = sorted_key[starts]
-    del sorted_key, starts
-    pair = np.empty_like(order)
-    pair[order] = group_id[np.cumsum(new_group) - 1]
-    del order, new_group, group_id
+    keys = sorted_key[starts]  # ascending
+    del sorted_key
+    by_first = np.argsort(entry[starts])  # pair id -> group
+    group_pair = np.empty_like(by_first)  # group -> pair id
+    group_pair[by_first] = np.arange(len(by_first))
+    pair = np.empty_like(entry)
+    pair[entry] = group_pair[np.cumsum(new_group) - 1]
+    del entry, new_group, starts
     tok = np.repeat(np.arange(len(width)), width)
-    pair_e = keys // len(f_vocab)
+    pair_e = keys[by_first] // len(f_vocab)
 
     prior = 1.0 / width
     t = 1.0 / np.bincount(pair_e)[pair_e]
     kept = t != 0  # the table's entries: pairs whose t went in nonzero
     log_likelihoods = []
-    for _ in range(iterations):
+    for iteration in range(iterations):
         p = t[pair]
         total = np.bincount(tok, p)
-        log_likelihoods.append(
-            left_to_right_sum(map(math.log, (prior * total).tolist())))
+        if iteration == 0:
+            # every side holds a word (SentencePair), so each sentence's
+            # first target token is its own
+            first = np.cumsum(tgt_len) - tgt_len
+            logs = np.fromiter(
+                map(math.log, (prior[first] * total[first]).tolist()),
+                float, len(first))
+            log_likelihoods.append(
+                float(np.cumsum(np.repeat(logs, tgt_len))[-1]))
+        else:
+            log_likelihoods.append(
+                left_to_right_sum(map(math.log, (prior * total).tolist())))
         p /= total[tok]  # each entry's posterior
         counts = np.bincount(pair, p)
         kept = t != 0
         t = counts / np.bincount(pair_e, counts)[pair_e]
-    return keys, t, kept, log_likelihoods
+    t, kept = t[group_pair], kept[group_pair]  # in key order
+    return keys[kept], t[kept], log_likelihoods
 
 
 class LexiconTranslator:

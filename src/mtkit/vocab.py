@@ -9,9 +9,10 @@ so a negative exponent rewards pairs shared across languages and a
 positive one rewards raw frequency; exponent 1 reduces exactly to BPE
 and runs BPE's merge loop.
 
-Pair counts are maintained incrementally (only words containing the
-merged pair are rescanned), which keeps training near-linear instead of
-recounting the whole corpus every step.
+Pair counts are maintained incrementally: a merge rescans only the words
+containing the merged pair and applies only the change in each one's
+pairs, which keeps training near-linear instead of recounting the whole
+corpus every step.
 """
 
 from __future__ import annotations
@@ -200,7 +201,17 @@ def base_tokens(data: LangCorpusSet, cfg: VocabConfig) -> list[str]:
 
 
 class _MergeState:
-    """Word types plus incrementally maintained adjacent-pair counts."""
+    """Word types plus incrementally maintained adjacent-pair counts.
+
+    `pair_pooled`, `pair_bylang` (one count per language) and
+    `pair_words` (the indices of the words holding the pair) cover every
+    pair that occurs; `_support` is the number of languages a pair
+    occurs in, and `full_support` the pairs that occur in all of them.
+    The counts are made in one pass over the words, and the support
+    derived from them. A merge then changes only the words holding the
+    merged pair, and each of those only by the difference between its
+    old and its new pairs (`_count`), so only pairs whose count changes
+    are updated, and `_train` pushes only those onto its heap."""
 
     def __init__(self, data: LangCorpusSet) -> None:
         self.langs: tuple[str, ...] = data.languages
@@ -214,67 +225,84 @@ class _MergeState:
                 self.words.append(_mark_word(w))
                 self.freqs.append(freq[w])
                 self.word_lang.append(li)
-        self.pair_pooled: dict[tuple[str, str], int] = {}
-        self.pair_bylang: dict[tuple[str, str], list[int]] = {}
-        self.pair_words: dict[tuple[str, str], set[int]] = {}
+        bylang: dict[tuple[str, str], list[int]] = {}
+        pair_words: dict[tuple[str, str], set[int]] = {}
         self.lang_totals: list[int] = [0] * n
-        self._support: dict[tuple[str, str], int] = {}
-        self.full_support: set[tuple[str, str]] = set()
-        for idx in range(len(self.words)):
-            self._shift(idx, +1)
+        for idx, (word, f, li) in enumerate(
+                zip(self.words, self.freqs, self.word_lang)):
+            for pair in zip(word, word[1:]):
+                counts = bylang.get(pair)
+                if counts is None:
+                    counts = bylang[pair] = [0] * n
+                    pair_words[pair] = {idx}
+                else:
+                    pair_words[pair].add(idx)
+                counts[li] += f
+            self.lang_totals[li] += f * (len(word) - 1)
+        self.pair_bylang = bylang
+        self.pair_words = pair_words
+        self.pair_pooled: dict[tuple[str, str], int] = {
+            pair: sum(counts) for pair, counts in bylang.items()}
+        self._support: dict[tuple[str, str], int] = {
+            pair: n - counts.count(0) for pair, counts in bylang.items()}
+        self.full_support: set[tuple[str, str]] = {
+            pair for pair, s in self._support.items() if s == n}
 
-    def _shift(self, idx: int, sign: int) -> set[tuple[str, str]]:
-        """Add (+1) or remove (-1) one word's pair contributions."""
-        word = self.words[idx]
+    def _count(self, pair: tuple[str, str], idx: int, change: int,
+               held: bool) -> None:
+        """Add *change* (nonzero) occurrences of *pair* in word *idx*,
+        weighted by the word's frequency; *held* says whether the word
+        still holds the pair. `lang_totals` is left to the caller."""
         li = self.word_lang[idx]
-        f = self.freqs[idx] * sign
-        n = len(self.langs)
-        touched: set[tuple[str, str]] = set()
-        for a, b in zip(word, word[1:]):
-            pair = (a, b)
-            touched.add(pair)
-            pooled = self.pair_pooled.get(pair, 0) + f
-            arr = self.pair_bylang.get(pair)
-            if arr is None:
-                arr = [0] * n
-                self.pair_bylang[pair] = arr
-                self._support[pair] = 0
-                self.pair_words[pair] = set()
-            was = arr[li]
-            arr[li] = was + f
-            if was == 0 and arr[li] > 0:
-                self._support[pair] += 1
-                if self._support[pair] == n:
-                    self.full_support.add(pair)
-            elif was > 0 and arr[li] == 0:
-                if self._support[pair] == n:
-                    self.full_support.discard(pair)
-                self._support[pair] -= 1
-            if sign > 0:
-                self.pair_words[pair].add(idx)
-            if pooled:
-                self.pair_pooled[pair] = pooled
-            else:
-                del self.pair_pooled[pair]
-                del self.pair_bylang[pair]
-                del self._support[pair]
-                del self.pair_words[pair]
+        f = self.freqs[idx] * change
+        counts = self.pair_bylang.get(pair)
+        if counts is None:
+            counts = self.pair_bylang[pair] = [0] * len(self.langs)
+            self.pair_pooled[pair] = 0
+            self._support[pair] = 0
+            self.pair_words[pair] = set()
+        was = counts[li]
+        counts[li] = was + f
+        if not was:
+            self._support[pair] += 1
+            if self._support[pair] == len(self.langs):
+                self.full_support.add(pair)
+        elif not counts[li]:
+            if self._support[pair] == len(self.langs):
                 self.full_support.discard(pair)
-            self.lang_totals[li] += f
-        if sign < 0:
-            for pair in touched:
-                words = self.pair_words.get(pair)
-                if words is not None:
-                    words.discard(idx)
-        return touched
+            self._support[pair] -= 1
+        pooled = self.pair_pooled[pair] + f
+        if not pooled:
+            del self.pair_pooled[pair], self.pair_bylang[pair]
+            del self._support[pair], self.pair_words[pair]
+            return
+        self.pair_pooled[pair] = pooled
+        if held:
+            self.pair_words[pair].add(idx)
+        else:
+            self.pair_words[pair].discard(idx)
 
     def apply_merge(self, pair: tuple[str, str]) -> set[tuple[str, str]]:
-        """Merge *pair* in every word containing it; returns touched pairs."""
+        """Merge *pair* in every word containing it. Returns the pairs
+        whose count changed in some word, which holds each pair whose
+        pooled count changed."""
         touched: set[tuple[str, str]] = set()
         for idx in sorted(self.pair_words.get(pair, ())):
-            touched |= self._shift(idx, -1)
-            self.words[idx] = _merge_pair(self.words[idx], *pair)
-            touched |= self._shift(idx, +1)
+            word = self.words[idx]
+            merged = _merge_pair(word, *pair)
+            self.words[idx] = merged
+            change: dict[tuple[str, str], int] = {}
+            for other in zip(word, word[1:]):
+                change[other] = change.get(other, 0) - 1
+            for other in zip(merged, merged[1:]):
+                change[other] = change.get(other, 0) + 1
+            held = set(zip(merged, merged[1:]))
+            for other, c in change.items():
+                if c:
+                    touched.add(other)
+                    self._count(other, idx, c, other in held)
+            self.lang_totals[self.word_lang[idx]] -= (
+                self.freqs[idx] * (len(word) - len(merged)))
         return touched
 
     def segmentations(self) -> dict[tuple[str, str], list[str]]:

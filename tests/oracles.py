@@ -51,6 +51,29 @@ def count_pairs(words: list[list[str]], freqs: list[int]) -> Counter:
     return counts
 
 
+def recount_merge_state(words: list[list[str]], freqs: list[int],
+                        word_langs: list[int], n_langs: int):
+    """What the trainer's merge state keeps about pairs, recounted from
+    *words* (symbol lists, each with its frequency and language index):
+    pooled counts, counts per language, the number of languages holding
+    each pair, the pairs every language holds, the indices of the words
+    holding each pair, and each language's pair total."""
+    pooled: dict = {}
+    by_lang: dict = {}
+    holders: dict = {}
+    totals = [0] * n_langs
+    for idx, (word, f, li) in enumerate(zip(words, freqs, word_langs)):
+        for pair in zip(word, word[1:]):
+            pooled[pair] = pooled.get(pair, 0) + f
+            by_lang.setdefault(pair, [0] * n_langs)[li] += f
+            holders.setdefault(pair, set()).add(idx)
+            totals[li] += f
+    support = {pair: sum(c > 0 for c in counts)
+               for pair, counts in by_lang.items()}
+    full = {pair for pair, s in support.items() if s == n_langs}
+    return pooled, by_lang, support, full, holders, totals
+
+
 def word_table(sentences_by_lang: dict[str, list[str]]):
     """(words, freqs, langs) with the same deterministic ordering rules the
     library documents: languages sorted, word types sorted within each."""

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mtkit
-from mtkit import cli
+from mtkit import cli, translator
 from mtkit.cli import build_parser, main
 from mtkit.corpus import (
     BitextCorpus,
@@ -225,6 +225,23 @@ def test_translator_train_and_run(data, tmp_path, capsys):
     out = capsys.readouterr().out
     transforms = word_transforms(seed=0)
     assert out == render("the child", transforms["xho"]) + "\n"
+
+
+def test_translator_train_on_too_large_a_corpus_exits_2(data, tmp_path,
+                                                        capsys, monkeypatch):
+    """EM's key bound exits 2 and names the corpus. No corpus here comes
+    near the bound, so the check is shown 2**62 times the entries."""
+    root, manifests = data
+    check = translator._check_key_space
+    monkeypatch.setattr(
+        translator, "_check_key_space",
+        lambda name, n_e, n_f, n: check(name, n_e, n_f, n * 2**62))
+    lex = tmp_path / "lex.json"
+    assert main(["translator", "train-lexicon", "--in",
+                 str(manifests["eng-xho"]), "--out", str(lex)]) == 2
+    name = load_bitext(manifests["eng-xho"]).name
+    assert capsys.readouterr().err.startswith(f"error: {name}: ")
+    assert not lex.exists()
 
 
 def test_translator_run_exec_model(data, tmp_path, capsys):

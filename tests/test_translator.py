@@ -13,6 +13,7 @@ from conftest import make_corpus
 from mtkit import translator
 from mtkit.errors import (
     BadLexicon,
+    CorpusTooLarge,
     EmptyCorpus,
     ExternalProcessError,
     UnsupportedDirection,
@@ -75,23 +76,33 @@ def test_null_word_gets_a_row_but_stays_internal():
 
 
 def assert_same_as_reference_em(corpus, iterations):
+    """The table is `reference_em`'s, rows and each row's entries in the
+    same order: `Lexicon.save` writes that order and `_check_rows` sums
+    each row in it."""
     lex = train_lexicon(corpus, iterations)
     ref = oracles.reference_em(corpus, iterations)
-    assert lex.table == ref.table
+    assert [(e, list(row.items())) for e, row in lex.table.items()] == \
+        [(e, list(row.items())) for e, row in ref.table.items()]
     assert lex.log_likelihoods == ref.log_likelihoods
 
 
+# iterations 1 and 2: the first iteration's own log-likelihood path, then
+# the first ordinary iteration
 @pytest.mark.parametrize("seed, n_pairs, vocab_words, iterations",
-                         [(0, 40, 8, 1), (3, 120, 15, 12), (13, 300, 50, 20)])
+                         [(0, 40, 8, 1), (5, 60, 10, 2), (3, 120, 15, 12),
+                          (13, 300, 50, 20)])
 def test_em_equals_reference_on_cipher_corpora(seed, n_pairs, vocab_words,
                                                iterations):
     corpus, _ = cipher_bitext(n_pairs, vocab_words, seed)
     assert_same_as_reference_em(corpus, iterations)
 
 
-# few word types, so sentences repeat words; NULL_WORD may occur as a word
-_sentences = st.lists(st.sampled_from(["a", "b", "c", "dd", NULL_WORD]),
-                      min_size=1, max_size=7).map(" ".join)
+# few word types, so sentences repeat words; NULL_WORD may occur as a word;
+# words are separated by runs of whitespace of more than one kind
+_sentences = st.builds(
+    str.join, st.sampled_from([" ", "  ", "\t"]),
+    st.lists(st.sampled_from(["a", "b", "c", "dd", NULL_WORD]), min_size=1,
+             max_size=7))
 
 
 @given(st.lists(st.tuples(_sentences, _sentences), min_size=1, max_size=12),
@@ -104,6 +115,21 @@ def test_em_equals_reference_on_random_corpora(pairs, iterations):
 def test_empty_corpus_rejected():
     with pytest.raises(EmptyCorpus):
         train_lexicon(make_corpus([], src="eng", tgt="zul"))
+
+
+def test_em_key_space_bound(monkeypatch):
+    check = translator._check_key_space
+    check("big", 2**31, 2**31, 1)
+    with pytest.raises(CorpusTooLarge,
+                       match=r"^big: 2147483648 source words x 2147483648 "):
+        check("big", 2**31, 2**31, 2)  # a product of exactly 2**63
+    seen = []
+    monkeypatch.setattr(translator, "_check_key_space",
+                        lambda *args: seen.append(args))
+    train_lexicon(make_corpus([("a b", "x"), ("b", "y z")], name="tiny"), 1)
+    # source words a, b and <null>; target words x, y and z; (2 + 1) * 1 +
+    # (1 + 1) * 2 (target token, source word) entries
+    assert seen == [("tiny", 3, 3, 7)]
 
 
 # -- decoding ------------------------------------------------------------

@@ -12,6 +12,7 @@ from mtkit.vocab import (
     LangCorpusSet,
     VocabConfig,
     Vocabulary,
+    _MergeState,
     _mark_word,
     load_vocabulary,
     train_bpe,
@@ -216,7 +217,7 @@ def test_obpe_negative_exponent_prefers_shared_pair():
 
 
 def test_obpe_score_matches_hand_formula():
-    from mtkit.vocab import _MergeState, _obpe_best
+    from mtkit.vocab import _obpe_best
     data = data_of({"eng": OVERLAP_HRL, "zul": OVERLAP_LRL})
     state = _MergeState(data)
     pair, score = _obpe_best(state, -2.0)
@@ -257,6 +258,45 @@ def test_obpe_matches_oracle_with_a_language_without_pairs(p):
     cfg = config_for(data, 40, mean_exponent_p=p)
     assert list(train_obpe(data_of(data), cfg).merges) == \
         oracles.reference_obpe(data, 40, p)
+
+
+# -- the trainer's merge state -------------------------------------------
+
+def assert_state_is_recount(state):
+    assert (state.pair_pooled, state.pair_bylang, state._support,
+            state.full_support, state.pair_words, state.lang_totals) == \
+        oracles.recount_merge_state(state.words, state.freqs, state.word_lang,
+                                    len(state.langs))
+
+
+@pytest.mark.parametrize("p", [None, -2.0, 0.0, 2.0], ids=[
+    "bpe", "obpe-p-2", "obpe-p0", "obpe-p2"])
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_merge_state_equals_a_recount_after_every_merge(p, seed):
+    """Replays the merges a trainer learned on a fresh state. After each
+    one, the state equals a recount of its words, and `apply_merge`
+    returned every pair whose count changed."""
+    data = oracles.random_sentences_by_lang(seed)
+    if p is None:
+        vocab = train_bpe(data_of(data), config_for(data, 60))
+    else:
+        vocab = train_obpe(data_of(data),
+                           config_for(data, 60, mean_exponent_p=p))
+    state = _MergeState(data_of(data))
+    assert_state_is_recount(state)
+
+    def counts():
+        return {pair: (c, list(state.pair_bylang[pair]))
+                for pair, c in state.pair_pooled.items()}
+
+    for pair in vocab.merges:
+        before = counts()
+        touched = state.apply_merge(pair)
+        assert_state_is_recount(state)
+        after = counts()
+        assert {q for q in before.keys() | after.keys()
+                if before.get(q) != after.get(q)} <= touched
 
 
 # -- encode / decode ----------------------------------------------------
