@@ -37,8 +37,6 @@ from .synthesis import backtranslate, pivot_synthesize
 from .toy import generate_toy_data, new_direction_labels
 from .translator import MAX_EM_ITERATIONS, load_translator, train_lexicon
 from .vocab import (
-    DEFAULT_HRL,
-    DEFAULT_LRL,
     LangCorpusSet,
     VocabConfig,
     load_vocabulary,
@@ -46,10 +44,6 @@ from .vocab import (
     train_obpe,
 )
 from .vocab_metrics import vocabulary_report
-
-
-def _langs(arg: str) -> frozenset[str]:
-    return frozenset(x for x in arg.split(",") if x)
 
 
 def _int_at_least(low: int, high: int | None = None):
@@ -97,8 +91,16 @@ def cmd_corpus_validate(args) -> int:
 
 
 def cmd_corpus_stats(args) -> int:
-    _emit_json({Path(p).stem: corpus_stats(load_bitext(p)).to_json()
-                for p in args.manifests}, args.out)
+    by_stem: dict[str, list[str]] = {}
+    for p in args.manifests:
+        by_stem.setdefault(Path(p).stem, []).append(p)
+    clashes = [f"{' and '.join(paths)} share the stem {stem!r}, which keys "
+               f"the output; each stem may appear once"
+               for stem, paths in by_stem.items() if len(paths) > 1]
+    if clashes:
+        raise MTKitError("; ".join(clashes))
+    _emit_json({stem: corpus_stats(load_bitext(p)).to_json()
+                for stem, (p,) in by_stem.items()}, args.out)
     return 0
 
 
@@ -119,8 +121,7 @@ def cmd_corpus_concat(args) -> int:
 # -- vocab ----------------------------------------------------------------
 
 def cmd_vocab_train(args) -> int:
-    config = VocabConfig(vocab_size=args.vocab_size, hrl_langs=args.hrl,
-                         lrl_langs=args.lrl, mean_exponent_p=args.p)
+    config = VocabConfig(vocab_size=args.vocab_size, mean_exponent_p=args.p)
     data = LangCorpusSet.from_bitexts(_load_corpora(args.manifests))
     train = train_obpe if args.mode == "obpe" else train_bpe
     vocab = train(data, config)
@@ -170,8 +171,7 @@ def cmd_mixture(args) -> int:
         old = [c for c in corpora if "eng" in c.languages()]
         new = [c for c in corpora if "eng" not in c.languages()]
         plan = make_balance_plan([c.direction for c in new])
-        mixture = build_stage2_mixture(old, new, plan, seed=args.seed,
-                                       default_cap=args.cap)
+        mixture = build_stage2_mixture(old, new, plan, seed=args.seed)
     export = export_mixture(mixture, vocab, args.out)
     print(export.src_path)
     print(export.tgt_path)
@@ -335,10 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     v = vsub.add_parser("train", help="train a vocabulary on manifests")
     v.add_argument("--mode", choices=("bpe", "obpe"), default="obpe")
     v.add_argument("--vocab-size", type=int, default=40000)
-    v.add_argument("--hrl", type=_langs, default=DEFAULT_HRL,
-                   help="comma-separated high-resource languages")
-    v.add_argument("--lrl", type=_langs, default=DEFAULT_LRL,
-                   help="comma-separated low-resource languages")
     v.add_argument("--p", type=float, default=-2.0,
                    help="power-mean exponent for obpe pair scoring")
     v.add_argument("--out", required=True)
@@ -362,8 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mixture", help="build tagged training mixtures")
     p.add_argument("stage", choices=("stage1", "stage2"))
     p.add_argument("--seed", type=_non_negative_int, default=17)
-    p.add_argument("--cap", type=_non_negative_int, default=None,
-                   help="stage2 cap for directions the plan does not match")
     p.add_argument("--vocab", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("manifests", nargs="+")

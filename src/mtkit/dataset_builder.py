@@ -5,7 +5,7 @@ adds new (non-English) directions and rebalances: each new direction of
 size N is matched with its encoder-side old direction X->eng and its
 decoder-side old direction eng->Y, both sliced down to min(N, available)
 by seeded uniform sampling; old directions no plan entry matches are
-capped at a default (the median new-direction size). A slice holds
+capped at the median new-direction size. A slice holds
 indices into its corpus; readers take just those pairs through
 `corpus.orient`, which flips them when the corpus stores the other
 orientation; export takes their two strings by index under the same
@@ -177,18 +177,19 @@ def stage2_problems(old: Sequence[BitextCorpus],
 def build_stage2_mixture(old: Sequence[BitextCorpus],
                          new: Sequence[BitextCorpus],
                          plan: BalancePlan,
-                         seed: int,
-                         default_cap: int | None = None) -> TrainingMixture:
+                         seed: int) -> TrainingMixture:
     """Balanced stage-2 mixture per the plan; raises PlanCoverage with
-    every problem `stage2_problems` finds. Sampling is per-slice seeded,
-    so adding or removing one entry never reshuffles the others."""
+    every problem `stage2_problems` finds. Each entry draws its old
+    directions at its new direction's size; an old direction the plan
+    does not match is capped at the median size of the new directions.
+    Sampling is per-slice seeded, so adding or removing one entry never
+    reshuffles the others."""
     problems = stage2_problems(old, [c.direction for c in new], plan)
     if problems:
         raise PlanCoverage("; ".join(m for _, m in problems))
     by_pair = {c.languages(): c for c in (*old, *new)}
     new_sizes = [len(by_pair[e.new.languages]) for e in plan.entries]
-    cap = default_cap if default_cap is not None else (
-        int(statistics.median(new_sizes)) if new_sizes else 0)
+    cap = int(statistics.median(new_sizes)) if new_sizes else 0
 
     def sampled_slice(direction: DirectionSpec, n: int) -> MixtureSlice:
         corpus = by_pair[direction.languages]

@@ -134,8 +134,7 @@ _DEFAULTS = {
     "vocab": {"use": "obpe"},
     "stage1": {"em_iterations": [5, 15]},
     "backtranslation": {"default": "internal", "models": {}, "batch_size": 64},
-    "stage2": {"em_iterations": 20, "default_cap": None,
-               "new_directions": None},
+    "stage2": {"em_iterations": 20, "new_directions": None},
     "eval": {"dev_dir": None},
 }
 
@@ -257,8 +256,6 @@ def _load_inputs(cfg: dict) -> tuple[_Inputs, list[str]]:
                  f"in the run directory would overwrite each other"
                  for name, k in Counter(c.name for c in inputs.corpora).items()
                  if k > 1]
-    languages = {lang for c in inputs.corpora + inputs.new_corpora
-                 for lang in c.languages()}
 
     vocab_cfg = section("vocab")
     if vocab_cfg is not None:
@@ -266,7 +263,6 @@ def _load_inputs(cfg: dict) -> tuple[_Inputs, list[str]]:
             problems.append("vocab.use: must be 'bpe' or 'obpe'")
         try:
             inputs.vocab = _vocab_config(vocab_cfg)
-            inputs.vocab.check_covers(languages)
         except MTKitError as exc:
             problems.append(f"vocab: {exc}")
 
@@ -339,10 +335,6 @@ def _load_inputs(cfg: dict) -> tuple[_Inputs, list[str]]:
         if not _is_em_iterations(stage2["em_iterations"]):
             problems.append("stage2.em_iterations: must be an int in "
                             f"1..{MAX_EM_ITERATIONS}")
-        cap = stage2["default_cap"]
-        if cap is not None and not (is_json_int(cap) and cap >= 0):
-            problems.append(
-                "stage2.default_cap: must be null or a non-negative int")
         directions = stage2["new_directions"]
         if directions is None:
             if not new_corpora:
@@ -389,6 +381,8 @@ def _load_inputs(cfg: dict) -> tuple[_Inputs, list[str]]:
             except MTKitError as exc:
                 problems.append(f"eval.dev_dir: {exc}")
             else:
+                languages = {lang for c in inputs.corpora + inputs.new_corpora
+                             for lang in c.languages()}
                 missing = sorted(languages - set(inputs.dev))
                 if missing:
                     problems.append(
@@ -641,9 +635,7 @@ class _Runner:
         plan = make_balance_plan(state.inputs.new)
         plan_path = plan.save(out / "plan.json")
         mixture = build_stage2_mixture(
-            state.old_pool, state.new_pool, plan,
-            seed=cfg["seed"],
-            default_cap=cfg["stage2"]["default_cap"])
+            state.old_pool, state.new_pool, plan, seed=cfg["seed"])
         state.stage2_mixture = mixture
         export = export_mixture(mixture, state.vocab, out / "mixture")
         return [], [plan_path, export.src_path, export.tgt_path,

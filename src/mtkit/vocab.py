@@ -53,26 +53,20 @@ class VocabConfig:
     """Training-time settings, embedded verbatim in saved vocabularies.
 
     vocab_size is the full token budget: special tokens and the base
-    alphabet count against it, not just learned merges.
+    alphabet count against it, not just learned merges. The split of the
+    nine languages into high- and low-resource ones (`hrl_langs`,
+    `lrl_langs`) is fixed, like the special tokens; OBPE's score does
+    not read it yet.
     """
 
     vocab_size: int = 40_000
-    hrl_langs: frozenset[str] = DEFAULT_HRL
-    lrl_langs: frozenset[str] = DEFAULT_LRL
     mean_exponent_p: float = -2.0
+    hrl_langs: ClassVar[frozenset[str]] = DEFAULT_HRL
+    lrl_langs: ClassVar[frozenset[str]] = DEFAULT_LRL
     special_tokens: ClassVar[tuple[str, ...]] = DEFAULT_SPECIAL_TOKENS
     end_of_word_marker: ClassVar[str] = END_OF_WORD
 
     def __post_init__(self) -> None:
-        for name in ("hrl_langs", "lrl_langs"):
-            value = getattr(self, name)
-            # a string would become its characters, a dict its keys
-            items = (tuple(value) if isinstance(value, Iterable)
-                     and not isinstance(value, (str, dict)) else None)
-            if items is None or not all(isinstance(s, str) for s in items):
-                raise InvalidConfig(
-                    f"{name} must be a list of strings, got {value!r}")
-            object.__setattr__(self, name, frozenset(items))
         if not is_json_int(self.vocab_size) or self.vocab_size < 1:
             raise InvalidConfig(
                 f"vocab_size must be a positive int, got {self.vocab_size!r}")
@@ -81,20 +75,6 @@ class VocabConfig:
                 and abs(self.mean_exponent_p) <= sys.float_info.max):
             raise InvalidConfig(f"mean_exponent_p must be a finite number, "
                                 f"got {self.mean_exponent_p!r}")
-        overlap = self.hrl_langs & self.lrl_langs
-        if overlap:
-            raise InvalidConfig(f"languages in both hrl and lrl: {sorted(overlap)}")
-
-    @property
-    def languages(self) -> frozenset[str]:
-        return self.hrl_langs | self.lrl_langs
-
-    def check_covers(self, languages: Iterable[str]) -> None:
-        """Raise InvalidConfig unless the hrl or lrl set holds each one."""
-        unknown = set(languages) - self.languages
-        if unknown:
-            raise InvalidConfig(
-                f"languages not covered by hrl/lrl sets: {sorted(unknown)}")
 
     def to_json(self) -> dict:
         return {
@@ -108,18 +88,18 @@ class VocabConfig:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "VocabConfig":
-        """The config `to_json` wrote; a file whose special tokens or
-        marker differ from the fixed ones raises InvalidConfig."""
+        """The config `to_json` wrote; a file whose language split,
+        special tokens or marker differ from the fixed ones raises
+        InvalidConfig."""
         try:
             fixed = cls().to_json()
-            for key in ("end_of_word_marker", "special_tokens"):
+            for key in ("hrl_langs", "lrl_langs", "end_of_word_marker",
+                        "special_tokens"):
                 if obj[key] != fixed[key]:
                     raise InvalidConfig(
                         f"{key} must be {fixed[key]!r}, got {obj[key]!r}")
             return cls(
                 vocab_size=obj["vocab_size"],
-                hrl_langs=obj["hrl_langs"],
-                lrl_langs=obj["lrl_langs"],
                 mean_exponent_p=obj["mean_exponent_p"],
             )
         except KeyError as exc:
@@ -363,7 +343,10 @@ def _obpe_best(state: _MergeState, p: float
 def _train(data: LangCorpusSet, cfg: VocabConfig, mode: str) -> "Vocabulary":
     if data.total_sentences() == 0:
         raise EmptyCorpus("no training sentences")
-    cfg.check_covers(data.languages)
+    unknown = sorted(set(data.languages) - set(DEFAULT_LANGUAGES))
+    if unknown:
+        raise InvalidConfig(f"languages not in registry "
+                            f"{list(DEFAULT_LANGUAGES)}: {unknown}")
 
     tokens = base_tokens(data, cfg)
     token_set = set(tokens)
@@ -425,7 +408,10 @@ def train_obpe(data: LangCorpusSet, config: VocabConfig | None = None,
     language's current adjacent-pair total) of per-language relative pair
     frequencies. Negative exponents score any pair absent from some
     language as zero; training stops when every candidate scores zero.
-    *threads* is accepted and ignored, as by `train_bpe`."""
+    High- and low-resource languages are scored alike: the fixed split
+    (`VocabConfig.hrl_langs`, `lrl_langs`) does not enter the score yet.
+    As for `train_bpe`, a language outside `DEFAULT_LANGUAGES` raises
+    InvalidConfig, and *threads* is accepted and ignored."""
     return _train(data, config or VocabConfig(), "obpe")
 
 

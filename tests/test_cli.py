@@ -90,6 +90,27 @@ def test_corpus_validate_and_stats(data, capsys):
     assert doc["eng-zul"]["pair_count"] == 60
 
 
+def test_corpus_stats_refuses_two_manifests_of_one_stem(data, tmp_path,
+                                                       capsys):
+    """The output is keyed by file stem, so a second manifest of one stem
+    would silently replace the first."""
+    root, manifests = data
+    paths = []
+    for sub, name in (("a", "eng-xho"), ("b", "eng-zul")):
+        (tmp_path / sub).mkdir()
+        for f in manifests[name].parent.glob(name + ".*"):
+            (tmp_path / sub / f.name).write_bytes(f.read_bytes())
+        paths.append(str((tmp_path / sub / f"{name}.json").rename(
+            tmp_path / sub / "train.json")))
+    assert main(["corpus", "validate", *paths]) == 0
+    capsys.readouterr()
+    assert main(["corpus", "stats", *paths]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert f"{paths[0]} and {paths[1]} share the stem 'train'" in captured.err
+
+
 def test_corpus_validate_rejects_tampering(data, tmp_path, capsys):
     root, manifests = data
     src = manifests["eng-xho"]
@@ -809,10 +830,9 @@ def _not_json(value, token):
     _set("stage2", "new_directions", ["xho-"],
          ".new_directions: direction 'xho'->'': side '' is empty or holds "
          "'-'"),
-    _set("vocab", "hrl_langs", "eng",
-         ": hrl_langs must be a list of strings, got 'eng'"),
-    _set("vocab", "lrl_langs", ["afr"],
-         ": languages not covered by hrl/lrl sets: ['zul']"),
+    _set("vocab", "hrl_langs", ["eng", "sna", "tsn", "xho"],
+         ": unknown fields ['hrl_langs']"),
+    _set("vocab", "lrl_langs", ["afr"], ": unknown fields ['lrl_langs']"),
     _set("stage2", "new_direction", ["xho-zul"],
          ": unknown fields ['new_direction']"),
     _listed_twice("corpora", "eng-xho"),
@@ -844,11 +864,12 @@ def _not_json(value, token):
          ".em_iterations: non-empty list of distinct ints in 1..1000"),
     _set("stage2", "em_iterations", 2 ** 70,
          ".em_iterations: must be an int in 1..1000"),
+    _set("stage2", "default_cap", 3, ": unknown fields ['default_cap']"),
 ], ids=["corpus-checksum", "dev-checksum", "dev-line-count", "exec-empty",
         "exec-unclosed", "dev-line-break", "direction-without-corpus",
         "direction-side-empty",
-        "vocab-langs-string",
-        "vocab-langs-uncovered", "unknown-field", "corpus-listed-twice",
+        "vocab-hrl-langs",
+        "vocab-lrl-langs", "unknown-field", "corpus-listed-twice",
         "corpus-stored-reversed", "new-corpus-listed-twice",
         "bt-model-key-unstored", "bt-model-wrong-direction",
         "corpus-without-pairs", "split-takes-everything",
@@ -856,7 +877,8 @@ def _not_json(value, token):
         "stage2-seed-negative", "nan-token", "infinity-token",
         "minus-infinity-token", "exponent-too-large", "stage1-seed",
         "stage2-seed", "vocab-special-tokens", "vocab-marker",
-        "stage1-em-iterations-too-many", "stage2-em-iterations-too-many"])
+        "stage1-em-iterations-too-many", "stage2-em-iterations-too-many",
+        "stage2-default-cap"])
 def test_bad_input_file_exits_2_before_any_step(data, tmp_path, capsys,
                                                 breaks):
     """`pipeline validate` and `pipeline run` load the same inputs, so they
@@ -1017,6 +1039,21 @@ def test_readme_command_lines_parse():
                         f"{shlex.join(argv)}")
 
 
+@pytest.mark.parametrize("argv", [
+    ["vocab", "train", "--hrl", "eng", "--out", "v.json", "c.json"],
+    ["vocab", "train", "--lrl", "zul", "--out", "v.json", "c.json"],
+    ["mixture", "stage2", "--cap", "3", "--vocab", "v.json", "--out", "mix",
+     "c.json"],
+], ids=["vocab-train-hrl", "vocab-train-lrl", "mixture-stage2-cap"])
+def test_removed_option_is_a_usage_error(argv, capsys):
+    """The HRL/LRL split and the stage-2 cap are fixed; argparse refuses
+    the options that once set them, before the command runs."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: {argv[2]}" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_exits_via_argparse(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["no-such-command"])
@@ -1029,8 +1066,6 @@ def test_unknown_subcommand_exits_via_argparse(capsys):
      "--batch-size", "0", "--out", "{out}"],
     ["synth", "pivot", "--model", "exec:cat", "--pivot-to", "zul",
      "--in", "{eng-xho}", "--batch-size", "0", "--out", "{out}"],
-    ["mixture", "stage2", "--cap", "-1", "--vocab", "{vocab}",
-     "--out", "{out}", "{eng-xho}", "{eng-zul}", "{xho-zul}"],
     ["mixture", "stage1", "--seed", "-3", "--vocab", "{vocab}",
      "--out", "{out}", "{eng-xho}", "{eng-zul}"],
     ["repro-toy", "--seed", "-1", "--out", "{out}"],
@@ -1039,7 +1074,7 @@ def test_unknown_subcommand_exits_via_argparse(capsys):
     ["translator", "train-lexicon", "--in", "{eng-xho}", "--iters", "1001",
      "--out", "{out}/lex.json"],
 ], ids=["split-n", "backtranslate-batch-size", "pivot-batch-size",
-        "stage2-cap", "stage1-seed", "repro-toy-seed", "train-lexicon-iters",
+        "stage1-seed", "repro-toy-seed", "train-lexicon-iters",
         "train-lexicon-iters-too-many"])
 def test_out_of_range_integer_option_exits_2(data, vocab_file, tmp_path,
                                              argv):

@@ -239,16 +239,19 @@ def test_stage2_matches_old_directions_to_new_size():
     assert counts["tsn-eng"] == 10
 
 
-def test_stage2_new_size_and_default_cap():
-    """Matched old directions take the new corpus's size; the others take
-    default_cap."""
-    old, _, plan = stage2_fixture()
-    new = [pair_corpus(6, "xz", "xho", "zul")]
-    mixture = build_stage2_mixture(old, new, plan, seed=7, default_cap=3)
+def test_stage2_new_size_and_median_cap():
+    """Matched old directions take their new corpus's size; the others
+    take the median size of the new directions."""
+    old, _, _ = stage2_fixture()
+    new = [pair_corpus(4, "xz", "xho", "zul"),
+           pair_corpus(8, "tz", "tsn", "zul")]
+    plan = make_balance_plan(["xho-zul", "tsn-zul"])
+    mixture = build_stage2_mixture(old, new, plan, seed=7)
     counts = mixture.direction_counts()
-    assert counts["xho-zul"] == 6
-    assert counts["xho-eng"] == 6 and counts["eng-zul"] == 6
-    assert counts["eng-xho"] == 3 and counts["tsn-eng"] == 3
+    assert counts["xho-zul"] == 4 and counts["tsn-zul"] == 8
+    assert counts["xho-eng"] == 4 and counts["tsn-eng"] == 8
+    assert counts["eng-zul"] == 4 + 8
+    assert counts["eng-xho"] == counts["zul-eng"] == counts["eng-tsn"] == 6
 
 
 def test_stage2_never_oversamples_small_old_corpora():

@@ -31,11 +31,19 @@ def test_deleted_names_are_gone():
         assert name not in mtkit.__all__, name
         assert not hasattr(mtkit, name), name
         assert not hasattr(vocab_metrics, name), name
-    # the special tokens and the end-of-word marker are constants
+    # the language split, the special tokens and the end-of-word marker
+    # are constants
     assert [f.name for f in dataclasses.fields(vocab.VocabConfig)] == [
-        "vocab_size", "hrl_langs", "lrl_langs", "mean_exponent_p"]
+        "vocab_size", "mean_exponent_p"]
+    assert vocab.VocabConfig.hrl_langs == vocab.DEFAULT_HRL
+    assert vocab.VocabConfig.lrl_langs == vocab.DEFAULT_LRL
     assert vocab.VocabConfig.special_tokens == vocab.DEFAULT_SPECIAL_TOKENS
     assert vocab.VocabConfig.end_of_word_marker == vocab.END_OF_WORD
+    for name in ("check_covers", "languages"):
+        assert not hasattr(vocab.VocabConfig, name), name
+    # the stage-2 cap is always the median new-direction size
+    assert "default_cap" not in inspect.signature(
+        dataset_builder.build_stage2_mixture).parameters
     for fn in (corpus.load_bitext, corpus.validate_language):
         assert "registry" not in inspect.signature(fn).parameters, fn
     # the stage-2 balance plan is always derived, never read from a file

@@ -161,9 +161,12 @@ def test_valid_config_has_no_problems(dataset):
      "stage1: unknown fields"),
     ({"stage2": {"em_iterations": 6, "seed": 3}}, "stage2: unknown fields"),
     ({"stage2": {"em_iterations": 6, "seed": "x"}}, "stage2: unknown fields"),
-    ({"stage2": {"default_cap": "many"}}, "stage2.default_cap"),
-    ({"stage2": {"default_cap": -1}}, "stage2.default_cap"),
-    ({"stage2": {"default_cap": True}}, "stage2.default_cap"),
+    # the stage-2 cap is always the median new-direction size
+    ({"stage2": {"default_cap": None}},
+     "stage2: unknown fields ['default_cap']"),
+    ({"stage2": {"default_cap": 3}}, "stage2: unknown fields ['default_cap']"),
+    ({"stage2": {"default_cap": -1}},
+     "stage2: unknown fields ['default_cap']"),
     ({"stage2": {"new_directions": ["xho-zul", "xho-zul"]}}, "appear once"),
     ({"stage2": {"plan": 5}}, "stage2: unknown fields ['plan']"),
     ({"backtranslation": {"models": {"xho-eng": "/nowhere/lex.json"}}},
@@ -178,15 +181,19 @@ def test_valid_config_has_no_problems(dataset):
      "tsn-zul needs an English-centric corpus for tsn"),
     ({"stage2": {"new_directions": ["xho-zul", "zul-xho"]}},
      "share their languages"),
-    # vocabulary language sets
-    ({"vocab": {"vocab_size": 160, "hrl_langs": "eng"}}, "vocab: hrl_langs"),
-    ({"vocab": {"vocab_size": 160, "lrl_langs": "zul"}}, "vocab: lrl_langs"),
+    # the HRL/LRL split is fixed; naming it, even as the fixed split, is
+    # an error
+    ({"vocab": {"vocab_size": 160, "hrl_langs": "eng"}},
+     "vocab: unknown fields ['hrl_langs']"),
+    ({"vocab": {"vocab_size": 160, "lrl_langs": "zul"}},
+     "vocab: unknown fields ['lrl_langs']"),
     ({"vocab": {"vocab_size": 160, "special_tokens": "<unk>"}},
      "vocab: unknown fields"),
-    ({"vocab": {"vocab_size": 160, "hrl_langs": [["eng"]]}},
-     "vocab: hrl_langs"),
+    ({"vocab": {"vocab_size": 160, "hrl_langs": ["eng", "sna", "tsn", "xho"],
+                "lrl_langs": ["afr", "nso", "ssw", "tso", "zul"]}},
+     "vocab: unknown fields ['hrl_langs', 'lrl_langs']"),
     ({"vocab": {"vocab_size": 160, "lrl_langs": ["afr"]}},
-     "vocab: languages not covered by hrl/lrl sets: ['ssw', 'zul']"),
+     "vocab: unknown fields ['lrl_langs']"),
     # unknown fields, in every section
     ({"new_corpus": []}, "unknown fields ['new_corpus']"),
     ({"stage1": {"em_iteration": [2]}}, "stage1: unknown fields"),

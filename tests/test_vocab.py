@@ -128,26 +128,12 @@ def test_empty_corpus_rejected():
 
 
 def test_data_language_must_be_covered():
-    data = {"eng": ["a"], "zul": ["b"]}
-    cfg = VocabConfig(vocab_size=2000, hrl_langs=frozenset({"eng"}),
-                      lrl_langs=frozenset({"afr"}))
-    with pytest.raises(errors.InvalidConfig, match="zul"):
-        train_bpe(data_of(data), cfg)
-
-
-def test_hrl_lrl_overlap_rejected():
-    with pytest.raises(errors.InvalidConfig):
-        VocabConfig(hrl_langs=frozenset({"eng"}), lrl_langs=frozenset({"eng"}))
-
-
-@pytest.mark.parametrize("field,value", [
-    ("hrl_langs", "eng"), ("lrl_langs", "zul"), ("lrl_langs", {"zul": 1}),
-    ("hrl_langs", 5), ("lrl_langs", [["zul"]]),
-])
-def test_vocab_config_wants_a_list_of_strings(field, value):
-    """A string would otherwise become the set of its characters."""
-    with pytest.raises(errors.InvalidConfig, match=f"{field} must be a list"):
-        VocabConfig(**{field: value})
+    """Both trainers refuse a language outside the nine known ones, and
+    name it."""
+    data = data_of({"eng": ["a"], "fra": ["b"]})
+    for train in (train_bpe, train_obpe):
+        with pytest.raises(errors.InvalidConfig, match=r"\['fra'\]"):
+            train(data, VocabConfig(vocab_size=2000))
 
 
 def test_saved_vocabulary_with_a_string_language_set_is_rejected(tmp_path):
@@ -157,15 +143,30 @@ def test_saved_vocabulary_with_a_string_language_set_is_rejected(tmp_path):
     doc = json.loads(path.read_text())
     doc["config"]["hrl_langs"] = "eng"
     path.write_text(json.dumps(doc))
-    with pytest.raises(errors.InvalidConfig, match="hrl_langs must be a list"):
+    with pytest.raises(errors.InvalidConfig, match="hrl_langs must be "):
         load_vocabulary(path)
 
 
-def test_check_covers_names_the_uncovered_languages():
-    cfg = VocabConfig(hrl_langs=["eng"], lrl_langs=["afr"])
-    cfg.check_covers(["afr", "eng"])
-    with pytest.raises(errors.InvalidConfig, match=r"\['tsn', 'zul'\]"):
-        cfg.check_covers(["eng", "zul", "tsn"])
+@pytest.mark.parametrize("field,value", [
+    ("hrl_langs", ["eng"]),
+    ("lrl_langs", ["afr", "nso", "ssw", "tso", "xho", "zul"]),
+    ("lrl_langs", ["zul", "afr", "nso", "ssw", "tso"]),
+])
+def test_saved_vocabulary_with_another_language_split_is_rejected(
+        tmp_path, field, value):
+    """The HRL/LRL split is fixed: a file that records another one, or the
+    same one unsorted, is refused."""
+    data = {"eng": ["ab ab"]}
+    path = train_bpe(data_of(data), config_for(data, 1)).save(
+        tmp_path / "v.json")
+    doc = json.loads(path.read_text())
+    fixed = doc["config"][field]
+    assert fixed == sorted(getattr(VocabConfig, field))
+    doc["config"][field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(errors.InvalidConfig,
+                       match=re.escape(f"{field} must be {fixed!r}")):
+        load_vocabulary(path)
 
 
 # -- OBPE ---------------------------------------------------------------
