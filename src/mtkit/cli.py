@@ -60,7 +60,7 @@ def _int_at_least(low: int, high: int | None = None):
     return parse
 
 
-_non_negative_int, _positive_int = _int_at_least(0), _int_at_least(1)
+_non_negative_int = _int_at_least(0)
 
 
 def _read_lines(path: str | None) -> list[str]:
@@ -201,7 +201,7 @@ def cmd_translator_run(args) -> int:
 def cmd_synth_backtranslate(args) -> int:
     corpus = load_bitext(args.infile)
     model = load_translator(args.model)
-    synthetic = backtranslate(corpus, model, batch_size=args.batch_size)
+    synthetic = backtranslate(corpus, model)
     print(write_bitext(synthetic, args.out))
     return 0
 
@@ -209,8 +209,7 @@ def cmd_synth_backtranslate(args) -> int:
 def cmd_synth_pivot(args) -> int:
     corpus = load_bitext(args.infile)
     model = load_translator(args.model)
-    synthetic = pivot_synthesize(corpus, model, pivot_to=args.pivot_to,
-                                 batch_size=args.batch_size)
+    synthetic = pivot_synthesize(corpus, model, pivot_to=args.pivot_to)
     print(write_bitext(synthetic, args.out))
     return 0
 
@@ -385,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="rebuild the source side with a reverse model")
     v.add_argument("--model", required=True)
     v.add_argument("--in", dest="infile", required=True)
-    v.add_argument("--batch-size", type=_positive_int, default=64)
     v.add_argument("--out", required=True)
     v.set_defaults(fn=cmd_synth_backtranslate)
     v = ssub.add_parser("pivot",
@@ -393,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--model", required=True)
     v.add_argument("--pivot-to", required=True)
     v.add_argument("--in", dest="infile", required=True)
-    v.add_argument("--batch-size", type=_positive_int, default=64)
     v.add_argument("--out", required=True)
     v.set_defaults(fn=cmd_synth_pivot)
 

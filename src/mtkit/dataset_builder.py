@@ -179,17 +179,20 @@ def build_stage2_mixture(old: Sequence[BitextCorpus],
                          plan: BalancePlan,
                          seed: int) -> TrainingMixture:
     """Balanced stage-2 mixture per the plan; raises PlanCoverage with
-    every problem `stage2_problems` finds. Each entry draws its old
-    directions at its new direction's size; an old direction the plan
-    does not match is capped at the median size of the new directions.
-    Sampling is per-slice seeded, so adding or removing one entry never
-    reshuffles the others."""
-    problems = stage2_problems(old, [c.direction for c in new], plan)
+    every problem `stage2_problems` finds, and when *new* is empty.
+    Each entry draws its old directions at its new direction's size; an
+    old direction the plan does not match is capped at the median size
+    of the new directions. Sampling is per-slice seeded, so adding or
+    removing one entry never reshuffles the others."""
+    problems = [m for _, m in
+                stage2_problems(old, [c.direction for c in new], plan)]
+    if not new:
+        problems.append("stage 2 needs at least one new direction")
     if problems:
-        raise PlanCoverage("; ".join(m for _, m in problems))
+        raise PlanCoverage("; ".join(problems))
     by_pair = {c.languages(): c for c in (*old, *new)}
     new_sizes = [len(by_pair[e.new.languages]) for e in plan.entries]
-    cap = int(statistics.median(new_sizes)) if new_sizes else 0
+    cap = int(statistics.median(new_sizes))
 
     def sampled_slice(direction: DirectionSpec, n: int) -> MixtureSlice:
         corpus = by_pair[direction.languages]

@@ -114,7 +114,8 @@ class BadSyntheticSide(MTKitError):
 
 
 class BadPivot(MTKitError):
-    """Pivot target coincides with a language already in the corpus."""
+    """Pivot target is not one of the nine language codes, or is a
+    language already in the corpus."""
 
 
 class LanguageMismatch(MTKitError):

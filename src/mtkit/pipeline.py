@@ -133,7 +133,7 @@ _DEFAULTS = {
     "validation_split": 0,
     "vocab": {"use": "obpe"},
     "stage1": {"em_iterations": [5, 15]},
-    "backtranslation": {"default": "internal", "models": {}, "batch_size": 64},
+    "backtranslation": {"default": "internal", "models": {}},
     "stage2": {"em_iterations": 20, "new_directions": None},
     "eval": {"dev_dir": None},
 }
@@ -159,10 +159,6 @@ def _vocab_config(section: dict) -> VocabConfig:
     """The VocabConfig of a config's vocab section, defaults for the rest."""
     return VocabConfig(**{k: v for k, v in section.items()
                           if k in _VOCAB_FIELDS})
-
-
-def _is_positive_int(value: object) -> bool:
-    return is_json_int(value) and value >= 1
 
 
 def _is_em_iterations(value: object) -> bool:
@@ -303,8 +299,6 @@ def _load_inputs(cfg: dict) -> tuple[_Inputs, list[str]]:
         if bt["default"] not in ("internal", "none"):
             problems.append(
                 "backtranslation.default: must be 'internal' or 'none'")
-        if not _is_positive_int(bt["batch_size"]):
-            problems.append("backtranslation.batch_size: must be a positive int")
         models = bt["models"]
         if not isinstance(models, dict):
             problems.append("backtranslation.models: must be an object")
@@ -605,8 +599,7 @@ class _Runner:
                 continue
             model = (state.selected[corpus.direction.reversed()]
                      if spec == "internal" else state.inputs.models[label])
-            synthetic = backtranslate(corpus, model,
-                                      batch_size=bt_cfg["batch_size"])
+            synthetic = backtranslate(corpus, model)
             outputs.append(write_bitext(synthetic, out))
             combined = concat_corpora(f"{label}-all", [corpus, synthetic])
             state.old_pool.append(combined)

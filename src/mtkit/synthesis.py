@@ -6,6 +6,12 @@ provenance stays auditable through any number of mixing steps. Only the
 generated side is checked (NFC, non-empty, single-line, as any
 `SentencePair` side): the genuine side is a checked side already and is
 kept as the same string.
+
+Each operation sends the whole side it translates to its model in one
+`translate_batch` call, as `mtkit translator run` sends its input file;
+how a model splits that work is its own business. A model must return
+one line per sentence sent: a generated side of any other length raises
+BadSyntheticSide rather than shortening the corpus.
 """
 
 from __future__ import annotations
@@ -19,27 +25,22 @@ from .corpus import (
     SentencePair,
     checked_line,
     orient,
+    validate_language,
 )
-from .errors import BadPivot, BadSyntheticSide, LanguageMismatch
+from .errors import BadManifest, BadPivot, BadSyntheticSide, LanguageMismatch
 from .translator import TranslatorModel, check_direction
-
-DEFAULT_BATCH_SIZE = 64
-
-
-def _batched_translate(model: TranslatorModel, sentences: list[str],
-                       src: str, tgt: str, batch_size: int) -> list[str]:
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    out: list[str] = []
-    for i in range(0, len(sentences), batch_size):
-        out.extend(model.translate_batch(sentences[i:i + batch_size], src, tgt))
-    return out
 
 
 def _synthetic_pairs(generated: list[str], genuine: list[str],
                      model_id: str) -> tuple[SentencePair, ...]:
-    """Pairs (generated_i, genuine_i); only the generated side is checked.
-    A bad one raises BadSyntheticSide naming the model and the pair."""
+    """Pairs (generated_i, genuine_i), where *generated* is the model's
+    output for the sentences sent with *genuine*, one for each; only the
+    generated side is checked. A side of the wrong length, or a bad
+    generated line, raises BadSyntheticSide naming the model."""
+    if len(generated) != len(genuine):
+        raise BadSyntheticSide(
+            f"model {model_id!r} returned {len(generated)} lines for "
+            f"{len(genuine)} sentences sent")
     pairs = []
     for number, (src, tgt) in enumerate(zip(generated, genuine), 1):
         try:
@@ -51,8 +52,8 @@ def _synthetic_pairs(generated: list[str], genuine: list[str],
     return tuple(pairs)
 
 
-def backtranslate(corpus: BitextCorpus, model: TranslatorModel,
-                  batch_size: int = DEFAULT_BATCH_SIZE) -> BitextCorpus:
+def backtranslate(corpus: BitextCorpus,
+                  model: TranslatorModel) -> BitextCorpus:
     """Rebuild the source side by translating the target side backwards.
 
     For an input (A, B) corpus and a B->A model, output pair i is
@@ -63,7 +64,7 @@ def backtranslate(corpus: BitextCorpus, model: TranslatorModel,
     back = corpus.direction.reversed()
     check_direction(model, *back)
     tgt_side = corpus.tgt_sentences
-    translated = _batched_translate(model, tgt_side, *back, batch_size)
+    translated = model.translate_batch(tgt_side, *back)
     return replace(corpus, name=f"{corpus.name}-bt",
                    pairs=_synthetic_pairs(translated, tgt_side,
                                           model.model_id),
@@ -71,8 +72,7 @@ def backtranslate(corpus: BitextCorpus, model: TranslatorModel,
 
 
 def pivot_synthesize(corpus: BitextCorpus, model: TranslatorModel,
-                     pivot_to: str,
-                     batch_size: int = DEFAULT_BATCH_SIZE) -> BitextCorpus:
+                     pivot_to: str) -> BitextCorpus:
     """Turn an English-L corpus into an X-L corpus by translating the
     English side to X. Output pair i is (model(eng_i), L_i); the L side
     stays the same string and real-if-it-was-real. Only the generated
@@ -81,12 +81,15 @@ def pivot_synthesize(corpus: BitextCorpus, model: TranslatorModel,
     if "eng" not in langs:
         raise LanguageMismatch(f"{corpus.name} has no English side to pivot")
     other = next(iter(langs - {"eng"}))
+    try:
+        validate_language(pivot_to)
+    except BadManifest as exc:
+        raise BadPivot(f"pivot target: {exc}") from exc
     if pivot_to in langs:
         raise BadPivot(f"pivot target {pivot_to} already in {corpus.name}")
     check_direction(model, "eng", pivot_to)
     kept = orient(corpus, "eng", other)
-    translated = _batched_translate(model, kept.src_sentences, "eng",
-                                    pivot_to, batch_size)
+    translated = model.translate_batch(kept.src_sentences, "eng", pivot_to)
     return BitextCorpus(
         name=f"{DirectionSpec(pivot_to, other).label}-pivot",
         src_lang=pivot_to,

@@ -366,11 +366,14 @@ class LexiconTranslator:
 
 
 class ExternalProcessTranslator:
-    """One subprocess invocation per batch: sentences in on stdin, one per
-    line, translations out on stdout, same count, same order. A batch
-    of n sentences that runs longer than `EXTERNAL_START_TIMEOUT_S` +
-    n * `EXTERNAL_SENTENCE_TIMEOUT_S` seconds is killed and raises
-    ExternalProcessError."""
+    """One subprocess invocation per `translate_batch` call: sentences in
+    on stdin, one per line, translations out on stdout, same count, same
+    order. Every caller sends a whole stream as one batch (`translator
+    run` its input file, back-translation and pivot synthesis each corpus
+    side), so the command starts once per stream and chunks its stdin as
+    it likes. A batch of n sentences that runs longer than
+    `EXTERNAL_START_TIMEOUT_S` + n * `EXTERNAL_SENTENCE_TIMEOUT_S` seconds
+    is killed and raises ExternalProcessError."""
 
     def __init__(self, command: str) -> None:
         self.command = command

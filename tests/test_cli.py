@@ -231,6 +231,20 @@ def test_mixture_stage2_takes_no_plan_file(data, vocab_file, tmp_path,
     assert "--plan" not in capsys.readouterr().out
 
 
+def test_mixture_stage2_without_a_new_direction_exits_2(data, vocab_file,
+                                                        tmp_path, capsys):
+    """Stage 2 given only English-centric corpora has nothing to balance:
+    it exits 2 with an error line and writes no mixture."""
+    root, manifests = data
+    out = tmp_path / "mix"
+    assert main(["mixture", "stage2", "--seed", "17", "--vocab",
+                 str(vocab_file), "--out", str(out),
+                 str(manifests["eng-xho"]), str(manifests["eng-zul"])]) == 2
+    assert "error: stage 2 needs at least one new direction" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_translator_train_and_run(data, tmp_path, capsys):
     root, manifests = data
     lex = tmp_path / "lex.json"
@@ -496,6 +510,30 @@ def test_synth_backtranslate_and_pivot(data, tmp_path, capsys):
     assert pv.languages() == frozenset({"xho", "zul"})
 
 
+@pytest.mark.parametrize("pivot_to,reason", [
+    ("a-b", "bad language code 'a-b'"),
+    ("fra", "language 'fra' not in registry"),
+    ("zul", "pivot target zul already in eng-zul"),
+])
+def test_synth_pivot_bad_target_exits_2_before_the_model_runs(
+        data, tmp_path, capsys, pivot_to, reason):
+    """A --pivot-to that is no code of the nine languages, or a language of
+    the corpus, exits 2 with an error line; the model never starts and
+    nothing is written."""
+    root, manifests = data
+    starts = tmp_path / "starts.txt"
+    code = (f"import sys; open({str(starts)!r}, 'a').write('start\\n'); "
+            "sys.stdout.write(sys.stdin.read())")
+    model = f"exec:{shlex.quote(sys.executable)} -c {shlex.quote(code)}"
+    out = tmp_path / "out"
+    assert main(["synth", "pivot", "--model", model, "--pivot-to", pivot_to,
+                 "--in", str(manifests["eng-zul"]), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and reason in err
+    assert not starts.exists()
+    assert not out.exists()
+
+
 # exec: models whose output breaks the generated side: every line ends in
 # CRLF, or every line after the first is blank
 _CRLF_MODEL = ("import sys; sys.stdout.buffer.write(b''.join("
@@ -606,13 +644,11 @@ def test_pipeline_validate_exit_codes(data, tmp_path, capsys):
     assert main(["pipeline", "validate", "--config", str(listed)]) == 2
     assert "problem: eval.dev_dir" in capsys.readouterr().err
 
-    for key, field, value in (("stage2", "em_iterations", "many"),
-                              ("backtranslation", "batch_size", 0)):
-        bad_field = tmp_path / f"bad-{field}.json"
-        bad_field.write_text(json.dumps({**cfg, key: {field: value}}),
-                             encoding="utf-8")
-        assert main(["pipeline", "validate", "--config", str(bad_field)]) == 2
-        assert f"problem: {key}.{field}" in capsys.readouterr().err
+    bad_field = tmp_path / "bad-em_iterations.json"
+    bad_field.write_text(json.dumps({**cfg, "stage2": {"em_iterations": "x"}}),
+                         encoding="utf-8")
+    assert main(["pipeline", "validate", "--config", str(bad_field)]) == 2
+    assert "problem: stage2.em_iterations" in capsys.readouterr().err
 
     # the stage-2 balance plan is always derived; a plan file is refused
     (tmp_path / "plan.json").write_text(json.dumps({"entries": []}),
@@ -623,6 +659,14 @@ def test_pipeline_validate_exit_codes(data, tmp_path, capsys):
     for verb in ("validate", "run"):
         assert main(["pipeline", verb, "--config", str(with_plan)]) == 2, verb
         assert "problem: stage2: unknown fields ['plan']" in \
+            capsys.readouterr().err.splitlines()
+    # each corpus side goes to its model in one call; a batch size is refused
+    with_batch = tmp_path / "with-batch.json"
+    with_batch.write_text(json.dumps(
+        {**cfg, "backtranslation": {"batch_size": 64}}), encoding="utf-8")
+    for verb in ("validate", "run"):
+        assert main(["pipeline", verb, "--config", str(with_batch)]) == 2, verb
+        assert "problem: backtranslation: unknown fields ['batch_size']" in \
             capsys.readouterr().err.splitlines()
     assert not (tmp_path / "out").exists()
 
@@ -1044,10 +1088,16 @@ def test_readme_command_lines_parse():
     ["vocab", "train", "--lrl", "zul", "--out", "v.json", "c.json"],
     ["mixture", "stage2", "--cap", "3", "--vocab", "v.json", "--out", "mix",
      "c.json"],
-], ids=["vocab-train-hrl", "vocab-train-lrl", "mixture-stage2-cap"])
+    ["synth", "backtranslate", "--batch-size", "8", "--model", "exec:cat",
+     "--in", "c.json", "--out", "synth"],
+    ["synth", "pivot", "--batch-size", "8", "--model", "exec:cat",
+     "--pivot-to", "xho", "--in", "c.json", "--out", "synth"],
+], ids=["vocab-train-hrl", "vocab-train-lrl", "mixture-stage2-cap",
+        "backtranslate-batch-size", "pivot-batch-size"])
 def test_removed_option_is_a_usage_error(argv, capsys):
-    """The HRL/LRL split and the stage-2 cap are fixed; argparse refuses
-    the options that once set them, before the command runs."""
+    """The HRL/LRL split, the stage-2 cap and the synthesis batch size are
+    fixed; argparse refuses the options that once set them, before the
+    command runs."""
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 2
@@ -1062,10 +1112,6 @@ def test_unknown_subcommand_exits_via_argparse(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["corpus", "split", "--n", "-1", "--out", "{out}", "{eng-xho}"],
-    ["synth", "backtranslate", "--model", "exec:cat", "--in", "{eng-xho}",
-     "--batch-size", "0", "--out", "{out}"],
-    ["synth", "pivot", "--model", "exec:cat", "--pivot-to", "zul",
-     "--in", "{eng-xho}", "--batch-size", "0", "--out", "{out}"],
     ["mixture", "stage1", "--seed", "-3", "--vocab", "{vocab}",
      "--out", "{out}", "{eng-xho}", "{eng-zul}"],
     ["repro-toy", "--seed", "-1", "--out", "{out}"],
@@ -1073,8 +1119,7 @@ def test_unknown_subcommand_exits_via_argparse(capsys):
      "--out", "{out}/lex.json"],
     ["translator", "train-lexicon", "--in", "{eng-xho}", "--iters", "1001",
      "--out", "{out}/lex.json"],
-], ids=["split-n", "backtranslate-batch-size", "pivot-batch-size",
-        "stage1-seed", "repro-toy-seed", "train-lexicon-iters",
+], ids=["split-n", "stage1-seed", "repro-toy-seed", "train-lexicon-iters",
         "train-lexicon-iters-too-many"])
 def test_out_of_range_integer_option_exits_2(data, vocab_file, tmp_path,
                                              argv):

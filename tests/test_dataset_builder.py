@@ -339,6 +339,9 @@ def test_stage2_coverage_and_missing_corpus_errors():
     with pytest.raises(PlanCoverage):
         build_stage2_mixture(old + [pair_corpus(4, "ez2", "eng", "zul")],
                              new, plan, seed=0)  # duplicated eng-zul
+    with pytest.raises(PlanCoverage,
+                       match="^stage 2 needs at least one new direction$"):
+        build_stage2_mixture(old, [], make_balance_plan([]), seed=0)
 
 
 def test_stage2_rejects_two_new_corpora_on_one_pair():

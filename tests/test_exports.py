@@ -4,8 +4,8 @@ import dataclasses
 import inspect
 
 import mtkit
-from mtkit import corpus, dataset_builder, metrics, translator, vocab, \
-    vocab_metrics
+from mtkit import cli, corpus, dataset_builder, metrics, pipeline, \
+    synthesis, translator, vocab, vocab_metrics
 
 
 def test_every_exported_name_resolves_once():
@@ -51,4 +51,15 @@ def test_deleted_names_are_gone():
         assert not hasattr(dataset_builder.BalancePlan, name), name
     assert [f.name for f in dataclasses.fields(dataset_builder.PlanEntry)] \
         == ["new", "old"]
-
+    # each corpus side goes to its model in one call: no batch size
+    for module, name in ((synthesis, "DEFAULT_BATCH_SIZE"),
+                         (synthesis, "_batched_translate"),
+                         (pipeline, "_is_positive_int"),
+                         (cli, "_positive_int")):
+        assert not hasattr(module, name), name
+    assert "batch_size" not in pipeline._DEFAULTS["backtranslation"]
+    assert list(inspect.signature(synthesis.backtranslate).parameters) == [
+        "corpus", "model"]
+    assert list(inspect.signature(
+        synthesis.pivot_synthesize).parameters) == [
+        "corpus", "model", "pivot_to"]

@@ -153,9 +153,14 @@ def test_valid_config_has_no_problems(dataset):
     ({"stage2": {"em_iterations": "many"}}, "stage2.em_iterations"),
     ({"stage2": {"em_iterations": 0}}, "stage2.em_iterations"),
     ({"stage2": {"em_iterations": True}}, "stage2.em_iterations"),
-    ({"backtranslation": {"batch_size": 0}}, "backtranslation.batch_size"),
-    ({"backtranslation": {"batch_size": "64"}}, "backtranslation.batch_size"),
-    ({"backtranslation": {"batch_size": False}}, "backtranslation.batch_size"),
+    # each corpus side goes to its model in one call; naming a batch size,
+    # even the old default, is an error
+    ({"backtranslation": {"batch_size": 64}},
+     "unknown fields ['batch_size']"),
+    ({"backtranslation": {"batch_size": 0}},
+     "unknown fields ['batch_size']"),
+    ({"backtranslation": {"default": "none", "batch_size": 8}},
+     "unknown fields ['batch_size']"),
     # the run's one seed is the top-level one
     ({"stage1": {"em_iterations": [2, 5], "seed": 3}},
      "stage1: unknown fields"),
@@ -903,3 +908,49 @@ def test_dev_bitext_orients_any_language_pair(dataset):
     assert corpus.tgt_lang == "xho"
     assert len(corpus.pairs) == DEV_SIZE
     assert corpus.src_sentences == dev["zul"]
+
+
+# -- back-translation ----------------------------------------------------
+
+
+def test_exec_model_starts_once_per_corpus_it_serves(dataset, tmp_path):
+    """Back-translation sends each corpus's whole target side to its model
+    in one call, so an exec: command starts once per corpus it serves,
+    however many pairs the corpus holds."""
+    root, manifests = dataset
+    starts = tmp_path / "starts.txt"
+    code = (f"import sys; open({str(starts)!r}, 'a').write('start\\n'); "
+            "sys.stdout.write(sys.stdin.read())")
+    model = f"exec:{shlex.quote(sys.executable)} -c {shlex.quote(code)}"
+    cfg = make_config(root, manifests, backtranslation={
+        "models": {"eng-xho": model, "eng-zul": model}})
+    result = run_pipeline(cfg, run_dir=tmp_path / "run")
+    assert starts.read_text() == "start\n" * 2
+    for name, size in (("eng-xho", OLD_SIZES["xho"]),
+                       ("eng-zul", OLD_SIZES["zul"])):
+        assert size > 64
+        bt = load_bitext(result.run_dir / "synth" / "bt" / f"{name}-bt.json")
+        assert bt.src_sentences == bt.tgt_sentences
+        assert len(bt) == size
+
+
+def test_backtranslation_reaches_no_scored_model(dataset, finished_run,
+                                                 tmp_path):
+    """Stage 2 retrains only the new directions, and final eval copies
+    stage 1's rows for the English-centric ones, so a run without
+    back-translation writes the same eval/ bytes as one with it. ROADMAP
+    item 14 (stage 2 retrains on the whole mixture) is expected to break
+    this test; it then pins the change back-translation makes."""
+    root, manifests = dataset
+    other = run_pipeline(
+        make_config(root, manifests, backtranslation={"default": "none"}),
+        run_dir=tmp_path / "no-bt")
+    assert not (Path(other.run_dir) / "synth" / "bt").exists()
+
+    def eval_files(run_dir: Path) -> dict[str, bytes]:
+        return {p.name: p.read_bytes()
+                for p in sorted((Path(run_dir) / "eval").iterdir())}
+
+    ours = eval_files(finished_run.run_dir)
+    assert len(ours) == 5
+    assert eval_files(other.run_dir) == ours

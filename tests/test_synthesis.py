@@ -58,16 +58,35 @@ def test_backtranslate_requires_reverse_direction():
         backtranslate(corpus, reverser("eng", "zul"))
 
 
+class Counting:
+    """A model that copies its input and records each call it gets."""
+    model_id = "counting"
+
+    def __init__(self):
+        self.calls = []
+
+    def supported_directions(self):
+        return None
+
+    def translate_batch(self, sentences, s, t):
+        self.calls.append((list(sentences), s, t))
+        return list(sentences)
+
+
 def test_backtranslate_batching_preserves_order():
+    """Each function sends the whole side it translates in one call and
+    keeps the corpus order."""
     corpus = make_corpus([(f"src {i}", f"tgt {i}") for i in range(150)],
                          name="big", src="eng", tgt="zul")
-    model = IdentityTranslator()
-    small = backtranslate(corpus, model, batch_size=7)
-    big = backtranslate(corpus, model, batch_size=1000)
-    assert small.pairs == big.pairs
-    assert small.src_sentences == corpus.tgt_sentences
-    with pytest.raises(ValueError):
-        backtranslate(corpus, model, batch_size=0)
+    model = Counting()
+    out = backtranslate(corpus, model)
+    assert model.calls == [(corpus.tgt_sentences, "zul", "eng")]
+    assert out.src_sentences == out.tgt_sentences == corpus.tgt_sentences
+    model = Counting()
+    out = pivot_synthesize(corpus, model, pivot_to="xho")
+    assert model.calls == [(corpus.src_sentences, "eng", "xho")]
+    assert out.src_sentences == corpus.src_sentences
+    assert out.tgt_sentences == corpus.tgt_sentences
 
 
 # -- pivot synthesis -----------------------------------------------------
@@ -111,6 +130,14 @@ def test_pivot_rejections():
         pivot_synthesize(no_eng, reverser("eng", "tsn"), pivot_to="tsn")
     with pytest.raises(UnsupportedDirection):
         pivot_synthesize(corpus, reverser("eng", "tsn"), pivot_to="xho")
+    # a pivot target that is no language code, or not one of the nine,
+    # is refused before the model translates anything
+    model = Counting()
+    with pytest.raises(BadPivot, match="bad language code 'a-b'"):
+        pivot_synthesize(corpus, model, pivot_to="a-b")
+    with pytest.raises(BadPivot, match="language 'fra' not in registry"):
+        pivot_synthesize(corpus, model, pivot_to="fra")
+    assert model.calls == []
 
 
 # -- the generated side is checked, the genuine side kept ------------------
@@ -160,7 +187,7 @@ def test_synthesis_names_the_first_bad_pair_counting_from_one():
 
     with pytest.raises(BadSyntheticSide, match="^model 'bad-third', pair 3: "
                        "src side is empty after trimming$"):
-        backtranslate(corpus, _BadThird(), batch_size=1 + len(PAIRS))
+        backtranslate(corpus, _BadThird())
 
 
 def test_synthesis_normalizes_the_generated_side_and_keeps_the_genuine_one():
@@ -173,3 +200,25 @@ def test_synthesis_normalizes_the_generated_side_and_keeps_the_genuine_one():
         # the genuine side is the input's string object, not a copy
         assert all(new.tgt is old.tgt
                    for new, old in zip(out.pairs, corpus.pairs))
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_synthesis_rejects_a_generated_side_of_the_wrong_length(extra):
+    corpus = make_corpus(PAIRS + [("one more", "aba lu"), ("last", "lu")],
+                         name="ez", src="eng", tgt="zul")
+
+    class _OffByOne:
+        model_id = "off-by-one"
+
+        def supported_directions(self):
+            return None
+
+        def translate_batch(self, sentences, s, t):
+            return (list(sentences) + ["spare"])[:len(sentences) + extra]
+
+    message = f"^model 'off-by-one' returned {5 + extra} lines for 5 " \
+        "sentences sent$"
+    with pytest.raises(BadSyntheticSide, match=message):
+        backtranslate(corpus, _OffByOne())
+    with pytest.raises(BadSyntheticSide, match=message):
+        pivot_synthesize(corpus, _OffByOne(), pivot_to="xho")
